@@ -4,15 +4,14 @@ checks, and sampling codecs for concrete minimal systems."""
 
 from .bandlimited import (Band, BandSignal, BumpKernel, ConstantKernel,
                           SampleTrack, SincKernel, ToneKernel, band_check,
-                          constant_signal, grid_sup, metric_d, realify,
-                          sample, sampling_injectivity_stress, tone_signal)
+                          constant_signal, metric_d, realify, sample,
+                          sampling_injectivity_stress, tone_signal)
 from .interpolation import (BlockOverflowError, GridParams, NodeMultiset,
                             agreeing_pair, bump_transform, cardinal_kernel,
                             check_conditions, decay_constant,
                             locality_radius, random_admissible_multiset,
-                            random_separated_multiset, saturate,
-                            truncation_radius, weierstrass_product,
-                            window_kernel)
+                            saturate, truncation_radius,
+                            weierstrass_product)
 from .tiling import (MarkerSeq, Tile, Tiling, boundary_set, build_node_set,
                      compute_tiles, density_report, random_marker_seq,
                      shift_markers, tile_anchors)

@@ -26,7 +26,6 @@ from .interpolation import bump_transform
 from .numutil import cispi, composite_gauss, cospi, sinpi
 
 GRID_STEP = 1.0 / 64.0
-GRID_RADIUS = 64.0
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,7 @@ class Band:
         return self.lo <= freq <= self.hi
 
 
+@dataclass(frozen=True)
 class ConstantKernel:
     """kernel(u) = 1. Spectral halfwidth 0 (pure carrier line)."""
 
@@ -55,13 +55,8 @@ class ConstantKernel:
     def eval(self, u):
         return np.ones_like(np.asarray(u, dtype=float))
 
-    def to_json(self) -> dict:
-        return {"kind": "constant"}
 
-    def __eq__(self, other):
-        return isinstance(other, ConstantKernel)
-
-
+@dataclass(frozen=True)
 class ToneKernel:
     """kernel(u) = sin(2 pi f u) or cos(2 pi f u), exact at quarter periods.
 
@@ -69,78 +64,58 @@ class ToneKernel:
     form, which is what the Nyquist counterexample needs.
     """
 
-    def __init__(self, freq: float, form: str = "sin"):
-        if freq <= 0:
+    freq: float
+    form: str = "sin"
+
+    def __post_init__(self):
+        if self.freq <= 0:
             raise ValueError("tone frequency must be positive")
-        if form not in ("sin", "cos"):
-            raise ValueError(f"unknown tone form {form!r}")
-        self.freq = float(freq)
-        self.form = form
-        self.halfwidth = float(freq)
+        if self.form not in ("sin", "cos"):
+            raise ValueError(f"unknown tone form {self.form!r}")
+        object.__setattr__(self, "freq", float(self.freq))
+
+    @property
+    def halfwidth(self) -> float:
+        return self.freq
 
     def eval(self, u):
         x = 2.0 * self.freq * np.asarray(u, dtype=float)
         return sinpi(x) if self.form == "sin" else cospi(x)
 
-    def to_json(self) -> dict:
-        return {"kind": "tone", "freq": self.freq, "form": self.form}
 
-    def __eq__(self, other):
-        return (isinstance(other, ToneKernel) and other.freq == self.freq
-                and other.form == self.form)
-
-
+@dataclass(frozen=True)
 class SincKernel:
     """kernel(u) = sinc(2 c u): the ideal low-pass kernel for band [-c, c]."""
 
-    def __init__(self, halfwidth: float):
-        if halfwidth <= 0:
+    halfwidth: float
+
+    def __post_init__(self):
+        if self.halfwidth <= 0:
             raise ValueError("sinc halfwidth must be positive")
-        self.halfwidth = float(halfwidth)
+        object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def eval(self, u):
         return np.sinc(2.0 * self.halfwidth * np.asarray(u, dtype=float))
 
-    def to_json(self) -> dict:
-        return {"kind": "sinc", "halfwidth": self.halfwidth}
 
-    def __eq__(self, other):
-        return isinstance(other, SincKernel) and other.halfwidth == self.halfwidth
-
-
+@dataclass(frozen=True)
 class BumpKernel:
     """Transform of the normalized smooth bump on (-tau/2, tau/2): spectral
     support exactly [-tau/2, tau/2], so halfwidth tau/2."""
 
-    def __init__(self, tau: float):
-        if tau <= 0:
+    tau: float
+
+    def __post_init__(self):
+        if self.tau <= 0:
             raise ValueError("bump support must be positive")
-        self.tau = float(tau)
-        self.halfwidth = float(tau) / 2.0
+        object.__setattr__(self, "tau", float(self.tau))
+
+    @property
+    def halfwidth(self) -> float:
+        return self.tau / 2.0
 
     def eval(self, u):
         return bump_transform(self.tau, np.asarray(u, dtype=float))
-
-    def to_json(self) -> dict:
-        return {"kind": "bump", "tau": self.tau}
-
-    def __eq__(self, other):
-        return isinstance(other, BumpKernel) and other.tau == self.tau
-
-
-_KERNEL_KINDS = {
-    "constant": lambda d: ConstantKernel(),
-    "tone": lambda d: ToneKernel(d["freq"], d.get("form", "sin")),
-    "sinc": lambda d: SincKernel(d["halfwidth"]),
-    "bump": lambda d: BumpKernel(d["tau"]),
-}
-
-
-def kernel_from_json(d: dict):
-    kind = d.get("kind")
-    if kind not in _KERNEL_KINDS:
-        raise ValueError(f"unknown kernel descriptor {kind!r}")
-    return _KERNEL_KINDS[kind](d)
 
 
 @dataclass(frozen=True)
@@ -184,34 +159,6 @@ class BandSignal:
             return complex(vals[0])
         return vals.reshape(t_arr.shape)
 
-    def nominal_band(self) -> Band:
-        """Band implied by kernel halfwidth and carrier. Halfwidth-zero
-        kernels (pure carrier lines) get a hair of nominal width."""
-        h = max(self.kernel.halfwidth, 2.0 ** -20)
-        if self.real_part:
-            hi = abs(self.carrier_freq) + h
-            return Band(-hi, hi)
-        return Band(self.carrier_freq - h, self.carrier_freq + h)
-
-    def to_json(self) -> dict:
-        out = {
-            "nodes": list(self.nodes),
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            "kernel": self.kernel.to_json(),
-            "carrier": self.carrier_freq,
-        }
-        if self.real_part:
-            out["real"] = True
-        return out
-
-    @classmethod
-    def from_json(cls, d: dict) -> "BandSignal":
-        return cls(nodes=tuple(d["nodes"]),
-                   coeffs=tuple(complex(re, im) for re, im in d["coeffs"]),
-                   kernel=kernel_from_json(d["kernel"]),
-                   carrier_freq=float(d.get("carrier", 0.0)),
-                   real_part=bool(d.get("real", False)))
-
 
 @dataclass(frozen=True)
 class SampleTrack:
@@ -227,18 +174,6 @@ class SampleTrack:
             raise ValueError("step must be positive")
         object.__setattr__(self, "values",
                            tuple(complex(v) for v in self.values))
-
-    def times(self) -> np.ndarray:
-        return (self.offset + np.arange(len(self.values))) * self.step
-
-    def to_json(self) -> dict:
-        return {"step": self.step, "offset": self.offset,
-                "values": [[v.real, v.imag] for v in self.values]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SampleTrack":
-        return cls(step=float(d["step"]), offset=int(d["offset"]),
-                   values=tuple(complex(re, im) for re, im in d["values"]))
 
 
 def constant_signal(value: complex) -> BandSignal:
@@ -271,15 +206,6 @@ def metric_d(s1: BandSignal, s2: BandSignal, depth: int = 40,
         idx = int(np.searchsorted(sorted_abs, n + 1e-12, side="right")) - 1
         total += 2.0 ** -n * float(running[idx])
     return total
-
-
-def grid_sup(s: BandSignal, radius: float = GRID_RADIUS,
-             step: float = GRID_STEP) -> float:
-    """Sup of |s| over the default certification grid; membership in the
-    unit ball means grid_sup <= 1."""
-    count = int(math.floor(radius / step + 1e-9))
-    ts = np.arange(-count, count + 1) * step
-    return float(np.max(np.abs(s.eval(ts))))
 
 
 @dataclass(frozen=True)
@@ -349,14 +275,6 @@ def sample(s: BandSignal, step: float, window) -> SampleTrack:
     vals = s.eval(ks * float(step))
     return SampleTrack(step=float(step), offset=k_lo,
                        values=tuple(complex(v) for v in np.atleast_1d(vals)))
-
-
-def write_signal_csv(s: BandSignal, ts, fp) -> None:
-    """Rows of t, re, im for plotting."""
-    vals = s.eval(np.asarray(ts, dtype=float))
-    fp.write("t,re,im\n")
-    for t, v in zip(np.asarray(ts, dtype=float), np.atleast_1d(vals)):
-        fp.write(f"{float(t)!r},{v.real!r},{v.imag!r}\n")
 
 
 def _random_lowpass_signal(halfwidth: float, rng, node_slots: int = 16,

@@ -456,7 +456,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text, passed = run(cfg)
-    except ConfigError as exc:
+    # the library rejects out-of-range parameters with ValueError; failed
+    # checks are reported through `passed`, never raised
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = cfg.output_path

@@ -85,11 +85,6 @@ class GridParams:
             "tau": self.tau,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridParams":
-        num, den = obj["rho"]
-        return cls(l=int(obj["l"]), rho=Fraction(num, den), tau=float(obj["tau"]))
-
 
 @dataclass(frozen=True)
 class NodeMultiset:
@@ -123,9 +118,6 @@ class NodeMultiset:
     def multiplicities(self) -> np.ndarray:
         return np.array([m for _, m in self.entries], dtype=int)
 
-    def total_count(self) -> int:
-        return int(sum(m for _, m in self.entries))
-
     def block_counts(self, window=None) -> dict:
         """Multiplicity-weighted node count per block index in window."""
         lo, hi = window if window is not None else self.window
@@ -156,15 +148,6 @@ class NodeMultiset:
         obj["entries"] = [[p, m] for p, m in self.entries]
         return obj
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NodeMultiset":
-        params = GridParams.from_json(obj)
-        return cls(
-            entries=tuple((float(p), int(m)) for p, m in obj["entries"]),
-            params=params,
-            window=(int(obj["window"][0]), int(obj["window"][1])),
-        )
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -177,10 +160,6 @@ class ConditionReport:
     @property
     def admissible(self) -> bool:
         return self.c1 and self.c2
-
-    @property
-    def saturated(self) -> bool:
-        return self.c1 and self.c2 and self.c3
 
 
 def check_conditions(mset: NodeMultiset, window=None) -> ConditionReport:
@@ -318,15 +297,21 @@ def _bump_norm() -> float:
 
 def bump_transform(tau: float, t):
     """Fourier transform of the normalized smooth bump supported on
-    [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing.
+    [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing on
+    the real line; complex t gives the entire continuation.
 
     Evaluated by a composite Gauss rule sized to the fastest oscillation, at
-    least 16 nodes per period.
+    least 16 nodes per period of max |t|. Real input, and complex input on
+    the real axis, is reduced to |t| and returns real values.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = np.asarray(t)
     scalar = t_arr.ndim == 0
-    ta = np.abs(np.atleast_1d(t_arr).ravel())
-    tmax = float(ta.max()) if ta.size else 0.0
+    flat = np.atleast_1d(t_arr).ravel()
+    if np.iscomplexobj(flat) and np.any(flat.imag != 0.0):
+        ta = flat
+    else:
+        ta = np.abs(np.asarray(flat.real, dtype=float))
+    tmax = float(np.max(np.abs(ta))) if ta.size else 0.0
     panels = max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
     u, w = composite_gauss(-1.0, 1.0, panels, 24)
     gw = w * _bump_profile(u) / _bump_norm()
@@ -336,22 +321,8 @@ def bump_transform(tau: float, t):
         block = ta[i:i + chunk]
         out[i:i + chunk] = np.cos(np.pi * tau * block[:, None] * u[None, :]) @ gw
     if scalar:
-        return float(out[0])
+        return out[0].item()
     return out.reshape(t_arr.shape)
-
-
-def window_kernel(params: GridParams, t):
-    """Bump window transform at the grid's support width."""
-    return bump_transform(params.tau, t)
-
-
-def _window_kernel_complex(params: GridParams, w: np.ndarray) -> np.ndarray:
-    """Window transform continued to complex arguments (growth checks)."""
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    panels = max(4, int(math.ceil(params.tau * wmax / 1.5)) + 1)
-    u, qw = composite_gauss(-1.0, 1.0, panels, 24)
-    gw = qw * _bump_profile(u) / _bump_norm()
-    return np.cos(np.pi * params.tau * w[:, None] * u[None, :]) @ gw
 
 
 def cardinal_kernel(mset: NodeMultiset, z, block_radius: int, node: float = 0.0,
@@ -379,11 +350,7 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int, node: float = 0.0,
     sat = saturate(work)
     w = z_flat - node
     prod = weierstrass_product(sat, w, block_radius, lattice_tail=lattice_tail)
-    if np.all(w.imag == 0.0):
-        kern = window_kernel(mset.params, w.real).astype(complex)
-    else:
-        kern = _window_kernel_complex(mset.params, w)
-    out = kern * prod
+    out = bump_transform(mset.params.tau, w) * prod
     if carrier != 0.0:
         out = out * np.exp(2j * np.pi * carrier * w)
     if scalar:
@@ -444,35 +411,6 @@ def random_admissible_multiset(params: GridParams, window, rng,
                 extra -= 1
             masses[float(p)] = m
     return NodeMultiset(tuple(sorted(masses.items())), params, (int(lo), int(hi)))
-
-
-def random_separated_multiset(params: GridParams, window, rng,
-                              fill: bool = False) -> NodeMultiset:
-    """Random multiset with pairwise node gaps >= 1/rho (so every translate
-    by a node satisfies c1) and per-block counts <= l*rho."""
-    lo, hi = window
-    l, cap, gap = params.l, params.lrho, params.min_gap
-    entries = []
-    prev = -math.inf
-    for n in range(lo, hi + 1):
-        a, b = _allowed_block_interval(n, l, gap)
-        count = cap if fill else int(rng.integers(0, cap + 1))
-        while count > 0:
-            start = max(a, prev + gap)
-            slack = (b - 1e-9) - start - (count - 1) * gap
-            if slack <= 0:
-                count -= 1
-                continue
-            offs = np.sort(rng.uniform(0.0, slack, size=count))
-            pts = start + offs + np.arange(count) * gap
-            entries.extend((float(p), 1) for p in pts)
-            prev = float(pts[-1])
-            break
-    if not entries:
-        n = hi if hi != 0 else lo
-        a, b = _allowed_block_interval(n if n != 0 else 1, l, gap)
-        entries = [(float(a), 1)]
-    return NodeMultiset(tuple(entries), params, (int(lo), int(hi)))
 
 
 def agreeing_pair(params: GridParams, window, inside_radius: float, rng):

@@ -30,6 +30,11 @@ def _freeze(v):
     return v
 
 
+def _plain(v):
+    """Inverse of _freeze: nested tuples back to JSON lists."""
+    return [_plain(u) for u in v] if isinstance(v, tuple) else v
+
+
 def _sorted_labels(labels):
     try:
         return tuple(sorted(labels))
@@ -112,10 +117,8 @@ class Complex:
         return cls(verts, frozenset(simps))
 
     def to_json(self) -> dict:
-        def plain(v):
-            return list(plain(u) for u in v) if isinstance(v, tuple) else v
-        return {"vertices": [plain(v) for v in self.vertices],
-                "simplices": [[plain(v) for v in s]
+        return {"vertices": [_plain(v) for v in self.vertices],
+                "simplices": [[_plain(v) for v in s]
                               for s in self.canonical()]}
 
     @classmethod
@@ -314,10 +317,8 @@ class CollisionWitness:
     point: tuple
 
     def to_json(self) -> dict:
-        def plain(v):
-            return list(plain(u) for u in v) if isinstance(v, tuple) else v
-        return {"simplex_a": [plain(v) for v in self.simplex_a],
-                "simplex_b": [plain(v) for v in self.simplex_b],
+        return {"simplex_a": [_plain(v) for v in self.simplex_a],
+                "simplex_b": [_plain(v) for v in self.simplex_b],
                 "bary_a": list(self.bary_a), "bary_b": list(self.bary_b),
                 "point": list(self.point)}
 

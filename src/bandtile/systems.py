@@ -70,9 +70,6 @@ class Rotation:
     def shifted(self, k: int) -> "Rotation":
         return Rotation(self.alpha, self.x0, self.step + int(k))
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "x0": self.x0, "step": self.step}
-
 
 def _check_window(window) -> range:
     if not isinstance(window, range) or window.step != 1:
@@ -196,9 +193,6 @@ class MarkerBump:
             return 1.0
         return 2.0 - 2.0 * d / w
 
-    def to_json(self) -> dict:
-        return {"halfwidth": self.halfwidth}
-
 
 class MarkerScheme(NamedTuple):
     support: tuple
@@ -214,9 +208,12 @@ def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
 
     The support arc takes 90% of the closest approach of the first L
     rotation steps to 0, so two orbit points inside the support are always
-    more than L steps apart. M is calibrated empirically: the orbit is
-    scanned until plateau_hits visits of the h = 1 core, and M is the
-    largest observed return gap (at least L + 1)."""
+    more than L steps apart. M is calibrated from the orbit scanned until
+    plateau_hits visits of the h = 1 core. Return gaps to an arc take at
+    most three values, the largest the sum of the other two (Slater's
+    three-gap theorem), so a scan can miss the rare largest one. M is one
+    above the larger of the largest observed gap and the sum of the two
+    smallest distinct ones, and at least L + 2."""
     if L < 1:
         raise ValueError("L must be >= 1")
     gap = min(circle_dist(k * r.alpha, 0.0) for k in range(1, L + 1))
@@ -238,7 +235,8 @@ def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
             f"visits; alpha = {r.alpha} gives no usable marker scheme")
     # one above the worst plateau return gap: height-1 entries then sit
     # strictly closer than M, keeping Voronoi tiles inside open windows
-    M = max(max(q - p for p, q in zip(hits, hits[1:])) + 1, L + 2)
+    gaps = sorted({q - p for p, q in zip(hits, hits[1:])})
+    M = max(max(gaps[-1], sum(gaps[:2])) + 1, L + 2)
     return MarkerScheme(support=(-w, w), plateau=(-w / 2.0, w / 2.0),
                         h=h, M=M, min_gap=gap)
 
@@ -350,13 +348,6 @@ class SubshiftWindow:
         k = int(k)
         return SubshiftWindow(
             self.word, range(self.window.start - k, self.window.stop - k))
-
-    def to_json(self) -> dict:
-        out = {"window": [self.window.start, self.window.stop - 1],
-               "word": list(self.word)}
-        if self.generator is not None:
-            out["generator"] = list(self.generator)
-        return out
 
 
 def sturmian_window(slope: float, intercept: float,

@@ -95,10 +95,6 @@ class Tile:
             raise ValueError("inverted tile")
 
     @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def length(self) -> float:
         return self.hi - self.lo
 

@@ -224,15 +224,6 @@ class WeightMatrix:
         zero = (0.0,) * (self.params.reach + 1)
         return self.weights.get(n, zero)
 
-    def to_json(self) -> dict:
-        return {
-            "params": self.params.to_json(),
-            "transfers": [[n, m, val]
-                          for (n, m), val in sorted(self.transfers.items())],
-            "weights": [[n, list(row)]
-                        for n, row in sorted(self.weights.items())],
-        }
-
 
 def finalize(v: dict, p: WeightParams) -> WeightMatrix:
     """Cascade the raw transfers into [0, 1] weights. Each donor row is

@@ -94,3 +94,30 @@ def test_tolerance_override_recorded(tmp_path):
     assert code == 0
     doc = json.loads(payload)
     assert doc["provenance"]["tolerances"] == {"oracle": 1e-3}
+
+
+@pytest.mark.parametrize("args", [
+    ["codec", "marker", "--alpha", "0.5"],
+    ["codec", "marker", "--L", "0"],
+    ["codec", "rotation", "--window", "5", "1"],
+    ["tiling", "demo", "--L", "0"],
+    ["tiling", "demo", "--window", "1", "1"],
+    ["codec", "toy", "--trials", "0"],
+    ["sampling", "--denominator", "0"],
+    ["weights", "run", "--span", "-5"],
+])
+def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_marker_codec_backward_orbit_markers(tmp_path):
+    # this rotation's forward orbit misses the largest plateau return gap
+    code, payload = run_to(tmp_path, "m.json",
+                           ["codec", "marker", "--alpha",
+                            "0.7182818284590451", "--L", "3",
+                            "--seed", "24"])
+    assert code == 0
+    assert json.loads(payload)["report"]["M"] == 33

@@ -8,6 +8,7 @@ from bandtile.interpolation import (
     GridParams,
     NodeMultiset,
     agreeing_pair,
+    bump_transform,
     cardinal_kernel,
     check_conditions,
     decay_constant,
@@ -16,7 +17,6 @@ from bandtile.interpolation import (
     saturate,
     truncation_radius,
     weierstrass_product,
-    window_kernel,
 )
 
 PARAMS = GridParams(l=1, rho=Fraction(1), tau=0.5)
@@ -103,9 +103,9 @@ def test_weierstrass_exact_zero_at_node():
 
 
 def test_window_kernel_even_and_decaying():
-    assert window_kernel(PARAMS, 7.3) == window_kernel(PARAMS, -7.3)
+    assert bump_transform(PARAMS.tau, 7.3) == bump_transform(PARAMS.tau, -7.3)
     # t = 50 / tau
-    assert abs(window_kernel(PARAMS, 100.0)) < 1e-6
+    assert abs(bump_transform(PARAMS.tau, 100.0)) < 1e-6
 
 
 def test_cardinal_kernel_duality_small_family():

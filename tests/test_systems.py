@@ -96,6 +96,18 @@ def test_marker_function_orbit_gaps_exceed_L():
     assert mseq.positions() == tuple(hits)
 
 
+def test_marker_function_bounds_the_unseen_third_gap():
+    # the forward scan sees return gaps {7, 25} only; the three-gap
+    # theorem puts the third at 7 + 25 = 32, which the backward orbit hits
+    r = Rotation(math.e - 2, 0.6551326746199936)
+    scheme = marker_function(r, 3)
+    hits = [n for n in range(-3000, 3001) if scheme.h(r.point(n)) == 1.0]
+    assert sorted({q - p for p, q in zip(hits, hits[1:])}) == [7, 25, 32]
+    assert scheme.M == 33
+    mseq = orbit_markers(r, scheme.h, range(-50, 51), L=3, M=scheme.M)
+    assert mseq.M == 33
+
+
 def test_marker_function_rejects_rational_angle():
     with pytest.raises(ValueError):
         marker_function(Rotation(0.5), 2)
