@@ -86,66 +86,73 @@ class GridParams:
         }
 
 
-@dataclass(frozen=True)
+NODE_DTYPE = np.dtype([("pos", np.float64), ("mult", np.int64)])
+
+
+def node_records(pos, mult) -> np.ndarray:
+    """NODE_DTYPE records from position and multiplicity arrays (or
+    scalars broadcast against them)."""
+    rec = np.empty(len(pos), dtype=NODE_DTYPE)
+    rec["pos"], rec["mult"] = pos, mult
+    return rec
+
+
+@dataclass(frozen=True, eq=False)
 class NodeMultiset:
     """Point masses on the line with integer multiplicities.
 
-    entries: sorted (position, multiplicity) pairs, positions strictly
-    increasing. window: inclusive block index range (lo, hi); conditions and
-    saturation are evaluated relative to it.
+    entries: read-only structured array of NODE_DTYPE records (pos: float64,
+    mult: int64), positions strictly increasing. The constructor takes such
+    an array (copied, never iterated in Python) or any sequence of
+    (position, multiplicity) pairs. window: inclusive block index range
+    (lo, hi); conditions and saturation are evaluated relative to it.
     """
 
-    entries: tuple
+    entries: np.ndarray
     params: GridParams
     window: tuple
 
     def __post_init__(self):
-        entries = tuple((float(p), int(m)) for p, m in self.entries)
-        object.__setattr__(self, "entries", entries)
-        pos = [p for p, _ in entries]
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        entries = self.entries
+        if not (isinstance(entries, np.ndarray) and entries.dtype == NODE_DTYPE):
+            entries = [tuple(e) for e in entries]
+        entries = np.array(entries, dtype=NODE_DTYPE)
+        pos = entries["pos"]
+        if np.any(pos[1:] <= pos[:-1]):
             raise ValueError("entry positions must be strictly increasing")
-        if any(m <= 0 for _, m in entries):
+        if np.any(entries["mult"] <= 0):
             raise ValueError("multiplicities must be positive")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
         lo, hi = self.window
         if hi < lo:
             raise ValueError("empty block window")
         object.__setattr__(self, "window", (int(lo), int(hi)))
 
     def positions(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries], dtype=float)
+        return self.entries["pos"]
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries], dtype=int)
+        return self.entries["mult"]
 
-    def block_counts(self, window=None) -> dict:
-        """Multiplicity-weighted node count per block index in window."""
+    def block_index(self) -> np.ndarray:
+        """Block n with n*l <= position < (n+1)*l, per entry."""
+        return np.floor(self.positions() / self.params.l).astype(np.int64)
+
+    def block_counts(self, window=None) -> np.ndarray:
+        """Multiplicity-weighted node count per block; element i counts
+        block lo + i of the window (default: the multiset's own)."""
         lo, hi = window if window is not None else self.window
-        counts = {n: 0 for n in range(lo, hi + 1)}
-        l = self.params.l
-        for p, m in self.entries:
-            n = math.floor(p / l)
-            if lo <= n <= hi:
-                counts[n] += m
-        return counts
-
-    def shift(self, dx: float) -> "NodeMultiset":
-        """Translate all nodes by dx; the block window shrinks to the blocks
-        fully covered by the translated original window."""
-        l = self.params.l
-        lo, hi = self.window
-        dxl = dx / l
-        new_lo = lo + math.ceil(dxl - 1e-12)
-        new_hi = hi + math.floor(dxl + 1e-12)
-        if new_hi < new_lo:
-            raise ValueError("shift leaves no whole block in the window")
-        entries = tuple((p + dx, m) for p, m in self.entries)
-        return NodeMultiset(entries, self.params, (new_lo, new_hi))
+        blocks = self.block_index()
+        inside = (blocks >= lo) & (blocks <= hi)
+        return np.bincount(blocks[inside] - lo,
+                           weights=self.multiplicities()[inside],
+                           minlength=hi - lo + 1).astype(np.int64)
 
     def to_json(self) -> dict:
         obj = self.params.to_json()
         obj["window"] = [self.window[0], self.window[1]]
-        obj["entries"] = [[p, m] for p, m in self.entries]
+        obj["entries"] = [[p, m] for p, m in self.entries.tolist()]
         return obj
 
 
@@ -168,14 +175,15 @@ def check_conditions(mset: NodeMultiset, window=None) -> ConditionReport:
     win = tuple(window) if window is not None else mset.window
     p = mset.params
     pos = mset.positions()
-    nonzero = pos[np.abs(pos) > POSITION_ZERO_TOL] if pos.size else pos
+    nonzero = np.abs(pos[np.abs(pos) > POSITION_ZERO_TOL])
     c1 = bool(nonzero.size == 0
-              or np.min(np.abs(nonzero)) >= p.min_gap - CONDITION_SLACK)
+              or np.min(nonzero) >= p.min_gap - CONDITION_SLACK)
     counts = mset.block_counts(win)
+    ns = np.arange(win[0], win[1] + 1)
     cap = p.lrho
-    over = tuple(n for n, c in sorted(counts.items()) if c > cap)
+    over = tuple(ns[counts > cap].tolist())
     c2 = not over
-    c3 = c2 and all(c == cap for n, c in counts.items() if n != 0)
+    c3 = c2 and bool(np.all((counts == cap) | (ns == 0)))
     return ConditionReport(c1=c1, c2=c2, c3=c3, window=win, offending_blocks=over)
 
 
@@ -185,30 +193,22 @@ def saturate(mset: NodeMultiset) -> NodeMultiset:
     p = mset.params
     cap = p.lrho
     lo, hi = mset.window
-    ns = np.arange(lo, hi + 1)
-    pos = mset.positions()
-    mult = mset.multiplicities()
-    counts = np.zeros(ns.size, dtype=int)
-    if pos.size:
-        blocks = np.floor(pos / p.l).astype(int)
-        inside = (blocks >= lo) & (blocks <= hi)
-        counts = np.bincount(blocks[inside] - lo, weights=mult[inside],
-                             minlength=ns.size).astype(int)
-    over = np.nonzero(counts > cap)[0]
+    counts = mset.block_counts()
+    over = np.flatnonzero(counts > cap)
     if over.size:
-        n = int(ns[over[0]])
-        raise BlockOverflowError(n, int(counts[over[0]]), cap)
+        raise BlockOverflowError(lo + int(over[0]), int(counts[over[0]]), cap)
+    ns = np.arange(lo, hi + 1)
     fill = (ns != 0) & (counts < cap)
-    all_pos = np.concatenate([pos, ns[fill] * float(p.l)])
-    all_mult = np.concatenate([mult.astype(int), (cap - counts)[fill]])
-    if all_pos.size == 0:
+    if not fill.any():
         return mset
-    order = np.argsort(all_pos, kind="stable")
-    ap, am = all_pos[order], all_mult[order]
-    fresh = np.concatenate(([True], np.diff(ap) > 0.0))
-    merged = np.bincount(np.cumsum(fresh) - 1, weights=am).astype(int)
-    entries = tuple(zip(ap[fresh].tolist(), merged.tolist()))
-    return NodeMultiset(entries, p, mset.window)
+    anchors = node_records(ns[fill] * float(p.l), (cap - counts)[fill])
+    merged = np.concatenate([mset.entries, anchors])
+    merged = merged[np.argsort(merged["pos"], kind="stable")]
+    # an anchor that is already a node adds to that node's multiplicity
+    fresh = np.flatnonzero(np.diff(merged["pos"], prepend=-np.inf) > 0.0)
+    out = merged[fresh]
+    out["mult"] = np.add.reduceat(merged["mult"], fresh)
+    return NodeMultiset(out, p, mset.window)
 
 
 @lru_cache(maxsize=4096)
@@ -260,12 +260,9 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     z_flat = np.atleast_1d(z_arr).ravel()
     l = mset.params.l
     pos = mset.positions()
-    mult = mset.multiplicities()
-    keep = np.abs(pos) > POSITION_ZERO_TOL
-    if keep.any():
-        blocks = np.floor(pos / l).astype(int)
-        keep &= np.abs(blocks) <= block_radius
-    pos, mult = pos[keep], mult[keep]
+    keep = ((np.abs(pos) > POSITION_ZERO_TOL)
+            & (np.abs(mset.block_index()) <= block_radius))
+    pos, mult = pos[keep], mset.multiplicities()[keep]
     if pos.size:
         factors = 1.0 - z_flat[:, None] / pos[None, :]
         if np.all(mult == 1):
@@ -339,9 +336,9 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int, node: float = 0.0,
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()
-    shifted_entries = tuple((p - node, m) for p, m in mset.entries)
-    work = NodeMultiset(shifted_entries, mset.params,
-                        (-block_radius, block_radius))
+    shifted = mset.entries.copy()
+    shifted["pos"] -= node
+    work = NodeMultiset(shifted, mset.params, (-block_radius, block_radius))
     report = check_conditions(work)
     if not report.admissible:
         raise ValueError(
@@ -393,7 +390,7 @@ def random_admissible_multiset(params: GridParams, window, rng,
         first = np.concatenate(([0], np.cumsum(reps)))[:-1]
         upgrade = (reps < cap) & (rng.random(size=reps.size) < 0.1)
         mult[first[upgrade]] = 2
-    masses = dict(zip(pts.tolist(), mult.tolist()))
+    pts, mult = [pts], [mult]
     for n in (-1, 0):
         if not (lo <= n <= hi):
             continue
@@ -403,14 +400,19 @@ def random_admissible_multiset(params: GridParams, window, rng,
             continue
         near = np.sort(rng.uniform(a, b - 1e-9, size=count))
         near = near[np.concatenate(([True], np.diff(near) > 1e-9))]
-        extra = cap - len(near)
-        for p in near:
-            m = 1
+        m = np.ones(near.size, dtype=int)
+        extra = cap - near.size
+        for j in range(near.size):
             if allow_multiplicity and extra > 0 and rng.random() < 0.1:
-                m = 2
+                m[j] = 2
                 extra -= 1
-            masses[float(p)] = m
-    return NodeMultiset(tuple(sorted(masses.items())), params, (int(lo), int(hi)))
+        pts.append(near)
+        mult.append(m)
+    rec = node_records(np.concatenate(pts), np.concatenate(mult))
+    rec = rec[np.argsort(rec["pos"], kind="stable")]
+    # a repeated draw keeps the multiplicity drawn last
+    last = np.diff(rec["pos"], append=np.inf) > 0.0
+    return NodeMultiset(rec[last], params, (int(lo), int(hi)))
 
 
 def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
@@ -418,22 +420,18 @@ def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
     and independently random beyond it (buffered by one grid gap)."""
     base = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
     other = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
-    inner = [(p, m) for p, m in base.entries if abs(p) <= inside_radius]
-    outer = [(p, m) for p, m in other.entries
-             if abs(p) > inside_radius + params.min_gap]
-    merged = dict(inner)
-    cap, l = params.lrho, params.l
-    counts = {}
-    for p, _ in inner:
-        blk = math.floor(p / l)
-        counts[blk] = counts.get(blk, 0) + 1
-    for p, m in outer:
-        blk = math.floor(p / l)
-        if counts.get(blk, 0) + m > cap:
-            continue
-        counts[blk] = counts.get(blk, 0) + m
-        merged[p] = m
-    variant = NodeMultiset(tuple(sorted(merged.items())), params, tuple(window))
+    inner = NodeMultiset(base.entries[np.abs(base.positions()) <= inside_radius],
+                         params, window)
+    outer = NodeMultiset(other.entries[np.abs(other.positions())
+                                       > inside_radius + params.min_gap],
+                         params, window)
+    # outer nodes have multiplicity 1, so a block takes them in ascending
+    # order while it has room: the first cap - (inner count) of them
+    blocks = outer.block_index()
+    rank = np.arange(blocks.size) - np.searchsorted(blocks, blocks)
+    room = params.lrho - inner.block_counts()[blocks - inner.window[0]]
+    merged = np.concatenate([inner.entries, outer.entries[rank < room]])
+    variant = NodeMultiset(merged[np.argsort(merged["pos"])], params, window)
     return base, variant
 
 
@@ -536,30 +534,20 @@ def _extreme_multisets(params: GridParams, window) -> list[NodeMultiset]:
     lo, hi = window
     eps = 1e-6 * l
 
-    def build(rule):
-        masses = {}
-        for n in range(lo, hi + 1):
-            if n == 0:
-                continue
-            for j in range(cap):
-                p = float(rule(n, j))
-                if abs(p) < gap:
-                    continue
-                masses[p] = masses.get(p, 0) + 1
-        return NodeMultiset(tuple(sorted(masses.items())), params, tuple(window))
+    ns = np.array([n for n in range(lo, hi + 1) if n != 0])[:, None]
+    js = np.arange(cap)[None, :]
+    anchor = ns * l + js * eps
+    right = (ns + 1) * l - (js + 1) * eps
+    mid = (ns + 0.5) * l + js * eps
 
-    def anchor(n, j):
-        return n * l + j * eps
-
-    def right(n, j):
-        return (n + 1) * l - (j + 1) * eps
-
-    def mid(n, j):
-        return (n + 0.5) * l + j * eps
+    def build(pos):
+        pos = pos.ravel()
+        pos, mult = np.unique(pos[np.abs(pos) >= gap], return_counts=True)
+        return NodeMultiset(node_records(pos, mult), params, tuple(window))
 
     return [build(anchor), build(right), build(mid),
-            build(lambda n, j: right(n, j) if n > 0 else anchor(n, j)),
-            build(lambda n, j: anchor(n, j) if n > 0 else right(n, j))]
+            build(np.where(ns > 0, right, anchor)),
+            build(np.where(ns > 0, anchor, right))]
 
 
 def decay_constant(params: GridParams, probe_radius: float = 32.0,

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .interpolation import GridParams, NodeMultiset
+from .interpolation import GridParams, NodeMultiset, node_records
 
 SNAP = 1e-9
 
@@ -291,7 +291,8 @@ def build_node_set(t: Tiling, theta: dict, N: int, rho,
     rho = Fraction(rho)
     params = GridParams(l=N, rho=rho, tau=tau)
     cap_scale = params.lrho  # rho * N as an exact integer
-    entries = []
+    num, den = rho.numerator, rho.denominator
+    pos = [np.empty(0)]
     for n, tile in t.nonempty():
         if n not in theta:
             raise ValueError(f"theta is missing the bit pair for tile {n}")
@@ -301,12 +302,14 @@ def build_node_set(t: Tiling, theta: dict, N: int, rho,
         anchors = tile_anchors(t, n, N)
         k_lo = (anchors.r + th) * cap_scale
         k_hi = (anchors.s - th_p) * cap_scale
-        for k in range(k_lo, k_hi):
-            entries.append((float(n + Fraction(k) / rho), 1))
-    entries.sort()
+        # n + k/rho = (n*num + k*den) / num, correctly rounded while both
+        # integers stay below 2**53, as float(n + Fraction(k) / rho) is
+        ks = np.arange(k_lo, k_hi, dtype=np.int64)
+        pos.append((n * num + ks * den) / num)
+    pos = np.sort(np.concatenate(pos))
     win_lo, win_hi = t.window
     window = (math.floor(win_lo / N), math.floor(win_hi / N))
-    return NodeMultiset(tuple(entries), params, window)
+    return NodeMultiset(node_records(pos, 1), params, window)
 
 
 def random_marker_seq(L: int, M: int, lo: float, hi: float, rng,

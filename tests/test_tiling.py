@@ -175,14 +175,14 @@ def test_build_node_set_single_tile_enumeration():
     t = Tiling(tiles=((5, Tile(0.0, 10.0)),), window=(0.0, 10.0), L=8, M=30)
     nodes = build_node_set(t, {5: (0, 0)}, N=2, rho=1)
     # anchors r=-2, s=2 with cap 2 per anchor step: 5 + {-4..3}
-    want = tuple((float(5 + k), 1) for k in range(-4, 4))
-    assert nodes.entries == want
+    want = [(float(5 + k), 1) for k in range(-4, 4)]
+    assert nodes.entries.tolist() == want
 
 
 def test_build_node_set_short_tiles_vanish():
     t = Tiling(tiles=((5, Tile(4.9, 5.1)),), window=(4.9, 5.1), L=8, M=30)
     nodes = build_node_set(t, {5: (1, 1)}, N=2, rho=1)
-    assert nodes.entries == ()
+    assert nodes.entries.tolist() == []
 
 
 def test_json_round_trips():
