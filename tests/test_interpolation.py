@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtile.interpolation import (
+    CONDITION_SLACK,
+    POSITION_ZERO_TOL,
+    BlockOverflowError,
     GridParams,
     NodeMultiset,
     agreeing_pair,
@@ -193,3 +198,113 @@ def test_agreeing_pair_agrees_inside_radius():
     gap = np.max(np.abs(cardinal_kernel(m1, xs, 40)
                         - cardinal_kernel(m2, xs, 40)))
     assert float(gap) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# properties of the record-array representation, against per-entry loops
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def grid_params(draw):
+    l = draw(st.integers(1, 3))
+    # l*rho >= 1 keeps the origin gap 1/rho within one block
+    return GridParams(l=l, rho=Fraction(draw(st.integers(1, 4)), l), tau=0.5)
+
+
+@st.composite
+def multisets(draw):
+    """Arbitrary multisets, block anchors and nodes outside the window
+    included; most of them overflow some block."""
+    params = draw(grid_params())
+    lo = draw(st.integers(-5, 1))
+    hi = draw(st.integers(lo, 5))
+    span = st.floats((lo - 1) * params.l, (hi + 2) * params.l)
+    pos = draw(st.lists(st.one_of(span, span.map(round)), unique=True,
+                        max_size=24))
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(pos),
+                         max_size=len(pos)))
+    return NodeMultiset(sorted(zip(map(float, pos), mult)), params, (lo, hi))
+
+
+def reference_block_counts(mset, window):
+    lo, hi = window
+    counts = {n: 0 for n in range(lo, hi + 1)}
+    for p, m in mset.entries.tolist():
+        n = math.floor(p / mset.params.l)
+        if lo <= n <= hi:
+            counts[n] += m
+    return counts
+
+
+@PROPERTY
+@given(multisets(), st.integers(-2, 2), st.integers(-2, 2))
+def test_conditions_match_per_entry_reference(mset, dlo, dhi):
+    lo, hi = mset.window
+    window = (lo + dlo, max(lo + dlo, hi + dhi))
+    counts = reference_block_counts(mset, window)
+    assert mset.block_counts(window).tolist() == list(counts.values())
+    cap = mset.params.lrho
+    nonzero = [abs(p) for p, _ in mset.entries.tolist()
+               if abs(p) > POSITION_ZERO_TOL]
+    c1 = not nonzero or min(nonzero) >= mset.params.min_gap - CONDITION_SLACK
+    over = tuple(n for n, c in counts.items() if c > cap)
+    c3 = not over and all(c == cap for n, c in counts.items() if n != 0)
+    rep = check_conditions(mset, window)
+    assert (rep.c1, rep.c2, rep.c3) == (c1, not over, c3)
+    assert rep.offending_blocks == over
+
+
+@PROPERTY
+@given(multisets())
+def test_saturate_pads_blocks_and_is_idempotent(mset):
+    counts = reference_block_counts(mset, mset.window)
+    cap = mset.params.lrho
+    if any(c > cap for c in counts.values()):
+        with pytest.raises(BlockOverflowError):
+            saturate(mset)
+        return
+    masses = dict(mset.entries.tolist())
+    for n, c in counts.items():
+        if n != 0 and c < cap:
+            anchor = float(n * mset.params.l)
+            masses[anchor] = masses.get(anchor, 0) + cap - c
+    s = saturate(mset)
+    assert s.entries.tolist() == sorted(masses.items())
+    assert saturate(s).entries.tolist() == s.entries.tolist()
+    assert check_conditions(s).c3
+
+
+# about 2 % of draws offer a boundary block more outer nodes than it has
+# room for; 500 examples take that path several times
+@settings(PROPERTY, max_examples=500)
+@given(grid_params(), st.integers(1, 12), st.floats(0.0, 16.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_agreeing_pair_matches_sequential_fill(params, half, radius, seed):
+    window = (-half, half)
+    base, variant = agreeing_pair(params, window, radius,
+                                  np.random.default_rng(seed))
+    # redraw the two multisets and fill outer nodes one at a time
+    rng = np.random.default_rng(seed)
+    inner = random_admissible_multiset(params, window, rng,
+                                       allow_multiplicity=False)
+    other = random_admissible_multiset(params, window, rng,
+                                       allow_multiplicity=False)
+    assert inner.entries.tolist() == base.entries.tolist()
+    merged, counts = {}, {}
+    for p, m in inner.entries.tolist():
+        if abs(p) <= radius:
+            merged[p] = m
+            blk = math.floor(p / params.l)
+            counts[blk] = counts.get(blk, 0) + 1
+    for p, m in other.entries.tolist():
+        if abs(p) <= radius + params.min_gap:
+            continue
+        blk = math.floor(p / params.l)
+        if counts.get(blk, 0) + m > params.lrho:
+            continue
+        counts[blk] = counts.get(blk, 0) + m
+        merged[p] = m
+    assert variant.entries.tolist() == sorted(merged.items())
+    assert check_conditions(variant).admissible
