@@ -48,6 +48,16 @@ class ConfigError(Exception):
     pass
 
 
+# the tolerances each suite reads, with their defaults; --tol may set only
+# these, so a misspelt name is rejected instead of ignored
+TOLERANCES = {
+    "interp oracle-sinc": {"oracle": 1e-6},
+    "interp eval": {"node": 1e-4},
+    "codec marker": {"leak": 1e-3, "shift": 1e-9},
+    "codec toy": {"delta": 0.5, "eps": 0.75},
+}
+
+
 @dataclass
 class RunConfig:
     subcommand: str
@@ -58,12 +68,16 @@ class RunConfig:
     format: str = "json"
     extras: dict = field(default_factory=dict)
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    @property
+    def suite(self) -> str:
+        return self.subcommand + (f" {self.action}" if self.action else "")
+
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, TOLERANCES[self.suite][name]))
 
     def provenance(self) -> dict:
-        suite = self.subcommand + (f" {self.action}" if self.action else "")
-        return {"package": "bandtile", "version": VERSION, "suite": suite,
+        return {"package": "bandtile", "version": VERSION,
+                "suite": self.suite,
                 "seed": self.seed, "format": self.format,
                 "tolerances": dict(sorted(self.tolerances.items()))}
 
@@ -152,10 +166,17 @@ def parse_config(argv) -> RunConfig:
     extras = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "action", "seed", "out",
                            "format", "tol")}
-    return RunConfig(subcommand=ns.subcommand,
-                     action=getattr(ns, "action", ""),
-                     seed=ns.seed, tolerances=_parse_tols(ns.tol),
-                     output_path=ns.out, format=ns.format, extras=extras)
+    cfg = RunConfig(subcommand=ns.subcommand,
+                    action=getattr(ns, "action", ""),
+                    seed=ns.seed, tolerances=_parse_tols(ns.tol),
+                    output_path=ns.out, format=ns.format, extras=extras)
+    known = TOLERANCES.get(cfg.suite, {})
+    unknown = sorted(set(cfg.tolerances) - set(known))
+    if unknown:
+        raise ConfigError(f"suite {cfg.suite!r} has no tolerance "
+                          f"{', '.join(unknown)}; it reads: "
+                          f"{', '.join(known) or 'none'}")
+    return cfg
 
 
 DEFAULT_GRID = GridParams(l=1, rho=Fraction(1), tau=0.5)
@@ -164,7 +185,7 @@ DEFAULT_GRID = GridParams(l=1, rho=Fraction(1), tau=0.5)
 def _suite_interp(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     if cfg.action == "oracle-sinc":
-        tol = cfg.tol("oracle", 1e-6)
+        tol = cfg.tol("oracle")
         lattice = saturate(NodeMultiset((), DEFAULT_GRID, (-256, 256)))
         zs = rng.uniform(-10.0, 10.0, size=1000).astype(complex)
         vals = weierstrass_product(lattice, zs, block_radius=128,
@@ -174,7 +195,7 @@ def _suite_interp(cfg: RunConfig):
         return {"max_error": err, "points": 1000,
                 "tolerance": tol}, err <= tol, None
     if cfg.action == "eval":
-        tol = cfg.tol("node", 1e-4)
+        tol = cfg.tol("node")
         mset = saturate(random_admissible_multiset(DEFAULT_GRID, (-16, 16),
                                                    rng))
         # the kernel is centered at the origin, which the admissibility
@@ -217,10 +238,11 @@ def _suite_tiling(cfg: RunConfig):
     dens = density_report(t, r=1.0, R=hi - lo, a=lo)
     contained = True
     rows = []
+    heights = dict(markers.entries)
     for n, tile in t.tiles:
         if tile is None:
             continue
-        height = dict(markers.entries)[n]
+        height = heights[n]
         if not (n - M / 2.0 < tile.lo and tile.hi < n + M / 2.0):
             contained = False
         rows.append([n, height, tile.lo, tile.hi,
@@ -333,8 +355,8 @@ def _suite_codec(cfg: RunConfig):
         csv_rows = [["n", "value"]] + [[n, sig[n]] for n in window]
         return report, gap > 0.0, csv_rows
     if cfg.action == "marker":
-        leak_tol = cfg.tol("leak", 1e-3)
-        shift_tol = cfg.tol("shift", 1e-9)
+        leak_tol = cfg.tol("leak")
+        shift_tol = cfg.tol("shift")
         r = Rotation(alpha, float(rng.random()))
         scheme = marker_function(r, int(cfg.extras["L"]))
         markers = orbit_markers(r, scheme.h, window,
@@ -379,8 +401,8 @@ def _suite_codec(cfg: RunConfig):
         _, sites = marker_cylinder(u, 3)
         pairs.append((u, v))
         mks.append(sites)
-    rep = toy_verify(pairs, mks, delta=cfg.tol("delta", 0.5),
-                     eps=cfg.tol("eps", 0.75))
+    rep = toy_verify(pairs, mks, delta=cfg.tol("delta"),
+                     eps=cfg.tol("eps"))
     report = rep.to_json()
     csv_rows = [["kind", "pair", "value", "detail"]]
     for i, d, sup in rep.violations:

@@ -105,6 +105,9 @@ def test_tolerance_override_recorded(tmp_path):
     ["codec", "toy", "--trials", "0"],
     ["sampling", "--denominator", "0"],
     ["weights", "run", "--span", "-5"],
+    # a tolerance name the suite never reads
+    ["codec", "marker", "--tol.leek", "1e-30"],
+    ["sampling", "--tol", "oracle=1e-3"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
