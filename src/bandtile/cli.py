@@ -48,8 +48,7 @@ class ConfigError(Exception):
     pass
 
 
-# the tolerances each suite reads, with their defaults; --tol may set only
-# these, so a misspelt name is rejected instead of ignored
+# the tolerances each suite reads, with their defaults; --tol sets no other
 TOLERANCES = {
     "interp oracle-sinc": {"oracle": 1e-6},
     "interp eval": {"node": 1e-4},
@@ -68,6 +67,14 @@ class RunConfig:
     format: str = "json"
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        known = TOLERANCES.get(self.suite, {})
+        unknown = sorted(set(self.tolerances) - set(known))
+        if unknown:
+            raise ConfigError(f"suite {self.suite!r} has no tolerance "
+                              f"{', '.join(unknown)}; it reads: "
+                              f"{', '.join(known) or 'none'}")
+
     @property
     def suite(self) -> str:
         return self.subcommand + (f" {self.action}" if self.action else "")
@@ -77,8 +84,7 @@ class RunConfig:
 
     def provenance(self) -> dict:
         return {"package": "bandtile", "version": VERSION,
-                "suite": self.suite,
-                "seed": self.seed, "format": self.format,
+                "suite": self.suite, "seed": self.seed, "format": self.format,
                 "tolerances": dict(sorted(self.tolerances.items()))}
 
 
@@ -166,17 +172,10 @@ def parse_config(argv) -> RunConfig:
     extras = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "action", "seed", "out",
                            "format", "tol")}
-    cfg = RunConfig(subcommand=ns.subcommand,
-                    action=getattr(ns, "action", ""),
-                    seed=ns.seed, tolerances=_parse_tols(ns.tol),
-                    output_path=ns.out, format=ns.format, extras=extras)
-    known = TOLERANCES.get(cfg.suite, {})
-    unknown = sorted(set(cfg.tolerances) - set(known))
-    if unknown:
-        raise ConfigError(f"suite {cfg.suite!r} has no tolerance "
-                          f"{', '.join(unknown)}; it reads: "
-                          f"{', '.join(known) or 'none'}")
-    return cfg
+    return RunConfig(subcommand=ns.subcommand,
+                     action=getattr(ns, "action", ""),
+                     seed=ns.seed, tolerances=_parse_tols(ns.tol),
+                     output_path=ns.out, format=ns.format, extras=extras)
 
 
 DEFAULT_GRID = GridParams(l=1, rho=Fraction(1), tau=0.5)

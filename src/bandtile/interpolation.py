@@ -1,11 +1,11 @@
 """Interpolation kernels built from node multisets on the line.
 
-A node multiset carries point masses (position, multiplicity) grouped into
-blocks [n*l, (n+1)*l). Admissible multisets keep every nonzero node at
-distance >= 1/rho from the origin (condition c1) and at most l*rho nodes per
-block (c2); saturated multisets additionally fill every nonzero block to
-exactly l*rho nodes (c3). Saturation pads deficient blocks with copies of the
-block anchor n*l.
+A node multiset is a read-only array of (position, multiplicity) records,
+grouped into blocks [n*l, (n+1)*l). Admissible multisets keep every nonzero
+node at distance >= 1/rho from the origin (condition c1) and at most l*rho
+nodes per block (c2); saturated multisets additionally fill every nonzero
+block to exactly l*rho nodes (c3). Saturation pads deficient blocks with
+copies of the block anchor n*l.
 
 From a saturated multiset the conditionally convergent product
 f(z) = prod (1 - z/lambda), taken over symmetric block pairs, defines an
@@ -90,8 +90,7 @@ NODE_DTYPE = np.dtype([("pos", np.float64), ("mult", np.int64)])
 
 
 def node_records(pos, mult) -> np.ndarray:
-    """NODE_DTYPE records from position and multiplicity arrays (or
-    scalars broadcast against them)."""
+    """NODE_DTYPE records from position and multiplicity arrays."""
     rec = np.empty(len(pos), dtype=NODE_DTYPE)
     rec["pos"], rec["mult"] = pos, mult
     return rec
@@ -174,10 +173,8 @@ def check_conditions(mset: NodeMultiset, window=None) -> ConditionReport:
     blocks) on the given block window."""
     win = tuple(window) if window is not None else mset.window
     p = mset.params
-    pos = mset.positions()
-    nonzero = np.abs(pos[np.abs(pos) > POSITION_ZERO_TOL])
-    c1 = bool(nonzero.size == 0
-              or np.min(nonzero) >= p.min_gap - CONDITION_SLACK)
+    dist = np.abs(mset.positions())
+    c1 = bool(np.all(dist[dist > POSITION_ZERO_TOL] >= p.min_gap - CONDITION_SLACK))
     counts = mset.block_counts(win)
     ns = np.arange(win[0], win[1] + 1)
     cap = p.lrho
@@ -199,8 +196,6 @@ def saturate(mset: NodeMultiset) -> NodeMultiset:
         raise BlockOverflowError(lo + int(over[0]), int(counts[over[0]]), cap)
     ns = np.arange(lo, hi + 1)
     fill = (ns != 0) & (counts < cap)
-    if not fill.any():
-        return mset
     anchors = node_records(ns[fill] * float(p.l), (cap - counts)[fill])
     merged = np.concatenate([mset.entries, anchors])
     merged = merged[np.argsort(merged["pos"], kind="stable")]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -288,10 +287,9 @@ def build_node_set(t: Tiling, theta: dict, N: int, rho,
     length N. Requires rho*N integral; theta maps each nonempty tile index
     to its bit pair. Tiles where the shrunk range inverts contribute
     nothing."""
-    rho = Fraction(rho)
     params = GridParams(l=N, rho=rho, tau=tau)
     cap_scale = params.lrho  # rho * N as an exact integer
-    num, den = rho.numerator, rho.denominator
+    num, den = params.rho.numerator, params.rho.denominator
     pos = [np.empty(0)]
     for n, tile in t.nonempty():
         if n not in theta:
@@ -302,8 +300,7 @@ def build_node_set(t: Tiling, theta: dict, N: int, rho,
         anchors = tile_anchors(t, n, N)
         k_lo = (anchors.r + th) * cap_scale
         k_hi = (anchors.s - th_p) * cap_scale
-        # n + k/rho = (n*num + k*den) / num, correctly rounded while both
-        # integers stay below 2**53, as float(n + Fraction(k) / rho) is
+        # n + k/rho in one correctly rounded division of integers < 2**53
         ks = np.arange(k_lo, k_hi, dtype=np.int64)
         pos.append((n * num + ks * den) / num)
     pos = np.sort(np.concatenate(pos))
