@@ -381,7 +381,7 @@ def random_admissible_multiset(params: GridParams, window, rng,
         first = np.concatenate(([0], np.cumsum(reps)))[:-1]
         upgrade = (reps < cap) & (rng.random(size=reps.size) < 0.1)
         mult[first[upgrade]] = 2
-    pts, mult = [pts], [mult]
+    pos_parts, mult_parts = [pts], [mult]
     for n in (-1, 0):
         if not (lo <= n <= hi):
             continue
@@ -397,9 +397,9 @@ def random_admissible_multiset(params: GridParams, window, rng,
             if allow_multiplicity and extra > 0 and rng.random() < 0.1:
                 m[j] = 2
                 extra -= 1
-        pts.append(near)
-        mult.append(m)
-    rec = node_records(np.concatenate(pts), np.concatenate(mult))
+        pos_parts.append(near)
+        mult_parts.append(m)
+    rec = node_records(np.concatenate(pos_parts), np.concatenate(mult_parts))
     rec = rec[np.argsort(rec["pos"], kind="stable")]
     # a repeated draw keeps the multiplicity drawn last
     last = np.diff(rec["pos"], append=np.inf) > 0.0
@@ -525,7 +525,7 @@ def _extreme_multisets(params: GridParams, window) -> list[NodeMultiset]:
     lo, hi = window
     eps = 1e-6 * l
 
-    ns = np.array([n for n in range(lo, hi + 1) if n != 0])[:, None]
+    ns = np.setdiff1d(np.arange(lo, hi + 1), [0])[:, None]
     js = np.arange(cap)[None, :]
     anchor = ns * l + js * eps
     right = (ns + 1) * l - (js + 1) * eps

@@ -215,8 +215,9 @@ def grid_params(draw):
 
 @st.composite
 def multisets(draw):
-    """Arbitrary multisets, block anchors and nodes outside the window
-    included; most of them overflow some block."""
+    """Arbitrary multisets, integer positions (block anchors among them)
+    and nodes outside the window included; about a third overflow a
+    block."""
     params = draw(grid_params())
     lo = draw(st.integers(-5, 1))
     hi = draw(st.integers(lo, 5))
