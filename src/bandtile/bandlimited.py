@@ -9,6 +9,13 @@ with an optional final real-part projection (see realify). The kernel
 descriptor fixes the nominal band: a kernel of spectral halfwidth h under
 carrier c gives content inside [c - h, c + h].
 
+Bump-kernel expansions are evaluated through their spectrum. The bump
+transform is a quadrature sum_j gw_j cos(a_j u) over nodes a_j inside the
+band, so the series factors through the nodes: per-node spectral sums over
+the K coefficients, then one pass over them per point, O((T + K) U) for T
+points and a U-node rule instead of O(T K U) (interpolation.bump_series).
+The other kernels are evaluated on the T x K matrix of offsets t - n_k.
+
 Band membership is certified numerically, by grid sups and by windowed
 oscillatory quadrature of the spectrum (band_check); nothing here does
 symbolic complex analysis. The metric is the standard weighted sum of sups
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interpolation import bump_transform
+from .interpolation import bump_series, bump_transform
 from .numutil import cispi, composite_gauss, cospi, sinpi
 
 GRID_STEP = 1.0 / 64.0
@@ -143,14 +150,25 @@ class BandSignal:
         object.__setattr__(self, "coeffs", coeffs)
 
     def eval(self, t):
+        """Value at t (scalar or array of any shape), complex-typed.
+
+        A bump kernel goes through its spectrum: the coefficients are summed
+        into per-quadrature-node spectral sums once per call, at O(K U) for
+        K nodes and a U-node rule, and the points are evaluated against them
+        at O(T U). The rule is the one bump_transform picks for the largest
+        offset |t - n_k| of the call. Other kernels evaluate the T x K
+        offset matrix directly.
+        """
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         ts = np.atleast_1d(t_arr).ravel()
-        if self.nodes:
+        if not self.nodes:
+            vals = np.zeros(ts.size, dtype=complex)
+        elif isinstance(self.kernel, BumpKernel):
+            vals = bump_series(self.kernel.tau, ts, self.nodes, self.coeffs)
+        else:
             offs = ts[:, None] - np.array(self.nodes)[None, :]
             vals = self.kernel.eval(offs).astype(complex) @ np.array(self.coeffs)
-        else:
-            vals = np.zeros(ts.size, dtype=complex)
         if self.carrier_freq != 0.0:
             vals = vals * cispi(2.0 * self.carrier_freq * ts)
         if self.real_part:

@@ -281,6 +281,23 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_rule(tau: float, tmax: float):
+    """Nodes u on [-1, 1] and weights gw of the bump quadrature for
+    |t| <= tmax: a composite Gauss rule of at least 16 nodes per period of
+    cos(pi tau tmax u), weighted by the bump profile and normalised by its
+    own integral of the bump, so that t = 0 gives exactly 1."""
+    panels = max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
+    u, w = composite_gauss(-1.0, 1.0, panels, 24)
+    gw = w * _bump_profile(u)
+    gw /= gw.sum()
+    return u, gw
+
+
+def _chunk_rows(size: int) -> int:
+    """Rows per block, keeping a (rows x size) matrix under 4e6 entries."""
+    return max(1, int(4e6) // max(1, size))
+
+
 def bump_transform(tau: float, t):
     """Fourier transform of the normalized smooth bump supported on
     [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing on
@@ -298,18 +315,51 @@ def bump_transform(tau: float, t):
     else:
         ta = np.abs(np.asarray(flat.real, dtype=float))
     tmax = float(np.max(np.abs(ta))) if ta.size else 0.0
-    panels = max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
-    u, w = composite_gauss(-1.0, 1.0, panels, 24)
-    # normalised by the rule's own integral of the bump, so t = 0 gives 1
-    gw = w * _bump_profile(u)
-    gw /= gw.sum()
+    u, gw = _bump_rule(tau, tmax)
     out = np.empty_like(ta)
-    chunk = max(1, int(4e6) // max(1, u.size))
+    chunk = _chunk_rows(u.size)
     for i in range(0, ta.size, chunk):
         block = ta[i:i + chunk]
         out[i:i + chunk] = np.cos(np.pi * tau * block[:, None] * u[None, :]) @ gw
     if scalar:
         return out[0].item()
+    return out.reshape(t_arr.shape)
+
+
+def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] * bump_transform(tau, t - nodes[k]) for real t,
+    through the quadrature nodes instead of per (point, node) pair.
+
+    With a_j = pi tau u_j, the identity cos(a (t - n)) = cos(a t) cos(a n)
+    + sin(a t) sin(a n) splits the sum into per-node spectral sums
+    C_j = gw_j sum_k c_k cos(a_j n_k) and S_j = gw_j sum_k c_k sin(a_j n_k),
+    formed once, and the value sum_j cos(a_j t) C_j + sin(a_j t) S_j at each
+    point: O((T + K) U) cos/sin evaluations against O(T K U) for the direct
+    sum. The rule is the one bump_transform would pick for the offsets
+    t - nodes, sized by max |t - n_k| over the call. Returns a complex array
+    shaped like t.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    ts = t_arr.ravel()
+    nodes = np.asarray(nodes, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(ts.size, dtype=complex)
+    if ts.size == 0 or nodes.size == 0:
+        return out.reshape(t_arr.shape)
+    # largest |t - n_k| over all pairs, rounded as the offsets would be
+    tmax = max(float(ts.max() - nodes.min()), float(nodes.max() - ts.min()))
+    u, gw = _bump_rule(tau, tmax)
+    a = np.pi * tau * u
+    # real and imaginary parts as rows, so every product stays real
+    parts = np.stack([coeffs.real, coeffs.imag])
+    node_phase = np.multiply.outer(nodes, a)
+    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
+    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
+    chunk = _chunk_rows(u.size)
+    for i in range(0, ts.size, chunk):
+        phase = np.multiply.outer(ts[i:i + chunk], a)
+        val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
+        out[i:i + chunk] = val[:, 0] + 1j * val[:, 1]
     return out.reshape(t_arr.shape)
 
 

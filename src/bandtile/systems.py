@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -64,7 +65,8 @@ class Rotation:
     def rational_hint(self, qmax: int = 1000, tol: float = 1e-12):
         return near_rational(self.alpha, qmax, tol)
 
-    def point(self, n: int) -> float:
+    def point(self, n):
+        """Phase at time n, or elementwise at an integer array of times."""
         return frac(self.x0 + (self.step + n) * self.alpha)
 
     def shifted(self, k: int) -> "Rotation":
@@ -184,14 +186,13 @@ class MarkerBump:
         if not 0.0 < self.halfwidth < 0.5:
             raise ValueError("halfwidth must lie in (0, 1/2)")
 
-    def __call__(self, x: float) -> float:
-        d = circle_dist(float(x))
+    def __call__(self, x):
+        """Height at circle point x; elementwise on arrays."""
+        d = circle_dist(x)
         w = self.halfwidth
-        if d >= w:
-            return 0.0
-        if d <= w / 2.0:
-            return 1.0
-        return 2.0 - 2.0 * d / w
+        out = np.where(d >= w, 0.0, np.where(d <= w / 2.0, 1.0,
+                                             2.0 - 2.0 * d / w))
+        return out if out.shape else float(out)
 
 
 class MarkerScheme(NamedTuple):
@@ -200,6 +201,10 @@ class MarkerScheme(NamedTuple):
     h: MarkerBump
     M: int
     min_gap: float
+
+
+# orbit times per vectorised step of the marker_function plateau scan
+SCAN_CHUNK = 4096
 
 
 def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
@@ -224,11 +229,12 @@ def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
     w = 0.45 * gap
     h = MarkerBump(w)
     hits = []
-    n = 0
-    while len(hits) < plateau_hits and n <= scan_limit:
-        if h(r.point(n)) == 1.0:
-            hits.append(n)
-        n += 1
+    for start in range(0, scan_limit + 1, SCAN_CHUNK):
+        ns = np.arange(start, min(start + SCAN_CHUNK, scan_limit + 1))
+        hits.extend(ns[h(r.point(ns)) == 1.0].tolist())
+        if len(hits) >= plateau_hits:
+            break
+    hits = hits[:plateau_hits]
     if len(hits) < 2:
         raise ValueError(
             f"orbit scan of {scan_limit} steps saw {len(hits)} plateau "
@@ -243,22 +249,27 @@ def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
 
 def orbit_markers(r: Rotation, h, window, L: int, M: int) -> MarkerSeq:
     """Sample h along the orbit; positive heights become marker entries.
-    The MarkerSeq constructor re-validates separation and coverage."""
+    h is applied to the array of orbit points at once (a MarkerBump is
+    elementwise). The MarkerSeq constructor re-validates separation and
+    coverage."""
     window = _check_window(window)
-    entries = []
-    for n in window:
-        v = h(r.point(n))
-        if v > 0.0:
-            entries.append((n, v))
-    return MarkerSeq(tuple(entries), L=L, M=M)
+    ns = np.arange(window.start, window.stop)
+    vals = np.asarray(h(r.point(ns)), dtype=float)
+    keep = vals > 0.0
+    return MarkerSeq(tuple(zip(ns[keep].tolist(), vals[keep].tolist())),
+                     L=L, M=M)
 
 
+@lru_cache(maxsize=1)
 def _quadratic_decay_guard(kernel, near: float = 8.0,
                            far: float = 64.0) -> float:
     """Numeric stand-in for the envelope |phi(t)| <= K/(1+t^2): the
     far-field envelope constant must not exceed twice the near-field
     one. Rejects slowly decaying kernels (plain sinc fails). Returns the
-    near-field K."""
+    near-field K. Remembers the last kernel it passed (kernels are frozen
+    and hashable), so an encoder rebuilt with the same kernel, as for a
+    shift check, is guarded once; a rejection is not cached and raises
+    again on every call."""
     tn = np.linspace(0.0, near, 257)
     tf = np.linspace(near, far, 449)
     k_near = float(np.max(np.abs(kernel.eval(tn)) * (1.0 + tn ** 2)))

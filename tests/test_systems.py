@@ -22,6 +22,8 @@ from bandtile.systems import (
     voronoi_tiles,
     word_metric,
 )
+from bandtile.numutil import circle_dist
+from bandtile.tiling import MarkerSeq
 
 ALPHA = math.sqrt(2.0) - 1.0
 GOLD = (3.0 - math.sqrt(5.0)) / 2.0
@@ -108,6 +110,82 @@ def test_marker_function_bounds_the_unseen_third_gap():
     assert mseq.M == 33
 
 
+def _trapezoid(w, x):
+    """The scalar MarkerBump height, one orbit point at a time."""
+    d = circle_dist(float(x))
+    if d >= w:
+        return 0.0
+    if d <= w / 2.0:
+        return 1.0
+    return 2.0 - 2.0 * d / w
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _scheme_by_loop(r, L, plateau_hits=64, scan_limit=10 ** 6):
+    """marker_function's support and M from a per-point plateau scan."""
+    gap = min(circle_dist(k * r.alpha, 0.0) for k in range(1, L + 1))
+    w = 0.45 * gap
+    hits, n = [], 0
+    while len(hits) < plateau_hits and n <= scan_limit:
+        if _trapezoid(w, r.point(n)) == 1.0:
+            hits.append(n)
+        n += 1
+    if len(hits) < 2:
+        raise ValueError(
+            f"orbit scan of {scan_limit} steps saw {len(hits)} plateau "
+            f"visits; alpha = {r.alpha} gives no usable marker scheme")
+    gaps = sorted({q - p for p, q in zip(hits, hits[1:])})
+    return (-w, w), max(max(gaps[-1], sum(gaps[:2])) + 1, L + 2)
+
+
+SCAN_CASES = [
+    (a, phase, L, step)
+    for a in (ALPHA, GOLD, math.sqrt(3.0) - 1.0, math.pi - 3.0)
+    for phase, step in ((0.0, 0), (0.3183, -37), (0.8711, 1234))
+    for L in (3, 4, 6)
+] + [(math.e - 2, 0.6551326746199936, 3, 0),  # three-gap reproducer
+     (math.e - 2, 0.6551326746199936, 3, -500),
+     (GOLD, 0.5, 40, 7)]  # rare plateau visits: the scan spans chunks
+
+
+@pytest.mark.parametrize("alpha, phase, L, step", SCAN_CASES)
+def test_marker_scan_matches_per_point_loop(alpha, phase, L, step):
+    r = Rotation(alpha, phase, step)
+    scheme = marker_function(r, L)
+    assert (scheme.support, scheme.M) == _scheme_by_loop(r, L)
+    # negative orbit times too; the heights must agree bit for bit
+    window = range(-400, 201)
+    loop = [(n, _trapezoid(scheme.support[1], r.point(n))) for n in window]
+    assert scheme.h(r.point(np.array(window))).tolist() == [
+        v for _, v in loop]
+    got = _outcome(lambda: orbit_markers(r, scheme.h, window, L, scheme.M))
+    want = _outcome(lambda: MarkerSeq(
+        tuple((n, v) for n, v in loop if v > 0.0), L=L, M=scheme.M))
+    assert getattr(got, "entries", got) == getattr(want, "entries", want)
+
+
+@pytest.mark.parametrize("L, step, hits, scan_limit", [
+    (4, 0, 64, 0), (4, 0, 64, 5), (4, 0, 64, 60), (4, 0, 64, 4095),
+    # fewer visits than one scan chunk holds see fewer return gaps
+    (4, 0, 2, 4095), (4, 0, 3, 4095), (3, 0, 5, 4095),
+    # plateau visits at times 1512 and 4096 only: one visit and a
+    # rejection up to 4095, two visits and a scheme from 4096 on
+    (1000, -4157, 64, 4095), (1000, -4157, 64, 4096),
+    (1000, -4157, 64, 4097)])
+def test_marker_scan_keeps_hit_count_and_scan_limit(L, step, hits,
+                                                    scan_limit):
+    r = Rotation(GOLD, 0.3, step)
+    got = _outcome(lambda: marker_function(r, L, hits, scan_limit).M)
+    want = _outcome(lambda: _scheme_by_loop(r, L, hits, scan_limit)[1])
+    assert got == want
+
+
 def test_marker_function_rejects_rational_angle():
     with pytest.raises(ValueError):
         marker_function(Rotation(0.5), 2)
@@ -151,9 +229,10 @@ def test_marker_encode_kernel_guards():
     r = Rotation(ALPHA)
     scheme = marker_function(r, 4)
     band = Band(2.0, 3.0)
-    with pytest.raises(ValueError):
-        marker_encode(r, scheme.h, band, range(-5, 6),
-                      kernel=SincKernel(0.45))  # no quadratic decay
+    for _ in range(2):  # the decay guard caches verdicts, not rejections
+        with pytest.raises(ValueError):
+            marker_encode(r, scheme.h, band, range(-5, 6),
+                          kernel=SincKernel(0.45))  # no quadratic decay
     with pytest.raises(ValueError):
         marker_encode(r, scheme.h, band, range(-5, 6),
                       kernel=BumpKernel(1.5))  # wider than the band
