@@ -6,10 +6,13 @@ simplices shares an image point beyond the face they have in common, and
 for one pair that is a linear feasibility question: barycentric x, y with
 equal images, off the shared-face diagonal. The feasible set is a polytope,
 and it lies inside the diagonal iff all of its vertices do, so enumerating
-basic solutions of the equality system decides the pair exactly. All
-arithmetic runs over the rationals (floats convert losslessly), so the
-verdict never depends on a tolerance; a strict bounding-box test prunes
-pairs that cannot meet before any exact work happens.
+basic solutions of the equality system decides the pair exactly. Every
+finite float is an integer times a power of two, so each map's images are
+scaled once by a common power of two to Python ints, and each pair system
+is solved by fraction-free elimination on those ints. Only the vertices
+found become rationals, so the verdict never depends on a tolerance; a
+strict bounding-box test prunes pairs that cannot meet before any exact
+work happens.
 """
 
 from __future__ import annotations
@@ -241,68 +244,83 @@ def subdivide_map(m: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(sub, images)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fractions, in place. Returns the
-    pivot column indices."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place
+    (Bareiss 1968). Every update (piv*a - f*b) // prev divides exactly,
+    since each entry stays an integer minor of the input. On return the
+    pivot rows come first, each holding the common value det at its own
+    pivot column and 0 at the others: they are det times the reduced row
+    echelon form. Returns (pivot columns, det); det is 1 with no pivot."""
     pivots = []
+    prev = 1
     r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
-                     None)
-        if pivot is None:
+    for col in range(len(rows[0])):
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        piv = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f:
+                if i != r:
+                    rows[i] = [(piv * a - f * b) // prev
+                               for a, b in zip(row, prow)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
+        prev = piv
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return pivots, prev
 
 
-def _polytope_vertices(A, b):
-    """All vertices of {z >= 0 : A z = b}, exactly. The polytope here is
-    always bounded (barycentric coordinates), so it is the convex hull of
-    these points; returns [] when the system is infeasible."""
-    k = len(A[0])
-    aug = [row[:] + [rhs] for row, rhs in zip(A, b)]
-    pivots = _rref(aug)
+def _polytope_vertices(aug):
+    """All vertices of {z >= 0 : A z = b}, exactly, from the augmented
+    integer rows [A | b] (consumed). The polytope here is always bounded
+    (barycentric coordinates), so it is the convex hull of these points;
+    returns [] when the system is infeasible.
+
+    After one elimination, row i reads det z_{p_i} + sum_f g_if z_f = c_i
+    over the free columns f. A basis keeps some free columns T and drops
+    the pivots of rows S (|S| = |T|); its basic solution solves the small
+    system g[S, T] z_T = c_S and then each kept pivot row for z_{p_i}. All
+    values are integers over one denominator until a vertex is found."""
+    k = len(aug[0]) - 1
+    pivots, det = _eliminate(aug)
     if k in pivots:
         return []
-    rows = [row for row in aug if any(x != 0 for x in row)]
-    rank = len(rows)
-    if rank == k:
-        z = [Fraction(0)] * k
-        for row, col in zip(rows, pivots):
-            z[col] = row[k]
-        return [tuple(z)] if all(x >= 0 for x in z) else []
-    R = [row[:k] for row in rows]
-    c = [row[k] for row in rows]
+    rank = len(pivots)
+    rows = aug[:rank]
     found = set()
     for basis in itertools.combinations(range(k), rank):
-        sub = [[R[i][j] for j in basis] + [c[i]] for i in range(rank)]
-        piv = _rref(sub)
-        if len(piv) != rank or rank in piv:
-            continue
-        z = [Fraction(0)] * k
-        singular = False
-        for row, col in zip(sub, piv):
-            if col >= rank:
-                singular = True
-                break
-            z[basis[col]] = row[rank]
-        if singular or any(x < 0 for x in z):
-            continue
-        found.add(tuple(z))
-    return sorted(found)
+        kept = set(basis)
+        T = [j for j in basis if j not in pivots]
+        S = [row for row, p in zip(rows, pivots) if p not in kept]
+        s = len(T)
+        e, zT = 1, []
+        if s:
+            sub = [[row[j] for j in T] + [row[k]] for row in S]
+            piv, e = _eliminate(sub)
+            if len(piv) != s or piv[-1] != s - 1:
+                continue  # singular basis
+            zT = [row[s] for row in sub]  # z_T = zT / e
+        den = det * e
+        z = [0] * k
+        for j, v in zip(T, zT):
+            z[j] = v * det
+        for row, p in zip(rows, pivots):
+            if p in kept:
+                z[p] = row[k] * e - sum(row[j] * v for j, v in zip(T, zT))
+        if den < 0:
+            den, z = -den, [-x for x in z]
+        if all(x >= 0 for x in z):
+            g = math.gcd(den, *z)  # one key per point, however reached
+            found.add((den // g,) + tuple(x // g for x in z))
+    return sorted(tuple(Fraction(x, key[0]) for x in key[1:])
+                  for key in found)
 
 
 @dataclass(frozen=True)
@@ -335,16 +353,33 @@ def _same_point(va, vb, x, y, shared):
     return all(xs[v] == ys[v] for v in shared)
 
 
-def _pair_witness(va, vb, exact, D):
+def _scaled_images(m: SimplicialMap) -> tuple:
+    """(images as integers, scale): every coordinate times one power of
+    two, the largest denominator of their float.as_integer_ratio(). Each
+    finite float is an integer over a power of two, so this is lossless."""
+    ratios = {v: [c.as_integer_ratio() for c in img]
+              for v, img in m.images.items()}
+    scale = max(den for r in ratios.values() for _, den in r)
+    return {v: tuple(n * (scale // den) for n, den in r)
+            for v, r in ratios.items()}, scale
+
+
+def _pair_system(va, vb, ints, D):
+    """Augmented rows [A | b] for barycentric x on va, y on vb with equal
+    images. The image rows have right-hand side 0, so the common scale of
+    the integer images leaves the solution set unchanged."""
     na, nb = len(va), len(vb)
-    A = [[Fraction(1)] * na + [Fraction(0)] * nb,
-         [Fraction(0)] * na + [Fraction(1)] * nb]
-    b = [Fraction(1), Fraction(1)]
+    rows = [[1] * na + [0] * nb + [1], [0] * na + [1] * nb + [1]]
     for d in range(D):
-        A.append([exact[v][d] for v in va] + [-exact[u][d] for u in vb])
-        b.append(Fraction(0))
+        rows.append([ints[v][d] for v in va] + [-ints[u][d] for u in vb]
+                    + [0])
+    return rows
+
+
+def _pair_witness(va, vb, ints, D):
+    na = len(va)
     shared = set(va) & set(vb)
-    for z in _polytope_vertices(A, b):
+    for z in _polytope_vertices(_pair_system(va, vb, ints, D)):
         x, y = z[:na], z[na:]
         if not _same_point(va, vb, x, y, shared):
             return x, y
@@ -357,8 +392,7 @@ def is_embedding(m: SimplicialMap) -> tuple:
     where the witness carries two maximal simplices and barycentric
     points with equal images that are distinct in the complex."""
     maxs = m.complex.maximal_simplices()
-    exact = {v: tuple(Fraction(c) for c in img)
-             for v, img in m.images.items()}
+    ints, scale = _scaled_images(m)
     D = m.dim_target
     boxes = []
     for s in maxs:
@@ -372,13 +406,13 @@ def is_embedding(m: SimplicialMap) -> tuple:
             if any(hi_i[d] < lo_j[d] or hi_j[d] < lo_i[d]
                    for d in range(D)):
                 continue
-            hit = _pair_witness(maxs[i], maxs[j], exact, D)
+            hit = _pair_witness(maxs[i], maxs[j], ints, D)
             if hit is None:
                 continue
             x, y = hit
-            pt = [sum(exact[v][d] * c for v, c in zip(maxs[i], x))
+            pt = [sum(ints[v][d] * c for v, c in zip(maxs[i], x)) / scale
                   for d in range(D)]
-            other = [sum(exact[u][d] * c for u, c in zip(maxs[j], y))
+            other = [sum(ints[u][d] * c for u, c in zip(maxs[j], y)) / scale
                      for d in range(D)]
             assert pt == other  # exact arithmetic; the solver guarantees it
             witness = CollisionWitness(
@@ -393,13 +427,17 @@ def is_embedding(m: SimplicialMap) -> tuple:
 def verify_witness(m: SimplicialMap, w: CollisionWitness,
                    tol: float = SNAP) -> bool:
     """Re-check a collision witness against the map itself: both
-    barycentric points must map to the same target point (within tol)
-    while being distinct points of the realization. Distinctness compares
-    the support-restricted coordinate maps, treating coordinates <= tol
-    as zero."""
+    barycentric points must map to the same target point while being
+    distinct points of the realization. The points may differ by tol
+    times the largest |coordinate| of the two simplices' images (at least
+    tol), since float evaluation rounds relative to that size.
+    Distinctness compares the support-restricted coordinate maps,
+    treating coordinates <= tol as zero."""
     pa = m.eval(w.simplex_a, w.bary_a)
     pb = m.eval(w.simplex_b, w.bary_b)
-    if float(np.max(np.abs(pa - pb))) > tol:
+    size = max([1.0] + [abs(c) for v in w.simplex_a + w.simplex_b
+                        for c in m.images[v]])
+    if float(np.max(np.abs(pa - pb))) > tol * size:
         return False
     xs = {v: c for v, c in zip(w.simplex_a, w.bary_a) if c > tol}
     ys = {v: c for v, c in zip(w.simplex_b, w.bary_b) if c > tol}
@@ -427,7 +465,7 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
     verts = m.complex.vertices
     D = m.dim_target
     for _ in range(max_tries):
-        # dyadic offsets keep the exact solver's rationals small
+        # dyadic offsets keep the scaled integer images short
         grid = rng.integers(-(2 ** 20), 2 ** 20, size=(len(verts), D))
         images = {v: tuple(c + magnitude * g / 2.0 ** 20
                            for c, g in zip(m.images[v], row))
@@ -556,7 +594,8 @@ def triangulated_strip(n: int) -> Complex:
 def random_map(c: Complex, D: int, rng, grid: int = 2 ** 20
                ) -> SimplicialMap:
     """Vertex images uniform on the dyadic grid {0, 1/grid, ..., 1}^D;
-    grid coordinates keep the exact solver fast."""
+    with grid a power of two the scaled integer images stay short, which
+    keeps the exact solver fast."""
     if D < 1:
         raise ValueError("D must be >= 1")
     images = {}

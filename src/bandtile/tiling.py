@@ -108,11 +108,15 @@ class Tiling:
     L: int
     M: int
 
+    def __post_init__(self):
+        # the first entry wins for a repeated index, as a scan would find
+        object.__setattr__(self, "_index", dict(reversed(self.tiles)))
+
     def tile(self, n: int):
-        for m, t in self.tiles:
-            if m == n:
-                return t
-        raise KeyError(f"no marker with index {n}")
+        try:
+            return self._index[n]
+        except KeyError:
+            raise KeyError(f"no marker with index {n}") from None
 
     def nonempty(self) -> tuple:
         return tuple((n, t) for n, t in self.tiles if t is not None)

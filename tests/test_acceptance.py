@@ -187,6 +187,7 @@ def test_05_weight_allocation():
 
 
 def test_06_simplicial_genericity():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     strip = triangulated_strip(20)
     hits = sum(is_embedding(random_map(strip, 5, rng))[0]
@@ -197,10 +198,11 @@ def test_06_simplicial_genericity():
         embeds, w = is_embedding(bad)
         if embeds or not verify_witness(bad, w):
             witnesses_ok = False
+    elapsed = time.perf_counter() - t0
     ok = hits >= 99 and witnesses_ok
     _line(6, "simplicial genericity", ok,
           f"{hits}/100 random maps embed, collapse witnesses "
-          f"{'verified' if witnesses_ok else 'broken'}")
+          f"{'verified' if witnesses_ok else 'broken'}, {elapsed:.1f}s")
     assert hits >= 99
     assert witnesses_ok
 

@@ -1,6 +1,13 @@
+import itertools
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bandtile import simplicial
 from bandtile.simplicial import (
     CollisionWitness,
     Complex,
@@ -218,3 +225,254 @@ def test_json_round_trips():
     assert SimplicialMap.from_json(m.to_json()) == m
     strip = triangulated_strip(6)
     assert Complex.from_json(strip.to_json()) == strip
+
+
+# Reference solver: reduced row echelon form over Fractions, the exact
+# rational arithmetic the integer elimination in the package replaced.
+def _rref_ref(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
+                     None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _polytope_vertices_ref(A, b):
+    k = len(A[0])
+    aug = [row[:] + [rhs] for row, rhs in zip(A, b)]
+    pivots = _rref_ref(aug)
+    if k in pivots:
+        return []
+    rows = [row for row in aug if any(x != 0 for x in row)]
+    rank = len(rows)
+    if rank == k:
+        z = [Fraction(0)] * k
+        for row, col in zip(rows, pivots):
+            z[col] = row[k]
+        return [tuple(z)] if all(x >= 0 for x in z) else []
+    R = [row[:k] for row in rows]
+    c = [row[k] for row in rows]
+    found = set()
+    for basis in itertools.combinations(range(k), rank):
+        sub = [[R[i][j] for j in basis] + [c[i]] for i in range(rank)]
+        piv = _rref_ref(sub)
+        if len(piv) != rank or rank in piv:
+            continue
+        z = [Fraction(0)] * k
+        singular = False
+        for row, col in zip(sub, piv):
+            if col >= rank:
+                singular = True
+                break
+            z[basis[col]] = row[rank]
+        if singular or any(x < 0 for x in z):
+            continue
+        found.add(tuple(z))
+    return sorted(found)
+
+
+def _pair_system_ref(va, vb, exact, D):
+    na, nb = len(va), len(vb)
+    A = [[Fraction(1)] * na + [Fraction(0)] * nb,
+         [Fraction(0)] * na + [Fraction(1)] * nb]
+    b = [Fraction(1), Fraction(1)]
+    for d in range(D):
+        A.append([exact[v][d] for v in va] + [-exact[u][d] for u in vb])
+        b.append(Fraction(0))
+    return A, b
+
+
+def _exact_images(m):
+    return {v: tuple(Fraction(c) for c in img) for v, img in m.images.items()}
+
+
+def is_embedding_ref(m):
+    """The package's is_embedding with the pair systems solved over
+    Fractions: same pair order, bounding-box test and witness choice."""
+    maxs = m.complex.maximal_simplices()
+    exact = _exact_images(m)
+    D = m.dim_target
+    boxes = []
+    for s in maxs:
+        pts = [m.images[v] for v in s]
+        boxes.append(([min(p[d] for p in pts) for d in range(D)],
+                      [max(p[d] for p in pts) for d in range(D)]))
+    for i in range(len(maxs)):
+        for j in range(i, len(maxs)):
+            lo_i, hi_i = boxes[i]
+            lo_j, hi_j = boxes[j]
+            if any(hi_i[d] < lo_j[d] or hi_j[d] < lo_i[d]
+                   for d in range(D)):
+                continue
+            va, vb = maxs[i], maxs[j]
+            shared = set(va) & set(vb)
+            for z in _polytope_vertices_ref(*_pair_system_ref(va, vb, exact,
+                                                              D)):
+                x, y = z[:len(va)], z[len(va):]
+                if simplicial._same_point(va, vb, x, y, shared):
+                    continue
+                pt = [sum(exact[v][d] * c for v, c in zip(va, x))
+                      for d in range(D)]
+                return False, CollisionWitness(
+                    simplex_a=va, simplex_b=vb,
+                    bary_a=tuple(float(c) for c in x),
+                    bary_b=tuple(float(c) for c in y),
+                    point=tuple(float(c) for c in pt))
+    return True, None
+
+
+def assert_matches_reference(m):
+    """Verdict and witness JSON of is_embedding equal the reference's."""
+    got, want = is_embedding(m), is_embedding_ref(m)
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert json.dumps(got[1].to_json()) == json.dumps(want[1].to_json())
+    return got
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+DYADIC = st.integers(0, 2 ** 20).map(lambda g: g / 2 ** 20)
+SMALL = st.integers(-2, 2).map(float)  # forces coincident and flat images
+
+
+@st.composite
+def small_maps(draw):
+    """Edges, triangles or a strip: 1-6 maximal simplices into R^1..R^6,
+    with coordinates on the dyadic 2^-20 grid or on {-2, ..., 2}."""
+    kind = draw(st.sampled_from(["edges", "triangles", "strip"]))
+    if kind == "strip":
+        comp = triangulated_strip(draw(st.integers(1, 6)))
+    else:
+        size = 2 if kind == "edges" else 3
+        nv = draw(st.integers(size, 6))
+        tops = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=size,
+                                     max_size=size), min_size=1, max_size=6))
+        comp = Complex.from_maximal(tops)
+    D = draw(st.integers(1, 6))
+    coord = draw(st.sampled_from([DYADIC, SMALL]))
+    images = {v: tuple(draw(coord) for _ in range(D)) for v in comp.vertices}
+    return SimplicialMap(comp, images)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(small_maps())
+def test_is_embedding_matches_fraction_reference(m):
+    assert_matches_reference(m)
+
+
+def _corpus_map(kind, arg):
+    if kind == "crossing":
+        return crossing_pair(arg)
+    if kind == "perturbed":
+        return perturb_to_embedding(crossing_pair(5), 0.25, arg)
+    if kind == "collapsed":
+        edge = SimplicialMap(Complex.from_maximal([(0, 1)]),
+                             {0: (0.0,) * 3, 1: (0.0,) * 3})
+        return perturb_to_embedding(edge, 0.5, arg)
+    n, D = arg  # a strip map like the embed-check benchmark's
+    return random_map(triangulated_strip(n), D, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("kind, arg", [
+    *(("crossing", D) for D in (2, 3, 4, 5)),
+    *(("perturbed", seed) for seed in range(3)),
+    ("collapsed", 1),
+    *(("strip", nD) for nD in ((8, 5), (9, 6), (10, 3))),
+])
+def test_polytope_vertices_match_reference_pair_by_pair(kind, arg):
+    """Every pair of maximal simplices, bounding-box test or not, has the
+    vertex set of the Fraction reference."""
+    m = _corpus_map(kind, arg)
+    maxs = m.complex.maximal_simplices()
+    ints, _ = simplicial._scaled_images(m)
+    exact = _exact_images(m)
+    D = m.dim_target
+    for va, vb in itertools.combinations_with_replacement(maxs, 2):
+        got = simplicial._polytope_vertices(
+            simplicial._pair_system(va, vb, ints, D))
+        assert got == _polytope_vertices_ref(
+            *_pair_system_ref(va, vb, exact, D))
+
+
+def _edge_pair(a, b, c, d):
+    comp = Complex.from_maximal([("a", "b"), ("c", "d")])
+    return SimplicialMap(comp, {"a": a, "b": b, "c": c, "d": d})
+
+
+SCALING_CASES = [
+    # crossing diagonals of squares of side 1e300 and 5e-324
+    _edge_pair((0.0, 0.0), (1e300, 1e300), (1e300, 0.0), (0.0, 1e300)),
+    _edge_pair((0.0, 0.0), (5e-324, 5e-324), (5e-324, 0.0), (0.0, 5e-324)),
+    # exponents 2^-1074 to 2^996 in one system, and -0.0 beside 0.0
+    _edge_pair((-0.0, 1e-300), (1.0, 1e300), (1.0, 5e-324), (-0.0, 1.0)),
+    _edge_pair((1e-300, 1.0), (1e-300, -1.0), (0.0, 0.0), (1.0, 0.0)),
+    _edge_pair((1e-300, 1.0), (1e-300, -1.0), (-0.0, 0.0), (5e-324, 0.0)),
+    # non-dyadic decimals: 0.1 + 0.2 is not the float 0.3
+    _edge_pair((0.1, 0.1), (0.3, 0.3), (0.2, 0.2), (0.5, 0.5)),
+    _edge_pair((0.1, 0.2), (0.3, 0.6), (0.2, 0.4), (0.1, 0.0)),
+    SimplicialMap(Complex.from_maximal([(0, 1), (1, 2)]),
+                  {0: (0.1,), 1: (0.3,), 2: (0.1 + 0.2,)}),
+    SimplicialMap(Complex.from_maximal([(0, 1, 2), (3, 4, 5)]),
+                  {0: (0.0, 0.0, 1e300), 1: (0.3, 0.0, -1e300),
+                   2: (0.0, 0.3, 5e-324), 3: (0.2, 0.2, 0.0),
+                   4: (-0.1, 0.2, -0.0), 5: (0.2, -0.1, 1e-300)}),
+]
+
+
+@pytest.mark.parametrize("m", SCALING_CASES)
+def test_power_of_two_scaling_is_lossless(m):
+    ok, w = assert_matches_reference(m)
+    if not ok:
+        assert verify_witness(m, w)
+
+
+def test_segment_family_step_at_one_third_matches_reference():
+    c = Complex.from_maximal([("a", "b"), ("b", "c")])
+    f = SimplicialMap(c, {"a": (0.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
+                          "c": (2.0, 0.0, 0.0)})
+    g = SimplicialMap(c, {"a": (2.0, 0.1, 0.0), "b": (1.0, 0.0, 0.3),
+                          "c": (0.0, 0.0, 0.0)})
+    t = 1 / 3
+    images = {v: tuple((1.0 - t) * a + t * b
+                       for a, b in zip(f.images[v], g.images[v]))
+              for v in c.vertices}
+    ok, _ = assert_matches_reference(SimplicialMap(c, images))
+    assert segment_family_check(f, g, [t]) == ((True, None) if ok
+                                               else (False, t))
+
+
+def test_verify_witness_accepts_exact_witnesses_on_large_images():
+    """Float evaluation of an exact witness rounds relative to the image
+    size, so the point-equality tolerance scales with it."""
+    rng = np.random.default_rng(1)
+    strip = triangulated_strip(10)
+    witnesses = 0
+    for _ in range(40):
+        m = random_map(strip, 3, rng)
+        big = SimplicialMap(strip, {v: tuple(1e8 * c for c in img)
+                                    for v, img in m.images.items()})
+        for mm in (m, big):
+            ok, w = is_embedding(mm)
+            if not ok:
+                witnesses += 1
+                assert verify_witness(mm, w)
+    assert witnesses >= 40

@@ -45,6 +45,16 @@ def test_unequal_heights_frozen_bisector():
     assert t.tile(10).lo == 5.15
 
 
+def test_tile_lookup_by_index():
+    t = Tiling(tiles=((0, Tile(-5.0, 5.0)), (10, None), (0, Tile(0.0, 1.0))),
+               window=(-5.0, 15.0), L=3, M=12)
+    assert t.tile(0) == Tile(-5.0, 5.0)  # the first entry for an index
+    assert t.tile(10) is None
+    with pytest.raises(KeyError, match="no marker with index 7"):
+        t.tile(7)
+    assert Tiling.from_json(t.to_json()) == t
+
+
 def test_single_marker_owns_the_window():
     m = MarkerSeq(((0, 1.0),), L=3, M=12)
     t = compute_tiles(m, (-5.0, 5.0))
