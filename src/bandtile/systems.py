@@ -81,38 +81,34 @@ def _check_window(window) -> range:
     return window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSignal:
-    """Values in [0,1] indexed by an integer window. Sites hold either a
-    scalar or a fixed-width tuple; width is uniform across the signal."""
+    """Values in [0,1] indexed by an integer window, one read-only float64
+    array; equal when the windows and the values are equal."""
 
     window: range
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         _check_window(self.window)
-        vals = tuple(self.values)
-        if len(vals) != len(self.window):
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (len(self.window),):
             raise ValueError("one value per window site required")
-        if vals and isinstance(vals[0], (tuple, list)):
-            vals = tuple(tuple(float(c) for c in v) for v in vals)
-            widths = {len(v) for v in vals}
-            if len(widths) != 1 or min(widths) < 1:
-                raise ValueError("site vectors must share one width >= 1")
-            flat = [c for v in vals for c in v]
-            width = widths.pop()
-        else:
-            vals = tuple(float(v) for v in vals)
-            flat = list(vals)
-            width = 1
-        for c in flat:
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"value {c} outside [0, 1]")
+        # written so that NaN fails too
+        outside = ~((vals >= 0.0) & (vals <= 1.0))
+        if outside.any():
+            raise ValueError(
+                f"value {float(vals[outside][0])} outside [0, 1]")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "width", width)
 
-    def __getitem__(self, n: int):
-        return self.values[self.window.index(n)]
+    def __eq__(self, other):
+        return (isinstance(other, DiscreteSignal)
+                and self.window == other.window
+                and np.array_equal(self.values, other.values))
+
+    def __getitem__(self, n: int) -> float:
+        return float(self.values[self.window.index(n)])
 
     def shifted(self, k: int) -> "DiscreteSignal":
         """The signal of the k-step shifted source: site n reads what the
@@ -124,26 +120,26 @@ class DiscreteSignal:
     def sup_gap(self, other: "DiscreteSignal") -> float:
         if self.window != other.window:
             raise ValueError("signals live on different windows")
-        a = np.asarray(self.values, dtype=float)
-        b = np.asarray(other.values, dtype=float)
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
+        return float(np.max(np.abs(self.values - other.values)))
 
     def to_json(self) -> dict:
         return {"window": [self.window.start, self.window.stop - 1],
-                "values": [list(v) if isinstance(v, tuple) else v
-                           for v in self.values]}
+                "values": self.values.tolist()}
+
+
+def _coordinate(phase):
+    """(1 + cos(2 pi x)) / 2 elementwise, exactly 1 at 0 and 0 at 1/2."""
+    return (1.0 + cospi(2.0 * phase)) / 2.0
 
 
 def rotation_embed(r: Rotation, window) -> DiscreteSignal:
     """Coordinate signal v_n = (1 + cos(2 pi x_n)) / 2 along the orbit.
 
-    Values land in [0, 1] exactly: the half-integer-exact cosine gives 1
-    at phase 0 and 0 at phase 1/2. Shifting the rotation left-shifts the
+    Values land in [0, 1] exactly. Shifting the rotation left-shifts the
     signal bitwise (see Rotation.shifted)."""
     window = _check_window(window)
     return DiscreteSignal(
-        window,
-        tuple((1.0 + cospi(2.0 * r.point(n))) / 2.0 for n in window))
+        window, _coordinate(r.point(np.arange(window.start, window.stop))))
 
 
 def embedding_gap(alpha: float, window, phases, pairs=None):
@@ -151,28 +147,31 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
 
     phases is a sequence of circle points; pairs is a sequence of index
     pairs, or None for all distinct pairs. Returns (gap, (x, y)) for the
-    closest pair found; a positive gap certifies injectivity at sample
-    scale."""
+    first closest pair; a positive gap certifies injectivity at sample
+    scale. Raises ValueError when there is no pair to compare."""
     window = _check_window(window)
-    rows = [rotation_embed(Rotation(alpha, x), window).values
-            for x in phases]
-    V = np.asarray(rows, dtype=float)
-    best = math.inf
-    arg = (None, None)
+    x0 = np.asarray(phases, dtype=float)
+    if not (math.isfinite(alpha) and np.isfinite(x0).all()):
+        raise ValueError("alpha and x0 must be finite")
+    # row i is rotation_embed(Rotation(alpha, phases[i]), window).values
+    ns = np.arange(window.start, window.stop)
+    V = _coordinate(frac(frac(x0)[:, None] + ns * float(alpha)))
+    best, arg = math.inf, None
     if pairs is None:
-        for i in range(len(phases) - 1):
+        for i in range(len(x0) - 1):
             gaps = np.max(np.abs(V[i + 1:] - V[i]), axis=1)
             j = int(np.argmin(gaps))
             if gaps[j] < best:
-                best = float(gaps[j])
-                arg = (phases[i], phases[i + 1 + j])
+                best, arg = float(gaps[j]), (i, i + 1 + j)
     else:
-        for i, j in pairs:
-            gap = float(np.max(np.abs(V[i] - V[j])))
-            if gap < best:
-                best = gap
-                arg = (phases[i], phases[j])
-    return best, arg
+        ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if len(ij):
+            gaps = np.max(np.abs(V[ij[:, 0]] - V[ij[:, 1]]), axis=1)
+            k = int(np.argmin(gaps))
+            best, arg = float(gaps[k]), tuple(ij[k].tolist())
+    if arg is None:
+        raise ValueError("no phase pair to compare")
+    return best, (phases[arg[0]], phases[arg[1]])
 
 
 @dataclass(frozen=True)
@@ -307,27 +306,27 @@ def marker_encode(r: Rotation, h, band: Band, window,
                       carrier_freq=c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubshiftWindow:
-    """A binary word observed over an integer window, validated balanced:
-    two factors of equal length never differ by more than one in their
-    count of ones. generator optionally records (slope, intercept) when
-    the word came from the mechanical-word formula."""
+    """A binary word observed over an integer window: one read-only uint8
+    array with one letter per window site, validated balanced (two factors
+    of equal length never differ by more than one in their count of
+    ones). Equal when the windows and the letters are equal."""
 
-    word: tuple
+    word: np.ndarray
     window: range
-    generator: tuple = None
 
     def __post_init__(self):
         _check_window(self.window)
-        word = tuple(int(b) for b in self.word)
-        object.__setattr__(self, "word", word)
-        if len(word) != len(self.window):
+        raw = np.asarray(self.word)
+        if raw.shape != (len(self.window),):
             raise ValueError("one letter per window site required")
-        if any(b not in (0, 1) for b in word):
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("letters must be 0 or 1")
+        word = raw.astype(np.uint8)
+        # per-size prefix-sum loop: faster than numpy at codec word lengths
         prefix = [0]
-        for b in word:
+        for b in word.tolist():
             prefix.append(prefix[-1] + b)
         n = len(word)
         for size in range(1, n):
@@ -336,26 +335,29 @@ class SubshiftWindow:
             if max(counts) - min(counts) > 1:
                 raise ValueError(
                     f"word is not balanced at factor length {size}")
-        if self.generator is not None:
-            object.__setattr__(
-                self, "generator",
-                (float(self.generator[0]), float(self.generator[1])))
+        word.flags.writeable = False
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        return (isinstance(other, SubshiftWindow)
+                and self.window == other.window
+                and np.array_equal(self.word, other.word))
 
     @property
     def degenerate(self) -> bool:
-        return len(set(self.word)) <= 1
+        return bool(self.word.min() == self.word.max())
 
     def __getitem__(self, n: int) -> int:
-        return self.word[self.window.index(n)]
+        return int(self.word[self.window.index(n)])
 
-    def letters(self, lo: int, hi: int) -> tuple:
-        """Letters at sites lo..hi inclusive."""
+    def letters(self, lo: int, hi: int) -> np.ndarray:
+        """Letters at sites lo..hi inclusive (a read-only slice)."""
         i = self.window.index(lo)
         return self.word[i:i + (hi - lo + 1)]
 
     def shifted(self, k: int) -> "SubshiftWindow":
         """The k-step shifted word: site n reads the original site n + k.
-        Letters are untouched; the generator no longer applies."""
+        Letters are untouched."""
         k = int(k)
         return SubshiftWindow(
             self.word, range(self.window.start - k, self.window.stop - k))
@@ -369,11 +371,10 @@ def sturmian_window(slope: float, intercept: float,
     Irrational slopes give Sturmian words; rational slopes give periodic
     balanced words; slope 0 is the all-zero word (degenerate flag)."""
     window = _check_window(window)
-    word = tuple(
-        math.floor((n + 1) * slope + intercept)
-        - math.floor(n * slope + intercept)
-        for n in window)
-    return SubshiftWindow(word, window, generator=(slope, intercept))
+    ns = np.arange(window.start, window.stop)
+    word = (np.floor((ns + 1) * slope + intercept)
+            - np.floor(ns * slope + intercept))
+    return SubshiftWindow(word, window)
 
 
 def _check_markers(markers, window: range) -> tuple:
@@ -404,32 +405,27 @@ def voronoi_tiles(markers, window) -> tuple:
     return tuple(tiles)
 
 
-def _identity_blocks(block: tuple) -> tuple:
-    return tuple(float(b) for b in block)
-
-
 def toy_encode(x: SubshiftWindow, markers, G=None, window=None,
                tube: float = None) -> DiscreteSignal:
     """Tile the window by nearest marker and apply one block map per tile.
 
-    Each tile of size c feeds its letter block to the size-c map of the
-    family G (a mapping from block length to map, or one map used for
+    Each tile of size c feeds its uint8 letter block to the size-c map of
+    the family G (a mapping from block length to map, or one map used for
     every length; default is the identity inclusion of binary blocks) and
     the c outputs land on the tile's sites in order. The result restricts
-    to the requested subwindow. With tube set, the output is checked to
-    stay within tube of the identity encoding at every site."""
+    to the requested subwindow. With tube set, the output must stay within
+    tube of the identity encoding (the word itself) at every site."""
     if window is None:
         window = x.window
     window = _check_window(window)
     if window.start < x.window.start or window.stop > x.window.stop:
         raise ValueError("requested window exceeds the word window")
-    values = {}
+    start = x.window.start
+    values = np.empty(len(x.window))
     for m, lo, hi in voronoi_tiles(markers, x.window):
         block = x.letters(lo, hi)
         size = hi - lo + 1
-        if G is None:
-            gmap = _identity_blocks
-        elif isinstance(G, Mapping):
+        if isinstance(G, Mapping):
             if size not in G:
                 raise ValueError(
                     f"no block map of length {size} supplied; the tile of "
@@ -437,17 +433,16 @@ def toy_encode(x: SubshiftWindow, markers, G=None, window=None,
             gmap = G[size]
         else:
             gmap = G
-        out = tuple(float(v) for v in gmap(block))
-        if len(out) != size:
+        out = block if gmap is None else np.fromiter(gmap(block), float)
+        if out.size != size:
             raise ValueError(
-                f"block map returned {len(out)} values for a tile of "
+                f"block map returned {out.size} values for a tile of "
                 f"size {size}")
-        for site, v in zip(range(lo, hi + 1), out):
-            values[site] = v
-    sig = DiscreteSignal(window, tuple(values[n] for n in window))
+        values[lo - start:hi - start + 1] = out
+    sub = slice(window.start - start, window.stop - start)
+    sig = DiscreteSignal(window, values[sub])
     if tube is not None:
-        base = toy_encode(x, markers, None, window)
-        gap = sig.sup_gap(base)
+        gap = float(np.max(np.abs(sig.values - x.word[sub])))
         if gap >= tube:
             raise ValueError(
                 f"encoded signal leaves the tube: sup gap {gap:.6g} >= "
@@ -455,17 +450,16 @@ def toy_encode(x: SubshiftWindow, markers, G=None, window=None,
     return sig
 
 
-def _local_word_distance(x: SubshiftWindow, y: SubshiftWindow,
-                         m: int) -> float:
-    """2^(-r) where r is the distance from m to the nearest visible
-    disagreement, 0 when the words agree on the whole window."""
-    best = None
-    for n, (a, b) in zip(x.window, zip(x.word, y.word)):
-        if a != b:
-            r = abs(n - m)
-            if best is None or r < best:
-                best = r
-    return 0.0 if best is None else 2.0 ** (-best)
+def _local_word_distance(x: SubshiftWindow, y: SubshiftWindow, lo: int,
+                         hi: int) -> float:
+    """2^(-r) where r is the distance from the base points lo..hi to the
+    nearest visible disagreement, 0 when the words agree on the whole
+    window: the largest local word distance over those base points."""
+    sites = np.flatnonzero(x.word != y.word) + x.window.start
+    if sites.size == 0:
+        return 0.0
+    r = int(np.min(np.maximum(np.maximum(lo - sites, sites - hi), 0)))
+    return 2.0 ** (-r)
 
 
 def word_metric(x: SubshiftWindow, y: SubshiftWindow) -> float:
@@ -473,7 +467,7 @@ def word_metric(x: SubshiftWindow, y: SubshiftWindow) -> float:
     0 when the words agree on their (shared) window."""
     if x.window != y.window:
         raise ValueError("words live on different windows")
-    return _local_word_distance(x, y, 0)
+    return _local_word_distance(x, y, 0, 0)
 
 
 def bowen_metric(x: SubshiftWindow, y: SubshiftWindow, start: int,
@@ -484,8 +478,7 @@ def bowen_metric(x: SubshiftWindow, y: SubshiftWindow, start: int,
         raise ValueError("words live on different windows")
     if length < 1:
         raise ValueError("length must be >= 1")
-    return max(_local_word_distance(x, y, start + j)
-               for j in range(length))
+    return _local_word_distance(x, y, start, start + length - 1)
 
 
 def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
@@ -498,24 +491,27 @@ def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
     with a single (trivially N-separated) occurrence."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    word, start = x.word, x.window.start
+    # byte slices order like letter blocks and key dicts faster than numpy
+    word, start = x.word.tobytes(), x.window.start
     n = len(word)
     best = None
     for size in range(1, n + 1):
         seen = {}
         for i in range(n - size + 1):
             seen.setdefault(word[i:i + size], []).append(start + i)
-        for block, sites in sorted(seen.items()):
+        # blocks are distinct, so the key breaks every tie in any order
+        for block, sites in seen.items():
             if any(q - p <= N for p, q in zip(sites, sites[1:])):
                 continue
             key = (-len(sites), size, block, sites[0])
             if best is None or key < best[0]:
-                best = (key, block, tuple(sites))
+                best = (key, sites)
         # a longer block has at most n - size occurrences; stop once the
         # incumbent count is out of reach
         if best is not None and -best[0][0] >= n - size:
             break
-    return best[1], best[2]
+    (_, _, block, _), sites = best
+    return tuple(block), tuple(sites)
 
 
 @dataclass(frozen=True)
@@ -589,7 +585,8 @@ def toy_verify(pairs, markers, delta: float, eps: float,
             dc = bowen_metric(x, y, lo, hi - lo + 1)
             if d > dc:
                 chain_failures.append((i, d, dc))
-            if x.letters(lo, hi) == y.letters(lo, hi) and dc >= eps:
+            if (np.array_equal(x.letters(lo, hi), y.letters(lo, hi))
+                    and dc >= eps):
                 eps_failures.append((i, dc))
     return ToyReport(pairs_checked=len(pairs), equal_encoding_pairs=equal,
                      violations=tuple(violations),

@@ -188,6 +188,12 @@ def compute_tiles(markers: MarkerSeq, window) -> Tiling:
     return Tiling(tuple(tiles), (win_lo, win_hi), L=markers.L, M=markers.M)
 
 
+def boundary_points(t: Tiling) -> np.ndarray:
+    """The distinct endpoints of the nonempty tiles, sorted ascending."""
+    return np.array(sorted({p for _, tile in t.nonempty()
+                            for p in (tile.lo, tile.hi)}), dtype=float)
+
+
 def boundary_set(t: Tiling, r: float) -> tuple:
     """Union of the +-r collars of every nonempty tile endpoint, clipped to
     the window and merged into disjoint intervals. r = 0 gives the finite
@@ -195,14 +201,9 @@ def boundary_set(t: Tiling, r: float) -> tuple:
     if r < 0:
         raise ValueError("collar radius must be >= 0")
     win_lo, win_hi = t.window
-    points = []
-    for _, tile in t.nonempty():
-        points.append(tile.lo)
-        points.append(tile.hi)
-    collars = sorted((p - r, p + r) for p in set(points))
     merged = []
-    for lo, hi in collars:
-        lo, hi = max(lo, win_lo), min(hi, win_hi)
+    for p in boundary_points(t).tolist():
+        lo, hi = max(p - r, win_lo), min(p + r, win_hi)
         if hi < lo:
             continue
         if merged and lo <= merged[-1][1] + SNAP:

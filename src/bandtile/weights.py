@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiling import Tile, Tiling
+from .tiling import Tile, Tiling, boundary_points
 
 SLACK = 1e-9
 
@@ -84,24 +84,19 @@ def validate_params(p: WeightParams) -> bool:
             and p.reach > p.M > p.L)
 
 
-def _boundary_points(t: Tiling) -> np.ndarray:
-    pts = set()
-    for _, tile in t.nonempty():
-        pts.add(tile.lo)
-        pts.add(tile.hi)
-    return np.array(sorted(pts), dtype=float)
-
-
-def _dist_to(points: np.ndarray, x: float) -> float:
-    if points.size == 0:
-        return math.inf
-    i = int(np.searchsorted(points, x))
-    best = math.inf
-    if i < points.size:
-        best = points[i] - x
-    if i > 0:
-        best = min(best, x - points[i - 1])
-    return float(best)
+def _boundary_distance(t: Tiling, xs: np.ndarray) -> np.ndarray:
+    """Distance from each x to the nearest endpoint of a nonempty tile,
+    inf when the tiling has none: one searchsorted over the sorted
+    endpoints, then the nearer of the two neighbours."""
+    pts = boundary_points(t)
+    xs = np.asarray(xs, dtype=float)
+    if pts.size == 0:
+        return np.full(xs.shape, math.inf)
+    i = np.searchsorted(pts, xs)
+    right = np.where(i < pts.size, pts[np.minimum(i, pts.size - 1)] - xs,
+                     math.inf)
+    left = np.where(i > 0, xs - pts[np.maximum(i - 1, 0)], math.inf)
+    return np.minimum(right, left)
 
 
 def receiver_core(t: Tiling, p: WeightParams) -> range:
@@ -135,13 +130,11 @@ def bases(t: Tiling, p: WeightParams) -> tuple:
         tax = max(tile.length - p.tax_threshold, 0.0) / p.cost_ratio
         if tax > 0.0:
             a0[int(n)] = tax
-    pts = _boundary_points(t)
-    b0 = {}
-    for r in receiver_core(t, p):
-        need = p.care_range - _dist_to(pts, float(r))
-        if need > 0.0:
-            b0[r] = need
-    return a0, b0
+    core = receiver_core(t, p)
+    rs = np.arange(core.start, core.stop)
+    need = p.care_range - _boundary_distance(t, rs)
+    keep = need > 0.0
+    return a0, dict(zip(rs[keep].tolist(), need[keep].tolist()))
 
 
 def greedy_rounds(a0: dict, b0: dict, p: WeightParams) -> dict:
@@ -346,13 +339,11 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
             witnesses.append(f"row {n} has {positive} positive entries, "
                              f"cap {cap:.6g}")
 
-    pts = _boundary_points(t)
+    core = receiver_core(t, p)
+    rs = np.arange(core.start, core.stop)
+    wild = rs[_boundary_distance(t, rs) <= p.care_range - 4 + SLACK]
     wild_served = True
-    wild_points = 0
-    for r in receiver_core(t, p):
-        if _dist_to(pts, float(r)) > p.care_range - 4 + SLACK:
-            continue
-        wild_points += 1
+    for r in wild.tolist():
         served = any(w.row(n)[r - n] >= 1.0 - SLACK
                      for n in range(r - p.reach, r + 1))
         if not served:
@@ -364,7 +355,7 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
                         support_capped=support_capped,
                         wild_served=wild_served,
                         rows_checked=rows_checked,
-                        wild_points=wild_points,
+                        wild_points=len(wild),
                         witnesses=tuple(witnesses))
 
 
@@ -381,8 +372,8 @@ def surplus_check(t: Tiling, p: WeightParams, a: float) -> bool:
     tax = sum(max(tile.length - p.tax_threshold, 0.0)
               for n, tile in t.nonempty()
               if a - SLACK <= n <= a + p.reach + SLACK)
-    pts = _boundary_points(t)
-    care = sum(max(p.care_range - _dist_to(pts, float(r)), 0.0)
-               for r in range(math.ceil(a - SLACK),
-                              math.floor(a + p.reach + SLACK) + 1))
+    rs = np.arange(math.ceil(a - SLACK), math.floor(a + p.reach + SLACK) + 1)
+    # a Python sum adds left to right; np.sum's pairwise order rounds apart
+    care = sum(np.maximum(p.care_range - _boundary_distance(t, rs),
+                          0.0).tolist())
     return tax + SLACK >= p.cost_ratio * care

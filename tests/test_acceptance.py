@@ -77,6 +77,7 @@ def test_01_sinc_oracle():
 
 
 def test_02_interpolation_duality():
+    t0 = time.perf_counter()
     # kernels over windows of +-64 blocks; evaluation stays inside the
     # certified truncation region of the tail formula
     kappa = decay_constant(PARAMS, seed=0)
@@ -93,10 +94,11 @@ def test_02_interpolation_duality():
         env = cardinal_kernel(mset, xs, 56)
         worst_env = max(worst_env,
                         float(np.max(np.abs(env) * (1.0 + xs.real ** 2))))
+    elapsed = time.perf_counter() - t0
     ok = worst_own <= 1e-4 and worst_other <= 1e-4 and worst_env <= kappa
     _line(2, "kernel duality", ok,
           f"own err {worst_own:.2e}, other {worst_other:.2e}, "
-          f"envelope {worst_env:.3f} <= {kappa:.3f}")
+          f"envelope {worst_env:.3f} <= {kappa:.3f}, {elapsed:.1f}s")
     assert worst_own <= 1e-4
     assert worst_other <= 1e-4
     assert worst_env <= kappa
@@ -120,6 +122,7 @@ def test_03_nyquist_pair():
 
 
 def test_04_tiling_geometry():
+    t0 = time.perf_counter()
     L, M, span = 8, 30, 300.0
     rng = np.random.default_rng(5)
     contained = True
@@ -144,10 +147,11 @@ def test_04_tiling_geometry():
             b = ts.tile(n - k)
             worst_equiv = max(worst_equiv, abs(b.lo - (a.lo - k)),
                               abs(b.hi - (a.hi - k)))
+    elapsed = time.perf_counter() - t0
     ok = contained and density_ok and worst_equiv <= 1e-9
     _line(4, "tiling geometry", ok,
           f"1000 tilings, containment {contained}, density {density_ok}, "
-          f"equivariance err {worst_equiv:.2e}")
+          f"equivariance err {worst_equiv:.2e}, {elapsed:.1f}s")
     assert contained
     assert density_ok
     assert worst_equiv <= 1e-9
@@ -239,6 +243,7 @@ def test_07_toy_codec():
 
 
 def test_08_rotation_embedding_gap():
+    t0 = time.perf_counter()
     alpha = 2.0 ** 0.5 - 1.0
     gaps = []
     for seed in (0, 1, 2):
@@ -249,15 +254,17 @@ def test_08_rotation_embedding_gap():
                                       for i in range(1000)])
         gaps.append(gap)
     spread = max(gaps) / min(gaps)
+    elapsed = time.perf_counter() - t0
     ok = min(gaps) > 1e-6 and spread < 10.0
     _line(8, "rotation embedding", ok,
           f"min gaps {', '.join(f'{g:.2e}' for g in gaps)}, "
-          f"seed spread x{spread:.2f}")
+          f"seed spread x{spread:.2f}, {elapsed:.1f}s")
     assert min(gaps) > 1e-6
     assert spread < 10.0
 
 
 def test_09_cli_determinism(tmp_path):
+    t0 = time.perf_counter()
     suites = [
         ["interp", "eval", "--seed", "5"],
         ["interp", "oracle-sinc", "--seed", "9"],
@@ -283,8 +290,10 @@ def test_09_cli_determinism(tmp_path):
             payloads.append(out.read_bytes())
         if len(payloads) == 2 and payloads[0] == payloads[1]:
             stable += 1
+    elapsed = time.perf_counter() - t0
     ok = failed == 0 and stable == len(suites)
     _line(9, "cli determinism", ok,
-          f"{stable}/{len(suites)} suites byte-identical, {failed} failed")
+          f"{stable}/{len(suites)} suites byte-identical, {failed} failed, "
+          f"{elapsed:.1f}s")
     assert failed == 0
     assert stable == len(suites)

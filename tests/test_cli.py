@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,28 @@ def test_suites_green_and_deterministic(tmp_path, args):
     assert code == 0, args
     _, second = run_to(tmp_path, "b.out", args)
     assert first == second
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["codec", "rotation", "--seed", "2"],
+     "e0329343c615ad44b56b37c1dcdba7adeb7a30671888fc5fb124484eedcae8ca"),
+    (["codec", "rotation", "--seed", "2", "--format", "csv"],
+     "184c3d12570c0da01fe1ab32aea9eb847c2b9b5bf99b6df71fc22253b5532fc5"),
+    (["codec", "toy", "--seed", "6"],
+     "51ab24c7b11ba5fc74e9d877bd24f9d0fc1e73266d0a882263416f7933837423"),
+    (["codec", "toy", "--seed", "6", "--format", "csv"],
+     "4486c56d5a8ddfbac4aa766ab0e1f2d37921efb57bce030eebdd56258dd17c30"),
+    (["weights", "run", "--seed", "3"],
+     "c6d6441d941f5624eb18e14ed43af2c2ce36858099ab720f88d4b712c5e5a57d"),
+    (["tiling", "demo", "--seed", "2"],
+     "f8c823057d1c9e14c5ceacc38cf87261b0907101a32a76ae57daa0b1509961bd"),
+])
+def test_dynamics_report_bytes_pinned(tmp_path, args, digest):
+    # frozen report bytes of the dynamics suites: a change of signal, word
+    # or boundary-distance representation must not move a single byte
+    code, payload = run_to(tmp_path, "r.out", args)
+    assert code == 0
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_csv_format(tmp_path):
@@ -108,6 +131,8 @@ def test_tolerance_override_recorded(tmp_path):
     # a tolerance name the suite never reads
     ["codec", "marker", "--tol.leek", "1e-30"],
     ["sampling", "--tol", "oracle=1e-3"],
+    # no phase pair to compare: there is no gap to report
+    ["codec", "rotation", "--trials", "0"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)

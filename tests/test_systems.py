@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtile.bandlimited import Band, BumpKernel, SincKernel, band_check
 from bandtile.systems import (
@@ -22,7 +24,7 @@ from bandtile.systems import (
     voronoi_tiles,
     word_metric,
 )
-from bandtile.numutil import circle_dist
+from bandtile.numutil import circle_dist, cospi
 from bandtile.tiling import MarkerSeq
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -72,6 +74,12 @@ def test_embedding_gap_explicit_pairs_positive():
     gap, _ = embedding_gap(ALPHA, range(-50, 51), phases,
                            pairs=[(2 * i, 2 * i + 1) for i in range(100)])
     assert gap > 0.0
+
+
+def test_embedding_gap_without_pairs_raises():
+    for phases, pairs in (([0.1], None), ([0.1, 0.2], []), ([], None)):
+        with pytest.raises(ValueError, match="no phase pair"):
+            embedding_gap(ALPHA, range(-5, 6), phases, pairs)
 
 
 def test_marker_function_shape():
@@ -266,7 +274,7 @@ def test_toy_encode_identity_block():
     x = sturmian_window(GOLD, 0.0, range(-5, 6))
     g = toy_encode(x, [0])
     assert g.window == range(-5, 6)
-    assert g.values == tuple(float(b) for b in x.word)
+    assert g.values.tolist() == [float(b) for b in x.word]
     # determinism on equal words
     assert toy_encode(sturmian_window(GOLD, 0.0, range(-5, 6)), [0]) == g
 
@@ -338,9 +346,168 @@ def test_toy_verify_random_sturmian_batch():
     assert rep.violations == ()
 
 
+def test_discrete_signal_rejects_values_outside_unit_interval():
+    for bad in ([0.5, float("nan")], [0.5, -0.25], [1.5, 0.5],
+                [(0.5,), (0.5,)], [0.5]):
+        with pytest.raises(ValueError):
+            DiscreteSignal(range(0, 2), bad)
+    s = DiscreteSignal(range(0, 2), [0.0, 1.0])
+    assert not s.values.flags.writeable
+    assert s.to_json() == {"window": [0, 1], "values": [0.0, 1.0]}
+
+
 def test_discrete_signal_shift_relabels_window():
     vals = tuple(float(i) / 10.0 for i in range(5))
     s = DiscreteSignal(range(0, 5), vals)
     t = s.shifted(2)
     assert t.window == range(-2, 3)
     assert all(t[n] == s[n + 2] for n in range(-2, 3))
+
+
+# ---------------------------------------------------------------------------
+# properties of the array representation, against per-site loops
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def reference_embed(r, window):
+    """rotation_embed one site at a time, through the scalar cospi."""
+    return [(1.0 + cospi(2.0 * r.point(n))) / 2.0 for n in window]
+
+
+def reference_gap(alpha, window, phases, pairs=None):
+    """embedding_gap with one signal per phase and a pair-by-pair scan."""
+    V = [reference_embed(Rotation(alpha, x), window) for x in phases]
+    best, arg = math.inf, None
+    if pairs is None:
+        pairs = [(i, j) for i in range(len(phases))
+                 for j in range(i + 1, len(phases))]
+    for i, j in pairs:
+        gap = max(abs(a - b) for a, b in zip(V[i], V[j]))
+        if gap < best:
+            best, arg = gap, (phases[i], phases[j])
+    return best, arg
+
+
+def reference_balanced(word):
+    """The per-size prefix-sum balance test on a tuple of letters."""
+    prefix = [0]
+    for b in word:
+        prefix.append(prefix[-1] + b)
+    n = len(word)
+    for size in range(1, n):
+        counts = [prefix[i + size] - prefix[i] for i in range(n - size + 1)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+def reference_cylinder(word, start, N):
+    """marker_cylinder over a tuple word, factors visited in sorted order."""
+    n = len(word)
+    best = None
+    for size in range(1, n + 1):
+        seen = {}
+        for i in range(n - size + 1):
+            seen.setdefault(word[i:i + size], []).append(start + i)
+        for block, sites in sorted(seen.items()):
+            if any(q - p <= N for p, q in zip(sites, sites[1:])):
+                continue
+            key = (-len(sites), size, block, sites[0])
+            if best is None or key < best[0]:
+                best = (key, block, tuple(sites))
+        if best is not None and -best[0][0] >= n - size:
+            break
+    return best[1], best[2]
+
+
+def reference_local_distance(x, y, m):
+    """2^(-r) for the disagreement nearest m, scanning every site."""
+    best = None
+    for n, a, b in zip(x.window, x.word.tolist(), y.word.tolist()):
+        if a != b and (best is None or abs(n - m) < best):
+            best = abs(n - m)
+    return 0.0 if best is None else 2.0 ** (-best)
+
+
+@st.composite
+def rotations(draw):
+    alpha = draw(st.one_of(UNIT, st.floats(-5.0, 5.0),
+                           st.sampled_from([ALPHA, GOLD, 0.5, 0.25])))
+    x0 = draw(st.one_of(UNIT, st.sampled_from([0.0, 0.25, 0.5, 0.75])))
+    return Rotation(alpha, x0, draw(st.integers(-10 ** 6, 10 ** 6)))
+
+
+@st.composite
+def windows(draw, max_len=120):
+    lo = draw(st.integers(-10 ** 4, 10 ** 4))
+    return range(lo, lo + draw(st.integers(1, max_len)))
+
+
+@st.composite
+def mechanical_words(draw, max_len=31):
+    """Mechanical words, Sturmian or periodic: rational slopes p/q too."""
+    slope = draw(st.one_of(UNIT, st.sampled_from([0.0, 1.0, 0.5, 1 / 3,
+                                                  2 / 5, GOLD])))
+    return sturmian_window(slope, draw(UNIT), draw(windows(max_len)))
+
+
+@PROPERTY
+@given(rotations(), windows())
+def test_rotation_embed_matches_per_site_loop(r, window):
+    sig = rotation_embed(r, window)
+    want = np.array(reference_embed(r, window))
+    assert sig.values.tobytes() == want.tobytes()
+    assert not sig.values.flags.writeable
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(UNIT, st.sampled_from([ALPHA, GOLD])), windows(40),
+       st.lists(UNIT, min_size=2, max_size=12, unique=True),
+       st.integers(0, 3),
+       st.booleans(), st.lists(st.tuples(st.integers(0, 11),
+                                         st.integers(0, 11)),
+                                min_size=1, max_size=20))
+def test_embedding_gap_matches_per_phase_signals(alpha, window, phases,
+                                                 repeat, all_pairs, pairs):
+    if repeat == 0:  # ties at gap 0: the first closest pair must win
+        phases = phases + phases[:2]
+    n = len(phases)
+    pairs = None if all_pairs else [(i % n, (i + 1 + d % (n - 1)) % n)
+                                    for i, d in pairs]
+    got = embedding_gap(alpha, window, phases, pairs)
+    assert got == reference_gap(alpha, window, phases, pairs)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=31),
+                 mechanical_words().map(lambda w: w.word.tolist())))
+def test_balance_check_matches_per_size_loop(word):
+    got = _outcome(lambda: SubshiftWindow(word, range(-3, len(word) - 3)))
+    if reference_balanced(word):
+        assert got.word.tolist() == word
+        assert not got.word.flags.writeable
+    else:
+        assert got.startswith("word is not balanced")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(mechanical_words(), st.integers(1, 8))
+def test_marker_cylinder_matches_tuple_keyed_scan(x, N):
+    want = reference_cylinder(tuple(x.word.tolist()), x.window.start, N)
+    assert marker_cylinder(x, N) == want
+
+
+@PROPERTY
+@given(st.integers(-40, 10), st.integers(1, 31), UNIT, UNIT, UNIT, UNIT,
+       st.booleans(), st.integers(-45, 45), st.integers(1, 40))
+def test_word_metrics_match_per_site_loop(lo, size, s1, c1, s2, c2, same,
+                                          start, length):
+    window = range(lo, lo + size)
+    x = sturmian_window(s1, c1, window)
+    y = x if same else sturmian_window(s2, c2, window)
+    assert word_metric(x, y) == reference_local_distance(x, y, 0)
+    assert bowen_metric(x, y, start, length) == max(
+        reference_local_distance(x, y, start + j) for j in range(length))

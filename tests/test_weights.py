@@ -1,12 +1,24 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandtile.tiling import MarkerSeq, compute_tiles, random_marker_seq, shift_markers
+from bandtile.tiling import (
+    MarkerSeq,
+    Tiling,
+    boundary_points,
+    compute_tiles,
+    random_marker_seq,
+    shift_markers,
+)
 from bandtile.weights import (
+    SLACK,
     SurplusError,
     WeightParams,
+    _boundary_distance,
     bases,
     finalize,
     greedy_rounds,
@@ -194,3 +206,76 @@ def test_marker_level_equivariance():
     assert keys == set(ws.transfers)
     for (n, m), val in wm.transfers.items():
         assert ws.transfers[(n - k, m)] == pytest.approx(val, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised boundary distance, against one search per query point
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+def reference_points(t):
+    pts = set()
+    for _, tile in t.nonempty():
+        pts.add(tile.lo)
+        pts.add(tile.hi)
+    return np.array(sorted(pts), dtype=float)
+
+
+def reference_dist_to(points, x):
+    if points.size == 0:
+        return math.inf
+    i = int(np.searchsorted(points, x))
+    best = math.inf
+    if i < points.size:
+        best = points[i] - x
+    if i > 0:
+        best = min(best, x - points[i - 1])
+    return float(best)
+
+
+@st.composite
+def weighted_tilings(draw):
+    """A tiling and parameters whose receiver core and averaging window
+    fit inside it; one draw in ten has no nonempty tile at all."""
+    L = draw(st.integers(1, 6))
+    M = draw(st.integers(L + 2, L + 12))
+    p = WeightParams(cost_ratio=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                     care_range=draw(st.integers(0, 6)), tax_threshold=2,
+                     L=L, M=M, reach=draw(st.integers(1, 20)))
+    lo = draw(st.integers(-60, 60)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+    hi = lo + 3 * M + p.reach + draw(st.integers(0, 100))
+    if draw(st.integers(0, 9)) == 0:
+        return Tiling(((0, None),), (lo, hi), L=L, M=M), p
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return compute_tiles(random_marker_seq(L, M, lo, hi, rng), (lo, hi)), p
+
+
+@settings(PROPERTY, max_examples=200)
+@given(weighted_tilings(), st.lists(st.one_of(
+    st.integers(-100, 400).map(float), st.floats(-100.0, 400.0)),
+    max_size=40), st.data())
+def test_boundary_distance_matches_scalar_search(tp, xs, data):
+    t, p = tp
+    pts = reference_points(t)
+    assert boundary_points(t).tolist() == pts.tolist()
+    if pts.size:  # exact endpoints hit the searchsorted tie
+        xs = xs + data.draw(st.lists(st.sampled_from(pts.tolist()),
+                                     max_size=5))
+    got = _boundary_distance(t, np.array(xs, dtype=float))
+    assert got.tolist() == [reference_dist_to(pts, x) for x in xs]
+    # the three callers: receiver needs, and care over one window
+    want = {}
+    for r in receiver_core(t, p):
+        need = p.care_range - reference_dist_to(pts, float(r))
+        if need > 0.0:
+            want[r] = need
+    assert bases(t, p)[1] == want
+    a = t.window[0] + p.M
+    tax = sum(max(tile.length - p.tax_threshold, 0.0)
+              for n, tile in t.nonempty()
+              if a - SLACK <= n <= a + p.reach + SLACK)
+    care = sum(max(p.care_range - reference_dist_to(pts, float(r)), 0.0)
+               for r in range(math.ceil(a - SLACK),
+                              math.floor(a + p.reach + SLACK) + 1))
+    assert surplus_check(t, p, a) == (tax + SLACK >= p.cost_ratio * care)
