@@ -290,9 +290,7 @@ def _suite_weights(cfg: RunConfig):
     w = finalize(v, p)
     rep = verify_conditions(w, t, p)
     report = {"params": p.to_json(), **rep.to_json()}
-    csv_rows = [["n", "m", "transfer", "weight"]]
-    for (n, m), val in sorted(v.items()):
-        csv_rows.append([n, m, val, w.row(n)[m]])
+    csv_rows = [["n", "m", "transfer", "weight"]] + w.entries.tolist()
     return report, rep.passed, csv_rows
 
 

@@ -559,7 +559,7 @@ def toy_verify(pairs, markers, delta: float, eps: float,
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs given")
-    per_pair = bool(markers) and not isinstance(
+    per_pair = len(markers) > 0 and not isinstance(
         next(iter(markers)), (int, np.integer))
     if per_pair and len(markers) != len(pairs):
         raise ValueError("one marker set per pair required")

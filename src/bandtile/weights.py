@@ -68,10 +68,12 @@ class WeightParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "WeightParams":
+        # integer fields pass through unconverted, so __post_init__ rejects
+        # a fractional or boolean value instead of truncating it
         return cls(cost_ratio=float(d["cost_ratio"]),
-                   care_range=int(d["care_range"]),
-                   tax_threshold=int(d["tax_threshold"]),
-                   L=int(d["L"]), M=int(d["M"]), reach=int(d["reach"]))
+                   care_range=d["care_range"],
+                   tax_threshold=d["tax_threshold"],
+                   L=d["L"], M=d["M"], reach=d["reach"])
 
 
 def validate_params(p: WeightParams) -> bool:
@@ -175,47 +177,35 @@ def greedy_rounds(a0: dict, b0: dict, p: WeightParams) -> dict:
     return v
 
 
-def _amplify(x: list, reach: int) -> list:
-    # right-to-left cascade: the gain drops linearly from reach to 1 as the
-    # best later entry climbs to 1, so a donor whose later entries are all
-    # small gets its last payment boosted by the full factor reach
-    y = [0.0] * (reach + 1)
-    y[reach] = reach * x[reach]
-    best = y[reach]
-    for m in range(reach - 1, -1, -1):
-        gain = reach - (reach - 1.0) * min(best, 1.0)
-        y[m] = gain * x[m]
-        if y[m] > best:
-            best = y[m]
-    return y
+ENTRY = np.dtype([("n", np.int64), ("m", np.int64),
+                  ("transfer", np.float64), ("weight", np.float64)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Finalized allocation: transfers holds the greedy amounts
-    (n, m) -> v >= 0 with 0 <= m <= reach, weights the cascaded rows
-    n -> (w_0, ..., w_reach) in [0, 1]. Both sparse; missing rows are
-    zero."""
+    """Finalized allocation as one read-only record array: entries holds
+    one record (n, m, transfer, weight) per greedy transfer from donor n
+    to receiver n + m, sorted by (n, m), with transfer >= 0, 0 <= m <=
+    reach and weight in [0, 1]. Every (n, m) without a record has weight
+    0: there the transfer is 0, and the cascade multiplies it by a gain of
+    at least 1. Compare two matrices by their entries (np.array_equal)."""
 
-    transfers: dict
-    weights: dict
+    entries: np.ndarray
     params: WeightParams
 
     def __post_init__(self):
-        for (n, m), val in self.transfers.items():
-            if not 0 <= m <= self.params.reach:
-                raise ValueError(f"transfer ({n}, {m}) outside 0..reach")
-            if val < 0.0:
-                raise ValueError(f"negative transfer at ({n}, {m})")
-        for n, row in self.weights.items():
-            if len(row) != self.params.reach + 1:
-                raise ValueError(f"weight row {n} has wrong length")
-            if any(not 0.0 <= w <= 1.0 for w in row):
-                raise ValueError(f"weight row {n} leaves [0, 1]")
-
-    def row(self, n: int) -> tuple:
-        zero = (0.0,) * (self.params.reach + 1)
-        return self.weights.get(n, zero)
+        e = self.entries
+        n, m, x, w = (e[name] for name in ENTRY.names)
+        ok = ((m >= 0) & (m <= self.params.reach) & (x >= 0.0)
+              & (w >= 0.0) & (w <= 1.0))
+        if not ok.all():
+            raise ValueError(f"record {e[np.argmin(ok)]} needs 0 <= m <= "
+                             f"reach, transfer >= 0 and weight in [0, 1]")
+        rising = (n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (m[1:] > m[:-1]))
+        if not rising.all():
+            raise ValueError(f"record {e[np.argmin(rising) + 1]} breaks "
+                             f"the strict (n, m) order")
+        e.flags.writeable = False
 
 
 def finalize(v: dict, p: WeightParams) -> WeightMatrix:
@@ -223,22 +213,23 @@ def finalize(v: dict, p: WeightParams) -> WeightMatrix:
     amplified right to left (gain reach when every later amplified entry
     is below 1, shrinking linearly to gain 1 once one reaches 1) and then
     clamped by w = min(max(y - 1, 0), 1). The cascade adds at most one
-    new positive entry per row beyond the entries already above 1."""
-    rows = {}
-    for (n, m), val in v.items():
-        if val < 0.0:
-            raise ValueError(f"negative transfer at ({n}, {m})")
-        if not 0 <= m <= p.reach:
-            raise ValueError(f"transfer ({n}, {m}) outside 0..reach")
-        rows.setdefault(int(n), {})[int(m)] = float(val)
-    weights = {}
-    for n in sorted(rows):
-        x = [rows[n].get(m, 0.0) for m in range(p.reach + 1)]
-        y = _amplify(x, p.reach)
-        wrow = tuple(min(max(t - 1.0, 0.0), 1.0) for t in y)
-        if any(w > 0.0 for w in wrow):
-            weights[n] = wrow
-    return WeightMatrix(transfers=dict(v), weights=weights, params=p)
+    new positive entry per row beyond the entries already above 1.
+    Only a row's own transfers are visited: an index without one amplifies
+    to gain * 0 = 0, so its weight is 0 and the running best is unchanged."""
+    recs = sorted((int(n), int(m), float(x)) for (n, m), x in v.items())
+    weights = [0.0] * len(recs)
+    row = None
+    for i in range(len(recs) - 1, -1, -1):
+        n, _, x = recs[i]
+        if n != row:
+            row, best = n, 0.0
+        gain = p.reach - (p.reach - 1.0) * min(best, 1.0)
+        y = gain * x
+        best = max(best, y)
+        weights[i] = min(max(y - 1.0, 0.0), 1.0)
+    entries = np.array([rec + (w,) for rec, w in zip(recs, weights)],
+                       dtype=ENTRY)
+    return WeightMatrix(entries=entries, params=p)
 
 
 def _translate_tiling(t: Tiling, k: int) -> Tiling:
@@ -296,14 +287,15 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
                       shift: int = 1) -> WeightReport:
     """Check the four allocation conditions on one instance. Equivariance
     recomputes the pipeline on the exactly translated tiling and demands
-    bitwise equal rows at shifted indices; the other three are read off
-    the finalized matrix. Failures land in witnesses, never raise."""
+    bitwise equal records at shifted donor indices; the other three are
+    read off the records, since every (n, m) without one has weight 0.
+    Failures land in witnesses, never raise."""
     witnesses = []
 
     a0, b0 = bases(t, p)
     base = finalize(greedy_rounds(a0, b0, p), p)
     equivariant = True
-    if base.transfers != w.transfers or base.weights != w.weights:
+    if not np.array_equal(base.entries, w.entries):
         equivariant = False
         witnesses.append("matrix does not match the pipeline output "
                          "for this tiling")
@@ -311,14 +303,16 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
         t2 = _translate_tiling(t, shift)
         a2, b2 = bases(t2, p)
         moved = finalize(greedy_rounds(a2, b2, p), p)
-        want_v = {(n - shift, m): val
-                  for (n, m), val in w.transfers.items()}
-        want_w = {n - shift: row for n, row in w.weights.items()}
-        if moved.transfers != want_v or moved.weights != want_w:
+        want = w.entries.copy()
+        want["n"] -= shift
+        if not np.array_equal(moved.entries, want):
             equivariant = False
             witnesses.append(f"shift by {shift} does not reindex the "
                              f"matrix exactly")
 
+    e = w.entries
+    donors, counts = np.unique(e["n"][e["weight"] > 0.0], return_counts=True)
+    positives = dict(zip(donors.tolist(), counts.tolist()))
     win_lo, win_hi = t.window
     short_rows_zero = True
     support_capped = True
@@ -327,8 +321,7 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
         if not win_lo + p.M - SLACK <= n <= win_hi - p.M + SLACK:
             continue
         rows_checked += 1
-        row = w.row(int(n))
-        positive = sum(1 for x in row if x > 0.0)
+        positive = positives.get(int(n), 0)
         if tile.length <= p.tax_threshold and positive > 0:
             short_rows_zero = False
             witnesses.append(f"tile {n} of length {tile.length:.6g} <= "
@@ -342,13 +335,11 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
     core = receiver_core(t, p)
     rs = np.arange(core.start, core.stop)
     wild = rs[_boundary_distance(t, rs) <= p.care_range - 4 + SLACK]
-    wild_served = True
-    for r in wild.tolist():
-        served = any(w.row(n)[r - n] >= 1.0 - SLACK
-                     for n in range(r - p.reach, r + 1))
-        if not served:
-            wild_served = False
-            witnesses.append(f"wild point {r} never receives weight 1")
+    full = e["weight"] >= 1.0 - SLACK
+    unserved = wild[~np.isin(wild, e["n"][full] + e["m"][full])]
+    wild_served = unserved.size == 0
+    witnesses.extend(f"wild point {r} never receives weight 1"
+                     for r in unserved.tolist())
 
     return WeightReport(equivariant=equivariant,
                         short_rows_zero=short_rows_zero,

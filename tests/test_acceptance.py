@@ -170,7 +170,7 @@ def test_05_weight_allocation():
         if not verify_conditions(wm, t, STD).passed:
             fails += 1
         served, spent = {}, {}
-        for (n, m), val in wm.transfers.items():
+        for n, m, val, _ in wm.entries.tolist():
             served[n + m] = served.get(n + m, 0.0) + val
             spent[n] = spent.get(n, 0.0) + val
         for r in receiver_core(t, STD):

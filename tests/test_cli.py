@@ -6,6 +6,13 @@ import pytest
 from bandtile.cli import main
 
 
+# care range 5 at a low cost ratio: every tile pays, and the wild points
+# near each boundary are served by full weights
+WILD = "<wild params file>"
+WILD_PARAMS = {"cost_ratio": 0.05, "care_range": 5, "tax_threshold": 4,
+               "L": 106, "M": 110, "reach": 200}
+
+
 def run_to(tmp_path, name, args):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -61,10 +68,19 @@ def test_suites_green_and_deterministic(tmp_path, args):
      "c6d6441d941f5624eb18e14ed43af2c2ce36858099ab720f88d4b712c5e5a57d"),
     (["tiling", "demo", "--seed", "2"],
      "f8c823057d1c9e14c5ceacc38cf87261b0907101a32a76ae57daa0b1509961bd"),
+    (["weights", "run", "--seed", "3", "--format", "csv"],
+     "339e13281f46961a6a6c4591f20773d0c6ead77d97aebc7c9776f82a613effb1"),
+    (["weights", "run", "--seed", "3", "--format", "csv", "--params", WILD],
+     "59dc3326e6f94dd7d158e3722b3298b86b546cd7bc524b96daa0e7674c1344a7"),
 ])
 def test_dynamics_report_bytes_pinned(tmp_path, args, digest):
-    # frozen report bytes of the dynamics suites: a change of signal, word
-    # or boundary-distance representation must not move a single byte
+    # frozen report bytes of the dynamics suites: a change of signal, word,
+    # boundary-distance or weight representation must not move a single
+    # byte. The CSV runs list every transfer with its weight.
+    if WILD in args:
+        params = tmp_path / "wild.json"
+        params.write_text(json.dumps(WILD_PARAMS))
+        args = [str(params) if a == WILD else a for a in args]
     code, payload = run_to(tmp_path, "r.out", args)
     assert code == 0
     assert hashlib.sha256(payload).hexdigest() == digest
@@ -92,6 +108,22 @@ def test_missing_params_key_exits_2(tmp_path, capsys):
     bad.write_text('{"cost_ratio": 1.0}')
     code = main(["weights", "run", "--params", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"care_range": 2.9, "reach": 200.5},
+    {"reach": True},
+])
+def test_non_integer_params_field_exits_2(tmp_path, capsys, fields):
+    bad = tmp_path / "params.json"
+    bad.write_text(json.dumps({"cost_ratio": 1.0, "care_range": 2,
+                               "tax_threshold": 4, "L": 106, "M": 110,
+                               "reach": 200, **fields}))
+    code = main(["weights", "run", "--params", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "must be an integer" in err[0]
 
 
 def test_unknown_subcommand_exits_2():

@@ -331,6 +331,16 @@ def test_toy_verify_distinguishes_origin_flip():
     assert rep.equal_encoding_pairs == 0
 
 
+def test_toy_verify_shared_markers_as_array():
+    xx = sturmian_window(GOLD, 0.3, range(-20, 21))
+    pairs = [(xx, xx), (xx, sturmian_window(GOLD, 0.31, range(-20, 21))),
+             (xx, sturmian_window(GOLD, 0.8, range(-20, 21)))]
+    mk = (-15, -5, 5, 15)
+    want = toy_verify(pairs, mk, delta=0.5, eps=0.75)
+    assert want.pairs_checked == 3
+    assert toy_verify(pairs, np.array(mk), delta=0.5, eps=0.75) == want
+
+
 def test_toy_verify_random_sturmian_batch():
     rng = np.random.default_rng(42)
     pairs, marker_sets = [], []

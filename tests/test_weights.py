@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from bandtile.tiling import (
@@ -15,8 +15,10 @@ from bandtile.tiling import (
     shift_markers,
 )
 from bandtile.weights import (
+    ENTRY,
     SLACK,
     SurplusError,
+    WeightMatrix,
     WeightParams,
     _boundary_distance,
     bases,
@@ -90,15 +92,32 @@ def test_greedy_raises_on_residual_need():
 
 
 def test_finalize_cascade_row():
-    wm = finalize({(0, 1): 2.0}, TINY)
-    assert wm.row(0) == (0.0, 1.0, 0.0)
-    assert wm.row(5) == (0.0, 0.0, 0.0)
+    # row 0 is (0, 1, 0): its only record sits at m = 1 with weight 1
+    e = finalize({(0, 1): 2.0}, TINY).entries
+    assert e[e["n"] == 0][["m", "weight"]].tolist() == [(1, 1.0)]
+    assert not (e["n"] == 5).any()
 
 
 def test_cascade_thresholds_first_positive_entry():
     # transfer 2 at the first positive index scanned from m = reach
-    wm = finalize({(3, 2): 2.0}, TINY)
-    assert wm.row(3)[2] == 1.0
+    e = finalize({(3, 2): 2.0}, TINY).entries
+    assert e[(e["n"] == 3) & (e["m"] == 2)]["weight"].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("recs", [
+    [(0, 3, 1.0, 0.0)],                      # m beyond reach 2
+    [(0, -1, 1.0, 0.0)],                     # m below 0
+    [(0, 1, -0.5, 0.0)],                     # negative transfer
+    [(0, 1, float("nan"), 0.0)],
+    [(0, 1, 2.0, 1.5)],                      # weight above 1
+    [(0, 1, 2.0, float("nan"))],
+    [(0, 1, 2.0, 1.0), (0, 1, 2.0, 1.0)],    # repeated (n, m)
+    [(1, 0, 2.0, 1.0), (0, 1, 2.0, 1.0)],    # n out of order
+    [(0, 2, 2.0, 1.0), (0, 1, 2.0, 1.0)],    # m out of order in a row
+])
+def test_weight_matrix_rejects_bad_records(recs):
+    with pytest.raises(ValueError):
+        WeightMatrix(entries=np.array(recs, dtype=ENTRY), params=TINY)
 
 
 def test_wild_instance_serves_every_near_boundary_point():
@@ -118,9 +137,8 @@ def test_wild_instance_serves_every_near_boundary_point():
                   1702: 6.0, 1703: 5.0, 1704: 4.0, 1705: 3.0, 1706: 2.0,
                   1707: 1.0}
     wm = finalize(greedy_rounds(a0, b0, p), p)
-    row = wm.row(1368)
-    assert {m: row[m] for m in range(681) if row[m] > 0} == {
-        m: 1.0 for m in range(330, 340)}
+    assert {m: w for n, m, _, w in wm.entries.tolist()
+            if n == 1368 and w > 0} == {m: 1.0 for m in range(330, 340)}
     rep = verify_conditions(wm, t, p)
     assert rep.passed
     assert rep.wild_points == 5
@@ -181,7 +199,7 @@ def test_conservation_on_the_core():
     wm = finalize(greedy_rounds(a0, b0, STD), STD)
     served = {}
     spent = {}
-    for (n, m), val in wm.transfers.items():
+    for n, m, val, _ in wm.entries.tolist():
         served[n + m] = served.get(n + m, 0.0) + val
         spent[n] = spent.get(n, 0.0) + val
     for r in receiver_core(t, STD):
@@ -202,10 +220,11 @@ def test_marker_level_equivariance():
     as_, bs = bases(ts, STD)
     wm = finalize(greedy_rounds(a0, b0, STD), STD)
     ws = finalize(greedy_rounds(as_, bs, STD), STD)
-    keys = {(n - k, m) for n, m in wm.transfers}
-    assert keys == set(ws.transfers)
-    for (n, m), val in wm.transfers.items():
-        assert ws.transfers[(n - k, m)] == pytest.approx(val, abs=1e-9)
+    shifted = {(n, m): val for n, m, val, _ in ws.entries.tolist()}
+    assert {(n - k, m) for n, m in wm.entries[["n", "m"]].tolist()} == set(
+        shifted)
+    for n, m, val, _ in wm.entries.tolist():
+        assert shifted[(n - k, m)] == pytest.approx(val, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +298,68 @@ def test_boundary_distance_matches_scalar_search(tp, xs, data):
                for r in range(math.ceil(a - SLACK),
                               math.floor(a + p.reach + SLACK) + 1))
     assert surplus_check(t, p, a) == (tax + SLACK >= p.cost_ratio * care)
+
+
+# ---------------------------------------------------------------------------
+# the sparse cascade, against the dense row cascade over every index
+
+
+def dense_rows(v, reach):
+    """Reference cascade: each donor row as a dense list over 0..reach,
+    amplified right to left and clamped into [0, 1]."""
+    rows = {}
+    for (n, m), val in v.items():
+        rows.setdefault(n, [0.0] * (reach + 1))[m] = float(val)
+    out = {}
+    for n, x in rows.items():
+        y = [0.0] * (reach + 1)
+        y[reach] = reach * x[reach]
+        best = y[reach]
+        for m in range(reach - 1, -1, -1):
+            gain = reach - (reach - 1.0) * min(best, 1.0)
+            y[m] = gain * x[m]
+            if y[m] > best:
+                best = y[m]
+        out[n] = [min(max(t - 1.0, 0.0), 1.0) for t in y]
+    return out
+
+
+@st.composite
+def transfer_maps(draw):
+    """Sparse transfer maps whose amounts sit below, at and just beside
+    the cascade's thresholds 1/reach and 1, or anywhere in [0, 3]."""
+    reach = draw(st.integers(1, 12))
+    near = st.sampled_from([1.0 / reach, 1.0]).flatmap(
+        lambda c: st.sampled_from([0.5 * c, c * (1 - 1e-12), c,
+                                   c * (1 + 1e-12), 2.0 * c]))
+    v = draw(st.dictionaries(
+        st.tuples(st.integers(-5, 5), st.integers(0, reach)),
+        st.one_of(near, st.floats(0.0, 3.0)), max_size=30))
+    return v, replace(TINY, reach=reach)
+
+
+@st.composite
+def greedy_maps(draw):
+    t, p = draw(weighted_tilings())
+    try:
+        return greedy_rounds(*bases(t, p), p), p
+    except SurplusError:
+        reject()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(transfer_maps(), greedy_maps()))
+def test_finalize_matches_dense_cascade(vp):
+    v, p = vp
+    e = finalize(v, p).entries
+    assert not e.flags.writeable
+    keys = sorted(v)
+    assert e[["n", "m"]].tolist() == keys
+    assert e["transfer"].tolist() == [v[k] for k in keys]
+    got = dict(zip(keys, e["weight"].tolist()))
+    for n, row in dense_rows(v, p.reach).items():
+        for m, w in enumerate(row):
+            if (n, m) in got:
+                assert got[n, m].hex() == w.hex(), (n, m)
+            else:
+                assert w.hex() == "0x0.0p+0", (n, m)
