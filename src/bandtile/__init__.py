@@ -3,7 +3,7 @@ of the line, greedy tax/weight allocation, exact simplicial embedding
 checks, and sampling codecs for concrete minimal systems."""
 
 from .bandlimited import (Band, BandSignal, BumpKernel, ConstantKernel,
-                          SampleTrack, SincKernel, ToneKernel, band_check,
+                          SincKernel, ToneKernel, band_check,
                           constant_signal, metric_d, realify, sample,
                           sampling_injectivity_stress, tone_signal)
 from .interpolation import (BlockOverflowError, GridParams, NodeMultiset,

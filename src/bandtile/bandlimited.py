@@ -125,27 +125,34 @@ class BumpKernel:
         return bump_transform(self.tau, np.asarray(u, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSignal:
     """Finite kernel expansion, optionally carrier-modulated.
 
-    real_part=True means the signal is the pointwise real part of the
-    expansion (the realification map); evaluation stays complex-typed.
+    nodes: read-only float64 array, finite and strictly increasing; coeffs:
+    read-only complex128 array of finite values, one per node. The
+    constructor copies whatever it is given. real_part=True means the
+    signal is the pointwise real part of the expansion (the realification
+    map); evaluation stays complex-typed.
     """
 
-    nodes: tuple
-    coeffs: tuple
+    nodes: np.ndarray
+    coeffs: np.ndarray
     kernel: object = field(default_factory=ConstantKernel)
     carrier_freq: float = 0.0
     real_part: bool = False
 
     def __post_init__(self):
-        nodes = tuple(float(n) for n in self.nodes)
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if len(nodes) != len(coeffs):
-            raise ValueError("nodes and coeffs must have equal length")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        nodes = np.array(self.nodes, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if nodes.ndim != 1 or nodes.shape != coeffs.shape:
+            raise ValueError("nodes and coeffs must be 1-D of equal length")
+        if not (np.isfinite(nodes).all() and np.isfinite(coeffs).all()):
+            raise ValueError("nodes and coeffs must be finite")
+        if np.any(nodes[1:] <= nodes[:-1]):
             raise ValueError("nodes must be strictly increasing")
+        nodes.flags.writeable = False
+        coeffs.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -162,13 +169,13 @@ class BandSignal:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         ts = np.atleast_1d(t_arr).ravel()
-        if not self.nodes:
+        if self.nodes.size == 0:
             vals = np.zeros(ts.size, dtype=complex)
         elif isinstance(self.kernel, BumpKernel):
             vals = bump_series(self.kernel.tau, ts, self.nodes, self.coeffs)
         else:
-            offs = ts[:, None] - np.array(self.nodes)[None, :]
-            vals = self.kernel.eval(offs).astype(complex) @ np.array(self.coeffs)
+            offs = ts[:, None] - self.nodes
+            vals = self.kernel.eval(offs).astype(complex) @ self.coeffs
         if self.carrier_freq != 0.0:
             vals = vals * cispi(2.0 * self.carrier_freq * ts)
         if self.real_part:
@@ -176,22 +183,6 @@ class BandSignal:
         if scalar:
             return complex(vals[0])
         return vals.reshape(t_arr.shape)
-
-
-@dataclass(frozen=True)
-class SampleTrack:
-    """Values of a signal on k*step for k in a contiguous integer window
-    starting at `offset`."""
-
-    step: float
-    offset: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        object.__setattr__(self, "values",
-                           tuple(complex(v) for v in self.values))
 
 
 def constant_signal(value: complex) -> BandSignal:
@@ -284,15 +275,17 @@ def realify(s: BandSignal) -> BandSignal:
                       real_part=True)
 
 
-def sample(s: BandSignal, step: float, window) -> SampleTrack:
-    """values[k] = s(k*step) for k in the inclusive integer window."""
+def sample(s: BandSignal, step: float, window) -> np.ndarray:
+    """Read-only complex array of s(k*step) for k in the inclusive integer
+    window (k_lo, k_hi): element i holds k = k_lo + i."""
     k_lo, k_hi = int(window[0]), int(window[1])
     if k_hi < k_lo:
         raise ValueError("empty sample window")
-    ks = np.arange(k_lo, k_hi + 1)
-    vals = s.eval(ks * float(step))
-    return SampleTrack(step=float(step), offset=k_lo,
-                       values=tuple(complex(v) for v in np.atleast_1d(vals)))
+    if not step > 0:
+        raise ValueError("step must be positive")
+    vals = s.eval(np.arange(k_lo, k_hi + 1) * float(step))
+    vals.flags.writeable = False
+    return vals
 
 
 def _random_lowpass_signal(halfwidth: float, rng, node_slots: int = 16,
@@ -304,7 +297,7 @@ def _random_lowpass_signal(halfwidth: float, rng, node_slots: int = 16,
                        replace=False)
     nodes = np.sort(slots) / (2.0 * halfwidth)
     coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-    return BandSignal(tuple(nodes), tuple(coeffs), SincKernel(halfwidth))
+    return BandSignal(nodes, coeffs, SincKernel(halfwidth))
 
 
 @dataclass(frozen=True)
@@ -334,8 +327,9 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     boundary c >= N/2 the classical counterexample sin(2 pi (N/2) t), which
     vanishes identically on (1/N)Z, is injected and witnessed exactly.
     """
-    if halfwidth <= 0:
-        raise ValueError("band halfwidth must be positive")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"band halfwidth must be finite and positive, "
+                         f"got {halfwidth}")
     if denominator < 1:
         raise ValueError("sampling denominator must be a positive integer")
     if trials < 0:
@@ -364,14 +358,13 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     counterexample = None
     if trials >= 1 and halfwidth >= denominator / 2.0:
         tone = tone_signal(denominator / 2.0, "sin")
-        track = sample(tone, step, (-k_max, k_max))
-        sampled_sup = max(abs(v) for v in track.values)
+        vals = sample(tone, step, (-k_max, k_max))
         cont = float(np.max(np.abs(tone.eval(grid))))
         counterexample = {
             "tone_freq": denominator / 2.0,
-            "sampled_sup": sampled_sup,
+            "sampled_sup": float(np.max(np.abs(vals))),
             "continuous_sup": cont,
-            "exact_zero": all(v == 0 for v in track.values),
+            "exact_zero": bool(np.all(vals == 0)),
         }
     return StressReport(halfwidth=halfwidth, step=step, trials=trials,
                         violations=tuple(violations), min_ratio=min_ratio,

@@ -98,8 +98,9 @@ def _parse_tols(pairs) -> dict:
             tols[name] = float(val)
         except ValueError:
             raise ConfigError(f"tolerance {name!r} is not a number: {val!r}")
-        if tols[name] <= 0.0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
+        if not (math.isfinite(tols[name]) and tols[name] > 0.0):
+            raise ConfigError(
+                f"tolerance {name!r} must be finite and positive: {val!r}")
     return tols
 
 
@@ -237,7 +238,7 @@ def _suite_tiling(cfg: RunConfig):
     dens = density_report(t, r=1.0, R=hi - lo, a=lo)
     contained = True
     rows = []
-    heights = dict(markers.entries)
+    heights = dict(markers.entries.tolist())
     for n, tile in t.tiles:
         if tile is None:
             continue
@@ -324,7 +325,7 @@ def _suite_simplicial(cfg: RunConfig):
     before, _ = is_embedding(m)
     try:
         fixed = perturb_to_embedding(m, magnitude, cfg.seed)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         return {"embedding_before": before, "error": str(exc)}, False, None
     drift = max(abs(a - b) for vtx in m.complex.vertices
                 for a, b in zip(m.images[vtx], fixed.images[vtx]))
@@ -460,7 +461,8 @@ def run(cfg: RunConfig):
         return _render_csv(csv_rows), passed
     document = {"provenance": cfg.provenance(), "report": report,
                 "passed": passed}
-    return json.dumps(document, sort_keys=True, indent=2,
+    # a NaN or an infinity never reaches a report: dumping raises instead
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False,
                       default=_json_default) + "\n", passed
 
 

@@ -11,7 +11,7 @@ From a saturated multiset the conditionally convergent product
 f(z) = prod (1 - z/lambda), taken over symmetric block pairs, defines an
 entire function with f(0) = 1 and zeros exactly at the nodes. Multiplying by
 the Fourier transform of a smooth bump window gives a rapidly decreasing
-cardinal kernel: value 1 at a chosen node, 0 at all others.
+cardinal kernel: value 1 at the origin, 0 at every other node.
 
 Products are evaluated over a finite block radius A. The plain mode is a
 bare partial product; the `lattice_tail` mode completes blocks beyond A with
@@ -363,34 +363,28 @@ def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
     return out.reshape(t_arr.shape)
 
 
-def cardinal_kernel(mset: NodeMultiset, z, block_radius: int, node: float = 0.0,
-                    carrier: float = 0.0, lattice_tail: bool = True):
-    """Kernel equal to 1 at `node` and 0 at every other node of the
-    saturated translate of `mset`: carrier phase times the bump window
-    transform times the Weierstrass product, in the frame centered at
-    `node`.
+def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
+    """Kernel equal to 1 at the origin and 0 at every other node of the
+    saturated `mset`: the bump window transform times the Weierstrass
+    product with its lattice tail.
 
-    The translate is re-windowed to blocks (-block_radius, block_radius);
+    The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,
     matching the idealized tail beyond the radius.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()
-    shifted = mset.entries.copy()
-    shifted["pos"] -= node
-    work = NodeMultiset(shifted, mset.params, (-block_radius, block_radius))
+    work = NodeMultiset(mset.entries, mset.params,
+                        (-block_radius, block_radius))
     report = check_conditions(work)
     if not report.admissible:
         raise ValueError(
-            f"translated multiset violates conditions (c1={report.c1}, "
+            f"re-windowed multiset violates conditions (c1={report.c1}, "
             f"c2={report.c2}, blocks {report.offending_blocks})")
     sat = saturate(work)
-    w = z_flat - node
-    prod = weierstrass_product(sat, w, block_radius, lattice_tail=lattice_tail)
-    out = bump_transform(mset.params.tau, w) * prod
-    if carrier != 0.0:
-        out = out * np.exp(2j * np.pi * carrier * w)
+    prod = weierstrass_product(sat, z_flat, block_radius, lattice_tail=True)
+    out = bump_transform(mset.params.tau, z_flat) * prod
     if scalar:
         return complex(out[0])
     return out.reshape(z_arr.shape)

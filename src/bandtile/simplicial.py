@@ -456,8 +456,8 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
         raise ValueError(
             f"target dimension {m.dim_target} below 2*dim+1 = "
             f"{2 * m.complex.dim + 1}; generic maps are not embeddings")
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
     ok, _ = is_embedding(m)
     if ok:
         return m

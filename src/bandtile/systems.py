@@ -26,7 +26,7 @@ import numpy as np
 
 from .bandlimited import Band, BandSignal, BumpKernel
 from .numutil import cispi, circle_dist, cospi, frac
-from .tiling import MarkerSeq
+from .tiling import MARKER_DTYPE, MarkerSeq
 
 
 def near_rational(alpha: float, qmax: int = 1000, tol: float = 1e-12):
@@ -255,8 +255,8 @@ def orbit_markers(r: Rotation, h, window, L: int, M: int) -> MarkerSeq:
     ns = np.arange(window.start, window.stop)
     vals = np.asarray(h(r.point(ns)), dtype=float)
     keep = vals > 0.0
-    return MarkerSeq(tuple(zip(ns[keep].tolist(), vals[keep].tolist())),
-                     L=L, M=M)
+    return MarkerSeq(np.rec.fromarrays((ns[keep], vals[keep]),
+                                       dtype=MARKER_DTYPE), L=L, M=M)
 
 
 @lru_cache(maxsize=1)
@@ -283,7 +283,9 @@ def _quadratic_decay_guard(kernel, near: float = 8.0,
 def marker_encode(r: Rotation, h, band: Band, window,
                   kernel=None) -> BandSignal:
     """Band-limited orbit encoding: one kernel copy per integer time k
-    with coefficient h(x_k), modulated to the band center.
+    with coefficient h(x_k), modulated to the band center. The nodes are
+    the window's times as float64; h is applied elementwise to the array
+    of orbit points, as in orbit_markers.
 
     The carrier phase is absorbed into the coefficients, so each term
     depends on (t - k) and the orbit point alone and the encoder of the
@@ -300,9 +302,9 @@ def marker_encode(r: Rotation, h, band: Band, window,
             f"{(band.hi - band.lo) / 2.0}")
     _quadratic_decay_guard(kernel)
     c = band.carrier()
-    nodes = tuple(float(k) for k in window)
-    coeffs = tuple(h(r.point(k)) * cispi(-2.0 * c * k) for k in window)
-    return BandSignal(nodes=nodes, coeffs=coeffs, kernel=kernel,
+    ns = np.arange(window.start, window.stop)
+    coeffs = h(r.point(ns)) * cispi(-2.0 * c * ns)
+    return BandSignal(nodes=ns.astype(float), coeffs=coeffs, kernel=kernel,
                       carrier_freq=c)
 
 

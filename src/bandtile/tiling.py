@@ -30,56 +30,74 @@ from .interpolation import GridParams, NodeMultiset, node_records
 
 SNAP = 1e-9
 
+MARKER_DTYPE = np.dtype([("n", np.int64), ("h", np.float64)])
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class MarkerSeq:
     """Sorted (position, height) markers with gap and height-1 coverage
     invariants: positions pairwise more than L apart, and consecutive
     height-1 markers at most M apart (so every length-M integer window
-    inside the covered span sees a height-1 marker)."""
+    inside the covered span sees a height-1 marker).
 
-    entries: tuple
+    entries: read-only MARKER_DTYPE records (n: int64, h: float64), from
+    such an array (copied) or any sequence of (integer, height) pairs. A
+    failed check names the first offending pair."""
+
+    entries: np.ndarray
     L: int
     M: int
 
     def __post_init__(self):
+        for val in (self.L, self.M):
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+                raise ValueError(f"L and M must be integers, got {val!r}")
         if self.L < 1 or self.M <= self.L:
             raise ValueError("need M > L >= 1")
-        entries = tuple((int(n), float(h)) for n, h in self.entries)
-        object.__setattr__(self, "entries", entries)
-        for (p, hp), (q, hq) in zip(entries, entries[1:]):
-            if q <= p:
+        entries = self.entries
+        if not (isinstance(entries, np.ndarray)
+                and entries.dtype == MARKER_DTYPE):
+            entries = [(n, h) for n, h in entries]
+            kind = np.array([n for n, _ in entries]).dtype.kind
+            if entries and kind not in "iu":
+                raise ValueError("marker positions must be integers")
+        entries = np.array(entries, dtype=MARKER_DTYPE)
+        ns, hs = entries["n"], entries["h"]
+        gaps = np.diff(ns)
+        # L >= 1, so a step that is not increasing is a close pair too
+        for i in np.flatnonzero(gaps <= self.L)[:1]:
+            if gaps[i] <= 0:
                 raise ValueError("marker positions must be strictly increasing")
-            if q - p <= self.L:
-                raise ValueError(f"markers {p}, {q} closer than L={self.L}")
-        for n, h in entries:
-            if not 0.0 < h <= 1.0:
-                raise ValueError(f"height at {n} outside (0, 1]: {h}")
-        ones = [n for n, h in entries if h == 1.0]
-        if entries and not ones:
+            raise ValueError(
+                f"markers {ns[i]}, {ns[i + 1]} closer than L={self.L}")
+        # written so that NaN fails too
+        for n, h in entries[~((hs > 0.0) & (hs <= 1.0))][:1].tolist():
+            raise ValueError(f"height at {n} outside (0, 1]: {h}")
+        ones = ns[hs == 1.0]
+        if ns.size and not ones.size:
             raise ValueError("marker sequence has no height-1 marker")
-        for p, q in zip(ones, ones[1:]):
-            if q - p > self.M:
-                raise ValueError(
-                    f"height-1 markers {p}, {q} farther than M={self.M}")
+        for i in np.flatnonzero(np.diff(ones) > self.M)[:1]:
+            raise ValueError(f"height-1 markers {ones[i]}, {ones[i + 1]} "
+                             f"farther than M={self.M}")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
-    def positions(self) -> tuple:
-        return tuple(n for n, _ in self.entries)
+    def positions(self) -> np.ndarray:
+        return self.entries["n"]
 
     def to_json(self) -> dict:
-        return {"L": self.L, "M": self.M,
-                "entries": [[n, h] for n, h in self.entries]}
+        return {"L": self.L, "M": self.M, "entries": self.entries.tolist()}
 
     @classmethod
     def from_json(cls, d: dict) -> "MarkerSeq":
-        return cls(tuple((n, h) for n, h in d["entries"]),
-                   L=int(d["L"]), M=int(d["M"]))
+        return cls(d["entries"], L=d["L"], M=d["M"])
 
 
 def shift_markers(markers: MarkerSeq, k: int) -> MarkerSeq:
     """Markers of the k-step shifted orbit: positions move by -k."""
-    return MarkerSeq(tuple((n - int(k), h) for n, h in markers.entries),
-                     markers.L, markers.M)
+    entries = markers.entries.copy()
+    entries["n"] -= int(k)
+    return MarkerSeq(entries, markers.L, markers.M)
 
 
 @dataclass(frozen=True)
@@ -133,16 +151,10 @@ class Tiling:
 
     @classmethod
     def from_json(cls, d: dict) -> "Tiling":
-        tiles = []
-        for row in d["tiles"]:
-            if row["interval"] is None:
-                tiles.append((int(row["n"]), None))
-            else:
-                lo, hi = row["interval"]
-                cl, ch = row["clipped"]
-                tiles.append((int(row["n"]), Tile(lo, hi, cl, ch)))
-        return cls(tuple(tiles), tuple(d["window"]),
-                   L=int(d["L"]), M=int(d["M"]))
+        tiles = tuple((int(row["n"]), None if row["interval"] is None
+                       else Tile(*row["interval"], *row["clipped"]))
+                      for row in d["tiles"])
+        return cls(tiles, tuple(d["window"]), L=int(d["L"]), M=int(d["M"]))
 
 
 def _bisector(m: int, hm: float, n: int, hn: float) -> float:
@@ -154,15 +166,15 @@ def compute_tiles(markers: MarkerSeq, window) -> Tiling:
     if win_hi <= win_lo:
         raise ValueError("window must have positive width")
     M = markers.M
-    near = [(n, h) for n, h in markers.entries
+    near = [(n, h) for n, h in markers.entries.tolist()
             if win_lo - M <= n <= win_hi + M]
     if not near:
         raise ValueError("no markers inside the M-padded window")
-    gaps = [q - p for (p, _), (q, _) in zip(near, near[1:])]
-    if gaps and win_hi - win_lo < max(gaps):
+    gap = max((q - p for (p, _), (q, _) in zip(near, near[1:])), default=0)
+    if win_hi - win_lo < gap:
         raise ValueError(
             f"window width {win_hi - win_lo} narrower than the marker gap "
-            f"{max(gaps)}; tiles would be dominated by unseen neighbors")
+            f"{gap}; tiles would be dominated by unseen neighbors")
     tiles = []
     for i, (n, h) in enumerate(near):
         lo, hi = -math.inf, math.inf
@@ -176,15 +188,10 @@ def compute_tiles(markers: MarkerSeq, window) -> Tiling:
             if m - n > 2 * M:
                 break
             hi = min(hi, _bisector(m, g, n, h))
-        if lo > hi:
-            tiles.append((n, None))
-            continue
         c_lo, c_hi = max(lo, win_lo), min(hi, win_hi)
-        if c_lo > c_hi:
-            tiles.append((n, None))
-            continue
-        tiles.append((n, Tile(c_lo, c_hi, clipped_lo=lo < win_lo,
-                              clipped_hi=hi > win_hi)))
+        tiles.append((n, None if lo > hi or c_lo > c_hi else
+                      Tile(c_lo, c_hi, clipped_lo=lo < win_lo,
+                           clipped_hi=hi > win_hi)))
     return Tiling(tuple(tiles), (win_lo, win_hi), L=markers.L, M=markers.M)
 
 
@@ -221,8 +228,6 @@ class DensityReport:
     measure_bound_finite: float
     count_bound_asymptotic: float
     measure_bound_asymptotic: float
-    r: float
-    R: float
 
 
 def density_report(t: Tiling, r: float, R: float, a: float) -> DensityReport:
@@ -250,14 +255,11 @@ def density_report(t: Tiling, r: float, R: float, a: float) -> DensityReport:
                          count_bound_finite=count_fin,
                          measure_bound_finite=measure_fin,
                          count_bound_asymptotic=(4.0 * r + 2.0) / L,
-                         measure_bound_asymptotic=4.0 * r / L,
-                         r=r, R=R)
+                         measure_bound_asymptotic=4.0 * r / L)
 
 
 @dataclass(frozen=True)
 class TileAnchors:
-    n: int
-    N: int
     r: int
     s: int
     c: float
@@ -281,8 +283,7 @@ def tile_anchors(t: Tiling, n: int, N: int) -> TileAnchors:
     c = 0.0 if abs(c) <= SNAP else c
     c_prime = 0.0 if abs(c_prime) <= SNAP else c_prime
     assert -SNAP <= c < 1.0 and -SNAP <= c_prime < 1.0
-    return TileAnchors(n=n, N=N, r=r, s=s, c=max(c, 0.0),
-                       c_prime=max(c_prime, 0.0))
+    return TileAnchors(r=r, s=s, c=max(c, 0.0), c_prime=max(c_prime, 0.0))
 
 
 def build_node_set(t: Tiling, theta: dict, N: int, rho,
@@ -325,18 +326,17 @@ def random_marker_seq(L: int, M: int, lo: float, hi: float, rng,
     and breaks strict containment in (n - M/2, n + M/2)."""
     if M < L + 2:
         raise ValueError("need M >= L + 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"marker span [{lo}, {hi}] must have finite bounds")
     start = int(math.floor(lo)) - M - L - int(rng.integers(0, M))
     stop = int(math.ceil(hi)) + M + L
     positions = [start]
     while positions[-1] <= stop:
         positions.append(positions[-1] + int(rng.integers(L + 1, M)))
-    entries = []
-    last_one = None
+    entries, last_one = [], None
     for p, q in zip(positions, positions[1:] + [positions[-1] + M + 1]):
         h = float(rng.integers(1, height_levels + 1)) / height_levels
-        if last_one is None or q - last_one >= M:
-            h = 1.0
-        if h == 1.0:
-            last_one = p
+        if h == 1.0 or last_one is None or q - last_one >= M:
+            h, last_one = 1.0, p
         entries.append((p, h))
-    return MarkerSeq(tuple(entries), L=L, M=M)
+    return MarkerSeq(entries, L=L, M=M)

@@ -19,6 +19,7 @@ edge and ``2 M`` off the right. See ``bases`` for the exact margins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,12 @@ class WeightParams:
     reach: int
 
     def __post_init__(self):
-        if self.cost_ratio <= 0:
-            raise ValueError("cost_ratio must be positive")
+        ratio = self.cost_ratio
+        if (isinstance(ratio, bool) or not isinstance(ratio, numbers.Real)
+                or not (math.isfinite(ratio) and ratio > 0)):
+            raise ValueError(
+                f"cost_ratio must be a finite number above 0, got {ratio!r}")
+        object.__setattr__(self, "cost_ratio", float(ratio))
         for name in ("care_range", "tax_threshold", "L", "M", "reach"):
             val = getattr(self, name)
             if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
@@ -68,9 +73,9 @@ class WeightParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "WeightParams":
-        # integer fields pass through unconverted, so __post_init__ rejects
-        # a fractional or boolean value instead of truncating it
-        return cls(cost_ratio=float(d["cost_ratio"]),
+        # fields pass through unconverted, so __post_init__ rejects a
+        # string, boolean or fractional value instead of coercing it
+        return cls(cost_ratio=d["cost_ratio"],
                    care_range=d["care_range"],
                    tax_threshold=d["tax_threshold"],
                    L=d["L"], M=d["M"], reach=d["reach"])

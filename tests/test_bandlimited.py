@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtile.bandlimited import (
     Band,
@@ -9,6 +11,7 @@ from bandtile.bandlimited import (
     BumpKernel,
     ConstantKernel,
     SincKernel,
+    ToneKernel,
     band_check,
     constant_signal,
     metric_d,
@@ -130,15 +133,15 @@ def test_realify_complex_exponential_gives_cosine():
 
 
 def test_sample_constant_all_ones():
-    track = sample(constant_signal(1.0), 0.5, (0, 7))
-    assert track.values == (1.0 + 0.0j,) * 8
-    assert track.step == 0.5 and track.offset == 0
+    vals = sample(constant_signal(1.0), 0.5, (0, 7))
+    assert vals.dtype == complex and vals.tolist() == [1.0 + 0.0j] * 8
 
 
 def test_sample_cosine_frozen_values():
-    track = sample(tone_signal(0.3, "cos"), 0.5, (0, 3))
-    assert track.values[0] == pytest.approx(1.0, abs=1e-15)
-    assert track.values[1] == pytest.approx(math.cos(0.3 * math.pi), abs=1e-15)
+    vals = sample(tone_signal(0.3, "cos"), 0.5, (0, 3))
+    assert vals.shape == (4,)
+    assert vals[0] == pytest.approx(1.0, abs=1e-15)
+    assert vals[1] == pytest.approx(math.cos(0.3 * math.pi), abs=1e-15)
 
 
 def test_stress_empty_report():
@@ -159,10 +162,67 @@ def test_nyquist_counterexample_vanishes_on_half_integers():
     sample is exactly zero, so rate-1/2 sampling cannot separate it
     from the zero signal."""
     s = tone_signal(1.0, "sin")
-    track = sample(s, 0.5, (-64, 64))
-    assert all(v == 0.0 for v in track.values)
+    vals = sample(s, 0.5, (-64, 64))
+    assert vals.shape == (129,) and np.all(vals == 0.0)
 
 
 def test_stress_reports_counterexample_at_critical_rate():
     rep = sampling_injectivity_stress(1.0, 2, 10, seed=0)
     assert rep.counterexample is not None
+
+
+@pytest.mark.parametrize("nodes, coeffs", [
+    ((0.0, math.nan), (1.0, 1.0)),
+    ((0.0, math.inf), (1.0, 1.0)),
+    ((0.0, 1.0), (1.0, complex(math.nan, 0.0))),
+    ((0.0, 1.0), (1.0, complex(0.0, -math.inf))),
+    ((0.0, 1.0), (1.0,)),
+    ([[0.0, 1.0]], [[1.0, 1.0]]),
+    ((1.0, 1.0), (1.0, 1.0)),
+    ((1.0, 0.0), (1.0, 1.0)),
+])
+def test_band_signal_rejects_bad_arrays(nodes, coeffs):
+    with pytest.raises(ValueError):
+        BandSignal(nodes, coeffs, SincKernel(0.4))
+
+
+def test_band_signal_holds_read_only_copies():
+    nodes, coeffs = np.array([0.0, 1.5]), np.array([1.0, 2.0 - 1.0j])
+    s = BandSignal(nodes, coeffs, SincKernel(0.4))
+    nodes[0], coeffs[0] = -9.0, 0.0
+    assert s.nodes.tolist() == [0.0, 1.5]
+    assert s.coeffs.tolist() == [1.0, 2.0 - 1.0j]
+    assert s.nodes.dtype == np.float64 and s.coeffs.dtype == np.complex128
+    assert not (s.nodes.flags.writeable or s.coeffs.flags.writeable)
+
+
+# ---------------------------------------------------------------------------
+# sample against a per-point loop
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def signals(draw):
+    kernel = draw(st.sampled_from([ConstantKernel(), SincKernel(0.45),
+                                   ToneKernel(0.3, "cos"), BumpKernel(0.8)]))
+    slots = draw(st.lists(st.integers(-60, 60), max_size=8, unique=True))
+    coeffs = [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+              for _ in slots]
+    return BandSignal(np.sort(slots) / 3.0, coeffs, kernel,
+                      carrier_freq=draw(st.sampled_from([0.0, 0.3, 2.5])),
+                      real_part=draw(st.booleans()))
+
+
+@PROPERTY
+@given(signals(), st.floats(0.05, 2.0), st.integers(-40, 40),
+       st.integers(0, 40))
+def test_sample_matches_per_point_eval(s, step, k_lo, count):
+    vals = sample(s, step, (k_lo, k_lo + count))
+    want = [s.eval(k * step) for k in range(k_lo, k_lo + count + 1)]
+    assert vals.shape == (count + 1,) and vals.dtype == np.complex128
+    assert not vals.flags.writeable
+    # a per-point bump evaluation picks its own quadrature rule, so the
+    # values agree to rounding, not bit for bit
+    bound = 1e-9 * (1.0 + float(np.abs(s.coeffs).sum()))
+    assert np.max(np.abs(vals - np.array(want)), initial=0.0) <= bound

@@ -11,6 +11,9 @@ from bandtile.cli import main
 WILD = "<wild params file>"
 WILD_PARAMS = {"cost_ratio": 0.05, "care_range": 5, "tax_threshold": 4,
                "L": 106, "M": 110, "reach": 200}
+# sampling at the Nyquist boundary: the counterexample tone is injected
+NYQUIST = ["sampling", "--seed", "4", "--halfwidth", "1.0",
+           "--denominator", "2", "--trials", "10"]
 
 
 def run_to(tmp_path, name, args):
@@ -72,17 +75,32 @@ def test_suites_green_and_deterministic(tmp_path, args):
      "339e13281f46961a6a6c4591f20773d0c6ead77d97aebc7c9776f82a613effb1"),
     (["weights", "run", "--seed", "3", "--format", "csv", "--params", WILD],
      "59dc3326e6f94dd7d158e3722b3298b86b546cd7bc524b96daa0e7674c1344a7"),
+    (["codec", "marker", "--seed", "1"],
+     "62f6d8eee11848d7909fcda676a0eb3facf61a29901fc71641da91192f6698ae"),
+    (["codec", "marker", "--seed", "1", "--format", "csv"],
+     "400a4e7362f190610d5c3fb7cd624998206ffdc0715f0b80329e953bc66b1c98"),
+    (["tiling", "demo", "--seed", "2", "--format", "csv"],
+     "68387a3fad3943c49aeca17c38e4e3550854380fdfd46542525e825d79ce67d6"),
+    (["interp", "eval", "--seed", "5"],
+     "f06452abc53beef689bba11a5debf0757f72cb6907f101e3bcdc90a439a70bec"),
+    (["sampling", "--seed", "4"],
+     "82b65bb291dfb7ee729d7ba410de744ae1961e3b335bad6682958ab719be2419"),
+    (NYQUIST,
+     "2e5d9f6d3f52dd011e2c2f43760c4a2c799510fecebbb4ebce5eedcfe69131ee"),
 ])
 def test_dynamics_report_bytes_pinned(tmp_path, args, digest):
-    # frozen report bytes of the dynamics suites: a change of signal, word,
-    # boundary-distance or weight representation must not move a single
-    # byte. The CSV runs list every transfer with its weight.
+    # frozen report bytes of the dynamics and marker-to-signal suites: a
+    # change of signal, word, boundary-distance, weight, marker or sample
+    # representation must not move a single byte. The weights CSV runs list
+    # every transfer with its weight; the marker CSV run samples the encoded
+    # signal; the Nyquist run fills the counterexample block, so its report
+    # is a witness and exits 1.
     if WILD in args:
         params = tmp_path / "wild.json"
         params.write_text(json.dumps(WILD_PARAMS))
         args = [str(params) if a == WILD else a for a in args]
     code, payload = run_to(tmp_path, "r.out", args)
-    assert code == 0
+    assert code == (1 if args == NYQUIST else 0)
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
@@ -113,6 +131,8 @@ def test_missing_params_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("fields", [
     {"care_range": 2.9, "reach": 200.5},
     {"reach": True},
+    {"cost_ratio": True},
+    {"cost_ratio": "1.0"},
 ])
 def test_non_integer_params_field_exits_2(tmp_path, capsys, fields):
     bad = tmp_path / "params.json"
@@ -123,7 +143,9 @@ def test_non_integer_params_field_exits_2(tmp_path, capsys, fields):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "must be an integer" in err[0]
+    want = ("cost_ratio must be a finite number" if "cost_ratio" in fields
+            else "must be an integer")
+    assert want in err[0]
 
 
 def test_unknown_subcommand_exits_2():
@@ -165,6 +187,16 @@ def test_tolerance_override_recorded(tmp_path):
     ["sampling", "--tol", "oracle=1e-3"],
     # no phase pair to compare: there is no gap to report
     ["codec", "rotation", "--trials", "0"],
+    # non-finite or negative numbers, each rejected where it is read
+    ["sampling", "--halfwidth", "nan"],
+    ["tiling", "demo", "--window", "-100", "inf"],
+    ["weights", "run", "--span", "inf"],
+    ["simplicial", "perturb", "--magnitude", "-1"],
+    ["simplicial", "perturb", "--magnitude", "nan"],
+    ["codec", "marker", "--tol", "leak=inf"],
+    ["interp", "eval", "--tol", "node=inf"],
+    ["codec", "toy", "--tol", "delta=inf"],
+    ["codec", "marker", "--tol", "leak=nan"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandtile.tiling import (
     MarkerSeq,
@@ -65,19 +67,20 @@ def test_single_marker_owns_the_window():
 
 def test_shift_zero_is_identity():
     m = two_markers(h1=0.5)
-    assert shift_markers(m, 0).entries == m.entries
+    assert np.array_equal(shift_markers(m, 0).entries, m.entries)
 
 
 def test_shift_reindexes_the_frozen_bisector():
     m = shift_markers(two_markers(h1=0.5), 1)
-    assert m.positions() == (-1, 9)
+    assert m.positions().tolist() == [-1, 9]
     t = compute_tiles(m, (-6.0, 14.0))
     assert t.tile(-1).hi == 4.15
 
 
 def test_shift_round_trip():
     m = two_markers(h1=0.75)
-    assert shift_markers(shift_markers(m, 4), -4).entries == m.entries
+    assert np.array_equal(shift_markers(shift_markers(m, 4), -4).entries,
+                          m.entries)
 
 
 def test_shift_equivariance_on_random_tilings():
@@ -197,7 +200,113 @@ def test_build_node_set_short_tiles_vanish():
 
 def test_json_round_trips():
     m = two_markers(h1=0.5)
-    assert MarkerSeq.from_json(m.to_json()).entries == m.entries
+    assert np.array_equal(MarkerSeq.from_json(m.to_json()).entries,
+                          m.entries)
     t = compute_tiles(m, (-5.0, 15.0))
     t2 = Tiling.from_json(t.to_json())
     assert t2.tiles == t.tiles and t2.window == t.window
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarkerSeq(((0, 1.0), (10.7, 1.0)), L=3, M=12),
+    lambda: MarkerSeq(((0, 1.0), (10.0, 1.0)), L=3, M=12),
+    lambda: MarkerSeq(((0, 1.0), (math.nan, 1.0)), L=3, M=12),
+    lambda: MarkerSeq(((0, 1.0), ("10", 1.0)), L=3, M=12),
+    lambda: MarkerSeq(((0, 1.0), (10, 1.0)), L=3.5, M=12),
+    lambda: MarkerSeq(((0, 1.0), (10, 1.0)), L=True, M=12),
+    lambda: MarkerSeq(((0, 1.0), (10, 1.0)), L=3, M=12.0),
+    lambda: MarkerSeq.from_json({"L": 3.9, "M": 12,
+                                 "entries": [[0, 1.0], [10, 1.0]]}),
+    lambda: MarkerSeq.from_json({"L": 3, "M": 12,
+                                 "entries": [[0, 1.0], [10.5, 1.0]]}),
+])
+def test_marker_seq_rejects_non_integral_fields(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_marker_seq_holds_a_read_only_record_copy():
+    pairs = np.array([(0, 1.0), (10, 0.5), (14, 1.0)],
+                     dtype=[("n", np.int64), ("h", np.float64)])
+    m = MarkerSeq(pairs, L=3, M=np.int64(14))
+    pairs["n"][0] = -99
+    assert m.entries.tolist() == [(0, 1.0), (10, 0.5), (14, 1.0)]
+    assert not m.entries.flags.writeable
+    assert m.positions().tolist() == [0, 10, 14]
+    mixed = MarkerSeq(((np.int64(0), 1.0), (10, 0.5)), L=3, M=12)
+    assert mixed.positions().dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# the MarkerSeq checks against a per-pair loop
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+HEIGHTS = st.one_of(
+    st.just(1.0),
+    st.sampled_from([0.5, 0.125, 0.0, -0.0, -0.25, 1.5, 5e-324, math.nan,
+                     math.inf, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52]),
+    st.floats(0.0, 1.0))
+
+
+def reference_marker_check(pairs, L, M):
+    """The MarkerSeq invariants checked pair by pair, in the constructor's
+    order; the message of the first failure, or None."""
+    if L < 1 or M <= L:
+        return "need M > L >= 1"
+    for (p, _), (q, _) in zip(pairs, pairs[1:]):
+        if q <= p:
+            return "marker positions must be strictly increasing"
+        if q - p <= L:
+            return f"markers {p}, {q} closer than L={L}"
+    for n, h in pairs:
+        if not 0.0 < h <= 1.0:
+            return f"height at {n} outside (0, 1]: {h}"
+    ones = [n for n, h in pairs if h == 1.0]
+    if pairs and not ones:
+        return "marker sequence has no height-1 marker"
+    for p, q in zip(ones, ones[1:]):
+        if q - p > M:
+            return f"height-1 markers {p}, {q} farther than M={M}"
+    return None
+
+
+@st.composite
+def marker_pairs(draw):
+    """Mostly valid sequences (gaps above L, heights in (0, 1], height-1
+    gaps near M), the rest with any gap and height."""
+    # the invalid L and M values last, where the draws are rarest
+    L = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0]))
+    M = L + draw(st.sampled_from([*range(1, 21), 0, -1]))
+    if draw(st.integers(0, 3)):
+        gap = st.integers(L + 1, max(L, M) + 3)
+        height = st.one_of(st.sampled_from([1.0, 0.5, 0.125]),
+                           st.floats(0.0, 1.0, exclude_min=True))
+    else:
+        gap, height = st.integers(-2, M + 3), HEIGHTS
+    start = draw(st.integers(-10 ** 6, 10 ** 6))
+    positions = np.cumsum([start] + draw(st.lists(gap, max_size=12)))
+    return [(n, draw(height)) for n in positions.tolist()], L, M
+
+
+@settings(PROPERTY, max_examples=500)
+@given(marker_pairs())
+def test_marker_seq_checks_match_per_pair_loop(case):
+    pairs, L, M = case
+    want = reference_marker_check(pairs, L, M)
+    try:
+        m = MarkerSeq(pairs, L=L, M=M)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    assert m.entries.tolist() == pairs
+    assert not m.entries.flags.writeable
+    again = MarkerSeq(m.entries, L=L, M=M)
+    assert again.entries.tobytes() == m.entries.tobytes()
+    assert MarkerSeq.from_json(m.to_json()).entries.tobytes() == (
+        m.entries.tobytes())
+    k = pairs[0][0] if pairs else 0
+    shifted = shift_markers(m, k)
+    assert shifted.entries.tolist() == [(n - k, h) for n, h in pairs]
+    assert not shifted.entries.flags.writeable
