@@ -168,8 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parse_args leaves the parser unchanged and gives each call a
+# fresh namespace, with a new --tol list
+_PARSER = _build_parser()
+
+
 def parse_config(argv) -> RunConfig:
-    ns = _build_parser().parse_args(_expand_dotted_tols(argv))
+    ns = _PARSER.parse_args(_expand_dotted_tols(argv))
     extras = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "action", "seed", "out",
                            "format", "tol")}

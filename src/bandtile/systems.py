@@ -487,33 +487,31 @@ def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
     """A factor of x whose occurrence set is N-separated, with its
     occurrence sites: (block, positions).
 
-    Exhaustive search over all factors present in the window, preferring
-    more occurrences (better coverage), then shorter blocks, then
-    lexicographic order. Always succeeds: the whole window is a factor
-    with a single (trivially N-separated) occurrence."""
+    Prefers more occurrences (better coverage), then shorter blocks, then
+    lexicographic order. Search by prefix refinement: starting from the
+    empty block, only blocks whose occurrences are not yet N-separated
+    grow by one letter. An N-separated block beats all its extensions,
+    which occur at a subset of its sites and are longer. Always succeeds:
+    the whole window is a factor with a single occurrence."""
     if N < 1:
         raise ValueError("N must be >= 1")
     # byte slices order like letter blocks and key dicts faster than numpy
     word, start = x.word.tobytes(), x.window.start
     n = len(word)
-    best = None
-    for size in range(1, n + 1):
+    best, grow = None, [(1, range(n))]
+    while grow:
+        size, sites = grow.pop()
         seen = {}
-        for i in range(n - size + 1):
-            seen.setdefault(word[i:i + size], []).append(start + i)
-        # blocks are distinct, so the key breaks every tie in any order
+        for i in sites:
+            if i + size <= n:
+                seen.setdefault(word[i:i + size], []).append(i)
         for block, sites in seen.items():
             if any(q - p <= N for p, q in zip(sites, sites[1:])):
-                continue
-            key = (-len(sites), size, block, sites[0])
-            if best is None or key < best[0]:
-                best = (key, sites)
-        # a longer block has at most n - size occurrences; stop once the
-        # incumbent count is out of reach
-        if best is not None and -best[0][0] >= n - size:
-            break
-    (_, _, block, _), sites = best
-    return tuple(block), tuple(sites)
+                grow.append((size + 1, sites))
+            elif best is None or (-len(sites), size, block) < best[0]:
+                best = ((-len(sites), size, block), sites)
+    (_, _, block), sites = best
+    return tuple(block), tuple(start + i for i in sites)
 
 
 @dataclass(frozen=True)

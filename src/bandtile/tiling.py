@@ -151,10 +151,16 @@ class Tiling:
 
     @classmethod
     def from_json(cls, d: dict) -> "Tiling":
-        tiles = tuple((int(row["n"]), None if row["interval"] is None
+        # integers pass through unconverted, so a fractional or boolean
+        # value is rejected instead of truncated
+        for val in (d["L"], d["M"], *(row["n"] for row in d["tiles"])):
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+                raise ValueError(f"L, M and tile indices must be integers, "
+                                 f"got {val!r}")
+        tiles = tuple((row["n"], None if row["interval"] is None
                        else Tile(*row["interval"], *row["clipped"]))
                       for row in d["tiles"])
-        return cls(tiles, tuple(d["window"]), L=int(d["L"]), M=int(d["M"]))
+        return cls(tiles, tuple(d["window"]), L=d["L"], M=d["M"])
 
 
 def _bisector(m: int, hm: float, n: int, hn: float) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,30 +148,25 @@ def bases(t: Tiling, p: WeightParams) -> tuple:
 def greedy_rounds(a0: dict, b0: dict, p: WeightParams) -> dict:
     """Round-based transfer: at round m each donor n pays
     min(remaining a_n, remaining b_{n+m}) to receiver n + m. Rounds run
-    m = 0..reach; donors go in ascending order inside a round (each
-    receiver is touched by exactly one donor per round, so the order only
-    fixes reproducibility). Returns the sparse transfer map
-    (n, m) -> amount. Raises SurplusError if any receiver keeps need
-    beyond 1e-9 after the last round."""
+    m = 0..reach with donors ascending inside a round, so the pairs are
+    paid in (m, n) order; only pairs whose receiver starts with need are
+    listed, and one whose donor or receiver has run dry pays nothing.
+    Returns the sparse transfer map (n, m) -> amount. Raises SurplusError
+    if any receiver keeps need beyond 1e-9 after the last round."""
+    # written so that NaN fails too
+    if not all(x >= 0.0 for x in (*a0.values(), *b0.values())):
+        raise ValueError("bases must be nonnegative")
     a = {int(n): float(x) for n, x in a0.items() if x > 0.0}
     b = {int(n): float(x) for n, x in b0.items() if x > 0.0}
-    if min(a.values(), default=0.0) < 0.0 or min(b.values(),
-                                                 default=0.0) < 0.0:
-        raise ValueError("bases must be nonnegative")
-    donors = sorted(a)
+    rs = sorted(b)
     v = {}
-    for m in range(p.reach + 1):
-        for n in donors:
-            have = a[n]
-            if have <= 0.0:
-                continue
-            need = b.get(n + m, 0.0)
-            if need <= 0.0:
-                continue
-            pay = min(have, need)
+    for m, n in sorted((r - n, n) for n in a for r in
+                       rs[bisect_left(rs, n):bisect_right(rs, n + p.reach)]):
+        pay = min(a[n], b[n + m])
+        if pay > 0.0:
             v[n, m] = pay
-            a[n] = have - pay
-            b[n + m] = need - pay
+            a[n] -= pay
+            b[n + m] -= pay
     unmet = {r: left for r, left in sorted(b.items()) if left > SLACK}
     if unmet:
         worst = max(unmet, key=unmet.get)

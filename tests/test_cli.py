@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bandtile.cli import main
+from bandtile.cli import main, parse_config
 
 
 # care range 5 at a low cost ratio: every tile pays, and the wild points
@@ -40,6 +40,26 @@ def test_report_shape_and_provenance(tmp_path):
     assert prov["seed"] == 9
     assert prov["suite"] == "interp oracle-sinc"
     assert doc["report"]["max_error"] < 1e-6
+
+
+def test_parse_config_repeats_through_the_shared_parser():
+    """Nothing carries over from one parse to the next: not the --tol
+    list, not a default, not an argv that argparse rejected."""
+    with_tol = ["codec", "toy", "--seed", "3", "--tol", "delta=0.25",
+                "--tol.eps", "0.5"]
+    plain = ["codec", "toy", "--seed", "3"]
+    want_tol, want_plain = parse_config(with_tol), parse_config(plain)
+    assert want_tol.tolerances == {"delta": 0.25, "eps": 0.5}
+    assert want_plain.tolerances == {}
+    assert want_plain.extras["trials"] == 200
+    # each rejected argv has appended a --tol before argparse stops
+    for bad in (["codec", "toy", "--tol", "eps=0.1", "--trials", "x"],
+                ["codec", "toy", "--tol", "eps=0.1", "--window", "1"]):
+        with pytest.raises(SystemExit):
+            parse_config(bad)
+        assert parse_config(plain) == want_plain
+        assert parse_config(with_tol) == want_tol
+        assert parse_config(plain) == want_plain
 
 
 @pytest.mark.parametrize("args", [

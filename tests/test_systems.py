@@ -508,7 +508,7 @@ def test_balance_check_matches_per_size_loop(word):
 
 
 @settings(PROPERTY, max_examples=300)
-@given(mechanical_words(), st.integers(1, 8))
+@given(mechanical_words(), st.one_of(st.integers(1, 8), st.integers(9, 31)))
 def test_marker_cylinder_matches_tuple_keyed_scan(x, N):
     want = reference_cylinder(tuple(x.word.tolist()), x.window.start, N)
     assert marker_cylinder(x, N) == want

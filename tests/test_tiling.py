@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -205,6 +206,31 @@ def test_json_round_trips():
     t = compute_tiles(m, (-5.0, 15.0))
     t2 = Tiling.from_json(t.to_json())
     assert t2.tiles == t.tiles and t2.window == t.window
+    # as a report stores it: integer JSON, read back as Python ints
+    t3 = Tiling.from_json(json.loads(json.dumps(t.to_json())))
+    assert t3 == t and (t3.L, t3.M) == (3, 12)
+
+
+def _tiling_doc(**fields):
+    doc = {"window": [-5.0, 15.0], "L": 3, "M": 12,
+           "tiles": [{"n": 0, "interval": [-5.0, 5.0],
+                      "clipped": [True, False]},
+                     {"n": 10, "interval": [5.0, 15.0],
+                      "clipped": [False, True]}]}
+    n = fields.pop("n", None)
+    if n is not None:
+        doc["tiles"][1]["n"] = n
+    return {**doc, **fields}
+
+
+@pytest.mark.parametrize("doc", [
+    _tiling_doc(L=3.9), _tiling_doc(M=12.7), _tiling_doc(n=0.5),
+    _tiling_doc(n=True), _tiling_doc(L=True), _tiling_doc(M="12"),
+], ids=["L=3.9", "M=12.7", "n=0.5", "n=true", "L=true", "M='12'"])
+def test_tiling_from_json_rejects_non_integral_fields(doc):
+    assert Tiling.from_json(_tiling_doc()).L == 3
+    with pytest.raises(ValueError, match="must be integers"):
+        Tiling.from_json(doc)
 
 
 @pytest.mark.parametrize("build", [

@@ -91,6 +91,17 @@ def test_greedy_raises_on_residual_need():
         greedy_rounds({0: 1.0}, {1: 2.0}, TINY)
 
 
+@pytest.mark.parametrize("a0, b0", [
+    ({0: -1.0}, {1: 2.0}),
+    ({0: 3.0}, {1: -2.0}),
+    ({0: math.nan}, {1: 2.0}),
+    ({0: 3.0}, {1: math.nan}),
+], ids=["negative donor", "negative receiver", "nan donor", "nan receiver"])
+def test_greedy_rejects_negative_or_nan_bases(a0, b0):
+    with pytest.raises(ValueError, match="bases must be nonnegative"):
+        greedy_rounds(a0, b0, TINY)
+
+
 def test_finalize_cascade_row():
     # row 0 is (0, 1, 0): its only record sits at m = 1 with weight 1
     e = finalize({(0, 1): 2.0}, TINY).entries
@@ -189,6 +200,28 @@ def test_random_instances_all_conditions():
         wm = finalize(greedy_rounds(a0, b0, STD), STD)
         rep = verify_conditions(wm, t, STD)
         assert rep.passed, rep.witnesses[:3]
+
+
+def _reweigh_record(e):
+    e = e.copy()
+    e["weight"][3] = 0.25 if e["weight"][3] == 0.5 else 0.5
+    return e
+
+
+@pytest.mark.parametrize("edit", [_reweigh_record, lambda e: np.delete(e, 3)],
+                         ids=["one weight changed", "one record dropped"])
+def test_verify_conditions_rejects_a_foreign_matrix(edit):
+    rng = np.random.default_rng(7)
+    markers = random_marker_seq(106, 110, 0.0, 900.0, rng)
+    t = compute_tiles(markers, (0.0, 900.0))
+    wm = finalize(greedy_rounds(*bases(t, STD), STD), STD)
+    rep = verify_conditions(wm, t, STD)
+    assert rep.passed and rep.witnesses == ()
+    foreign = WeightMatrix(entries=edit(wm.entries), params=STD)
+    rep = verify_conditions(foreign, t, STD)
+    assert not rep.equivariant and not rep.passed
+    assert ("matrix does not match the pipeline output for this tiling"
+            in rep.witnesses)
 
 
 def test_conservation_on_the_core():
@@ -345,6 +378,65 @@ def greedy_maps(draw):
         return greedy_rounds(*bases(t, p), p), p
     except SurplusError:
         reject()
+
+
+def reference_greedy(a0, b0, p):
+    """greedy_rounds as the round-by-round loop over every donor."""
+    a = {int(n): float(x) for n, x in a0.items() if x > 0.0}
+    b = {int(n): float(x) for n, x in b0.items() if x > 0.0}
+    donors = sorted(a)
+    v = {}
+    for m in range(p.reach + 1):
+        for n in donors:
+            have = a[n]
+            if have <= 0.0:
+                continue
+            need = b.get(n + m, 0.0)
+            if need <= 0.0:
+                continue
+            pay = min(have, need)
+            v[n, m] = pay
+            a[n] = have - pay
+            b[n + m] = need - pay
+    unmet = {r: left for r, left in sorted(b.items()) if left > SLACK}
+    if unmet:
+        worst = max(unmet, key=unmet.get)
+        raise SurplusError(
+            f"{len(unmet)} receivers kept unmet need after round "
+            f"{p.reach}; worst is {worst} needing {unmet[worst]:.6g} more. "
+            f"Tax inside its donor span cannot cover care: the parameters "
+            f"and tiling are inconsistent.")
+    return v
+
+
+@st.composite
+def sparse_bases(draw):
+    """Sparse donor and receiver maps on a short stretch, with tied and
+    zero amounts; receivers left of every donor or beyond every reach
+    occur, and either map may be empty."""
+    reach = draw(st.integers(1, 12))
+    amount = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                       st.floats(0.0, 4.0))
+    a0 = draw(st.dictionaries(st.integers(-10, 10), amount, max_size=8))
+    b0 = draw(st.dictionaries(st.integers(-15, 30), amount, max_size=16))
+    return a0, b0, replace(TINY, reach=reach)
+
+
+def _greedy_outcome(greedy, a0, b0, p):
+    try:
+        return [(k, x.hex()) for k, x in greedy(a0, b0, p).items()]
+    except SurplusError as exc:
+        return str(exc)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(weighted_tilings().map(lambda tp: (*bases(*tp), tp[1])),
+                 sparse_bases()))
+def test_greedy_rounds_matches_round_by_round_loop(abp):
+    """Same transfers in the same order, float.hex-equal, or the same
+    SurplusError message."""
+    assert (_greedy_outcome(greedy_rounds, *abp)
+            == _greedy_outcome(reference_greedy, *abp))
 
 
 @settings(PROPERTY, max_examples=300)
