@@ -16,9 +16,9 @@ from .tiling import (MarkerSeq, Tile, Tiling, boundary_set, build_node_set,
                      compute_tiles, density_report, random_marker_seq,
                      shift_markers, tile_anchors)
 from .weights import (SurplusError, WeightMatrix, WeightParams,
-                      WeightReport, bases, finalize, greedy_rounds,
-                      receiver_core, surplus_check, validate_params,
-                      verify_conditions)
+                      WeightReport, allocate, bases, finalize,
+                      greedy_rounds, receiver_core, surplus_check,
+                      validate_params, verify_conditions)
 from .simplicial import (CollisionWitness, Complex, MetricSample,
                          SimplicialMap, approx_map, crossing_pair,
                          eps_embedding_check, is_embedding,

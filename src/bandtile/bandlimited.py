@@ -196,16 +196,13 @@ def tone_signal(freq: float, form: str = "sin") -> BandSignal:
     return BandSignal((0.0,), (1.0 + 0.0j,), ToneKernel(freq, form))
 
 
-def metric_d(s1: BandSignal, s2: BandSignal, depth: int = 40,
-             grid_step: float = GRID_STEP) -> float:
+def metric_d(s1: BandSignal, s2: BandSignal, depth: int = 40) -> float:
     """Truncated weighted metric: sum_{n=1}^{depth} 2^-n sup_{[-n,n]}|s1-s2|,
-    sups taken over a grid of the given pitch."""
+    sups taken over a grid of pitch GRID_STEP = 1/64."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    count = int(math.floor(depth / grid_step + 1e-9))
-    ts = np.arange(-count, count + 1) * grid_step
+    count = int(math.floor(depth / GRID_STEP + 1e-9))
+    ts = np.arange(-count, count + 1) * GRID_STEP
     diff = np.abs(s1.eval(ts) - s2.eval(ts))
     order = np.argsort(np.abs(ts), kind="stable")
     sorted_abs = np.abs(ts)[order]
@@ -247,7 +244,7 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     # composite panels: 24-node Gauss resolves ~7 periods comfortably; use
     # panel width <= 3 / fmax for >= 8 nodes per period
     panels = max(8, int(math.ceil(2.0 * T * fmax / 3.0)))
-    ts, qw = composite_gauss(-T, T, panels, 24)
+    ts, qw = composite_gauss(-T, T, panels)
     taper = np.cos(np.pi * ts / (2.0 * T)) ** 2
     norm = T  # closed-form integral of the Hann taper over [-T, T]
     vals = s.eval(ts) * taper
@@ -288,13 +285,12 @@ def sample(s: BandSignal, step: float, window) -> np.ndarray:
     return vals
 
 
-def _random_lowpass_signal(halfwidth: float, rng, node_slots: int = 16,
-                           max_nodes: int = 8) -> BandSignal:
+def _random_lowpass_signal(halfwidth: float, rng) -> BandSignal:
     """Random expansion against the ideal low-pass kernel for [-c, c]:
-    nodes on the (1/(2c)) grid, complex normal coefficients."""
-    count = int(rng.integers(2, max_nodes + 1))
-    slots = rng.choice(np.arange(-node_slots, node_slots + 1), size=count,
-                       replace=False)
+    2 to 8 nodes on the (1/(2c)) grid, at most 16 grid steps from the
+    origin, complex normal coefficients."""
+    count = int(rng.integers(2, 9))
+    slots = rng.choice(np.arange(-16, 17), size=count, replace=False)
     nodes = np.sort(slots) / (2.0 * halfwidth)
     coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
     return BandSignal(nodes, coeffs, SincKernel(halfwidth))
@@ -315,15 +311,14 @@ class StressReport:
 
 
 def sampling_injectivity_stress(halfwidth: float, denominator: int,
-                                trials: int, seed: int = 0,
-                                sample_radius: float = 32.0,
-                                grid_step: float = 0.25) -> StressReport:
+                                trials: int, seed: int = 0) -> StressReport:
     """Monte-Carlo check that sampling at step 1/N is injective on signals
     band-limited in [-c, c] when c < N/2.
 
-    Each trial draws two random low-pass signals and compares the sampled
-    sup gap to the continuous grid-sup gap; a violation is a sampled gap
-    below 1e-9 against a continuous gap above 1e-6. At or beyond the
+    Each trial draws two random low-pass signals and compares the sup gap
+    of their samples on [-32, 32] to the continuous gap, a sup over the
+    grid of pitch 1/4 on [-32, 32]; a violation is a sampled gap below
+    1e-9 against a continuous gap above 1e-6. At or beyond the
     boundary c >= N/2 the classical counterexample sin(2 pi (N/2) t), which
     vanishes identically on (1/N)Z, is injected and witnessed exactly.
     """
@@ -336,10 +331,9 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
         raise ValueError("trials must be >= 0")
     step = 1.0 / denominator
     rng = np.random.default_rng(seed)
-    k_max = int(round(sample_radius * denominator))
+    k_max = int(round(32.0 * denominator))
     ks = np.arange(-k_max, k_max + 1)
-    grid_count = int(math.floor(sample_radius / grid_step + 1e-9))
-    grid = np.arange(-grid_count, grid_count + 1) * grid_step
+    grid = np.arange(-128, 129) * 0.25
     violations = []
     min_ratio = None
     for trial in range(trials):

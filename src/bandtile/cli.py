@@ -32,8 +32,8 @@ from .systems import (Rotation, embedding_gap, marker_cylinder,
                       marker_encode, marker_function, orbit_markers,
                       rotation_embed, sturmian_window, toy_verify)
 from .tiling import compute_tiles, density_report, random_marker_seq
-from .weights import (SurplusError, WeightParams, bases, finalize,
-                      greedy_rounds, validate_params, verify_conditions)
+from .weights import (SurplusError, WeightParams, validate_params,
+                      verify_conditions)
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -133,35 +133,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bandtile")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    interp = sub.add_parser("interp", parents=[common])
-    interp.add_argument("action", choices=("eval", "oracle-sinc", "radii"))
+    def actions(subcommand, *names):
+        # one parser per action, holding the common flags and, added by
+        # the caller, exactly the flags that action's suite reads
+        acts = sub.add_parser(subcommand).add_subparsers(dest="action",
+                                                         required=True)
+        return [acts.add_parser(name, parents=[common]) for name in names]
 
-    tiling = sub.add_parser("tiling", parents=[common])
-    tiling.add_argument("action", choices=("demo",))
+    actions("interp", "eval", "oracle-sinc", "radii")
+
+    (tiling,) = actions("tiling", "demo")
     tiling.add_argument("--L", type=int, default=8)
     tiling.add_argument("--M", type=int, default=30)
     tiling.add_argument("--window", type=float, nargs=2,
                         default=(-100.0, 100.0))
 
-    weights = sub.add_parser("weights", parents=[common])
-    weights.add_argument("action", choices=("run",))
+    (weights,) = actions("weights", "run")
     weights.add_argument("--params", default="")
     weights.add_argument("--span", type=float, default=2000.0)
 
-    simp = sub.add_parser("simplicial", parents=[common])
-    simp.add_argument("action", choices=("check", "perturb"))
-    simp.add_argument("--map", default="", dest="map_path")
-    simp.add_argument("--magnitude", type=float, default=0.25)
+    check, perturb = actions("simplicial", "check", "perturb")
+    for act in (check, perturb):
+        act.add_argument("--map", default="", dest="map_path")
+    perturb.add_argument("--magnitude", type=float, default=0.25)
 
-    codec = sub.add_parser("codec", parents=[common])
-    codec.add_argument("action", choices=("rotation", "marker", "toy"))
-    codec.add_argument("--window", type=int, nargs=2, default=(-50, 50))
-    codec.add_argument("--alpha", type=float, default=SQRT2M1)
-    codec.add_argument("--L", type=int, default=4)
-    codec.add_argument("--trials", type=int, default=200)
+    rotation, marker, toy = actions("codec", "rotation", "marker", "toy")
+    for act in (rotation, marker):
+        act.add_argument("--window", type=int, nargs=2, default=(-50, 50))
+        act.add_argument("--alpha", type=float, default=SQRT2M1)
+    marker.add_argument("--L", type=int, default=4)
+    for act in (rotation, toy):
+        act.add_argument("--trials", type=int, default=200)
 
     samp = sub.add_parser("sampling", parents=[common])
-    samp.add_argument("--stress", action="store_true")
     samp.add_argument("--halfwidth", type=float, default=0.4)
     samp.add_argument("--denominator", type=int, default=1)
     samp.add_argument("--trials", type=int, default=100)
@@ -288,15 +292,12 @@ def _suite_weights(cfg: RunConfig):
     markers = random_marker_seq(p.L, p.M, 0.0, span, rng)
     t = compute_tiles(markers, (0.0, span))
     try:
-        a0, b0 = bases(t, p)
-        v = greedy_rounds(a0, b0, p)
+        rep = verify_conditions(t, p)
     except SurplusError as exc:
         return {"params": p.to_json(),
                 "error": f"surplus shortfall: {exc}"}, False, None
-    w = finalize(v, p)
-    rep = verify_conditions(w, t, p)
     report = {"params": p.to_json(), **rep.to_json()}
-    csv_rows = [["n", "m", "transfer", "weight"]] + w.entries.tolist()
+    csv_rows = [["n", "m", "transfer", "weight"]] + rep.matrix.entries.tolist()
     return report, rep.passed, csv_rows
 
 
@@ -341,10 +342,32 @@ def _suite_simplicial(cfg: RunConfig):
 
 
 def _suite_codec(cfg: RunConfig):
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.action == "toy":
+        trials = int(cfg.extras["trials"])
+        word_win = range(-15, 16)
+        pairs, mks = [], []
+        for _ in range(trials):
+            slope = 0.2 + 0.6 * float(rng.random())
+            u = sturmian_window(slope, float(rng.random()), word_win)
+            v = sturmian_window(slope, float(rng.random()), word_win)
+            _, sites = marker_cylinder(u, 3)
+            pairs.append((u, v))
+            mks.append(sites)
+        rep = toy_verify(pairs, mks, delta=cfg.tol("delta"),
+                         eps=cfg.tol("eps"))
+        report = rep.to_json()
+        csv_rows = [["kind", "pair", "value", "detail"]]
+        for i, d, sup in rep.violations:
+            csv_rows.append(["violation", i, d, sup])
+        for i, d, dc in rep.chain_failures:
+            csv_rows.append(["chain", i, d, dc])
+        for i, dc in rep.eps_failures:
+            csv_rows.append(["eps", i, dc, ""])
+        return report, rep.passed, csv_rows
     lo, hi = cfg.extras["window"]
     window = range(lo, hi + 1)
     alpha = float(cfg.extras["alpha"])
-    rng = np.random.default_rng(cfg.seed)
     if cfg.action == "rotation":
         trials = int(cfg.extras["trials"])
         phases = rng.random(2 * trials)
@@ -357,64 +380,42 @@ def _suite_codec(cfg: RunConfig):
                   "signal": sig.to_json()}
         csv_rows = [["n", "value"]] + [[n, sig[n]] for n in window]
         return report, gap > 0.0, csv_rows
-    if cfg.action == "marker":
-        leak_tol = cfg.tol("leak")
-        shift_tol = cfg.tol("shift")
-        r = Rotation(alpha, float(rng.random()))
-        scheme = marker_function(r, int(cfg.extras["L"]))
-        markers = orbit_markers(r, scheme.h, window,
-                                L=int(cfg.extras["L"]), M=scheme.M)
-        band = Band(2.0, 3.0)
-        enc_win = range(max(lo, -40), min(hi, 40) + 1)
-        sig = marker_encode(r, scheme.h, band, enc_win)
-        bc = band_check(sig, band, probe_freqs=[band.lo - 0.7,
-                                                band.hi + 0.7],
-                        tol=leak_tol)
-        s_next = marker_encode(r.shifted(1), scheme.h, band, enc_win)
-        # advance the base window by one step so the coefficient sets of
-        # g(Tx) over W and g(x) over W+1 correspond term by term
-        s_base = marker_encode(r, scheme.h, band,
-                               range(enc_win.start + 1, enc_win.stop + 1))
-        ts = np.linspace(-8.0, 8.0, 201)
-        shift_err = float(np.max(np.abs(s_next.eval(ts)
-                                        - s_base.eval(ts + 1.0))))
-        ok = bc.passed and shift_err < shift_tol
-        report = {"alpha": alpha, "support": list(scheme.support),
-                  "plateau": list(scheme.plateau), "M": scheme.M,
-                  "min_gap": scheme.min_gap,
-                  "markers": markers.to_json(),
-                  "band": [band.lo, band.hi],
-                  "band_check_passed": bc.passed,
-                  "shift_error": shift_err,
-                  "tolerances": {"leak": leak_tol, "shift": shift_tol}}
-        # one call, so the series' spectral sums are formed once
-        ts = np.linspace(float(enc_win.start), float(enc_win.stop - 1), 257)
-        csv_rows = [["t", "re", "im"]] + [
-            [t, v.real, v.imag]
-            for t, v in zip(ts.tolist(), sig.eval(ts).tolist())]
-        return report, ok, csv_rows
-    # toy
-    trials = int(cfg.extras["trials"])
-    word_win = range(-15, 16)
-    pairs, mks = [], []
-    for _ in range(trials):
-        slope = 0.2 + 0.6 * float(rng.random())
-        u = sturmian_window(slope, float(rng.random()), word_win)
-        v = sturmian_window(slope, float(rng.random()), word_win)
-        _, sites = marker_cylinder(u, 3)
-        pairs.append((u, v))
-        mks.append(sites)
-    rep = toy_verify(pairs, mks, delta=cfg.tol("delta"),
-                     eps=cfg.tol("eps"))
-    report = rep.to_json()
-    csv_rows = [["kind", "pair", "value", "detail"]]
-    for i, d, sup in rep.violations:
-        csv_rows.append(["violation", i, d, sup])
-    for i, d, dc in rep.chain_failures:
-        csv_rows.append(["chain", i, d, dc])
-    for i, dc in rep.eps_failures:
-        csv_rows.append(["eps", i, dc, ""])
-    return report, rep.passed, csv_rows
+    # marker
+    leak_tol = cfg.tol("leak")
+    shift_tol = cfg.tol("shift")
+    r = Rotation(alpha, float(rng.random()))
+    scheme = marker_function(r, int(cfg.extras["L"]))
+    markers = orbit_markers(r, scheme.h, window,
+                            L=int(cfg.extras["L"]), M=scheme.M)
+    band = Band(2.0, 3.0)
+    enc_win = range(max(lo, -40), min(hi, 40) + 1)
+    sig = marker_encode(r, scheme.h, band, enc_win)
+    bc = band_check(sig, band, probe_freqs=[band.lo - 0.7,
+                                            band.hi + 0.7],
+                    tol=leak_tol)
+    s_next = marker_encode(r.shifted(1), scheme.h, band, enc_win)
+    # advance the base window by one step so the coefficient sets of
+    # g(Tx) over W and g(x) over W+1 correspond term by term
+    s_base = marker_encode(r, scheme.h, band,
+                           range(enc_win.start + 1, enc_win.stop + 1))
+    ts = np.linspace(-8.0, 8.0, 201)
+    shift_err = float(np.max(np.abs(s_next.eval(ts)
+                                    - s_base.eval(ts + 1.0))))
+    ok = bc.passed and shift_err < shift_tol
+    report = {"alpha": alpha, "support": list(scheme.support),
+              "plateau": list(scheme.plateau), "M": scheme.M,
+              "min_gap": scheme.min_gap,
+              "markers": markers.to_json(),
+              "band": [band.lo, band.hi],
+              "band_check_passed": bc.passed,
+              "shift_error": shift_err,
+              "tolerances": {"leak": leak_tol, "shift": shift_tol}}
+    # one call, so the series' spectral sums are formed once
+    ts = np.linspace(float(enc_win.start), float(enc_win.stop - 1), 257)
+    csv_rows = [["t", "re", "im"]] + [
+        [t, v.real, v.imag]
+        for t, v in zip(ts.tolist(), sig.eval(ts).tolist())]
+    return report, ok, csv_rows
 
 
 def _suite_sampling(cfg: RunConfig):

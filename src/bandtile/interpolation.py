@@ -287,7 +287,7 @@ def _bump_rule(tau: float, tmax: float):
     cos(pi tau tmax u), weighted by the bump profile and normalised by its
     own integral of the bump, so that t = 0 gives exactly 1."""
     panels = max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
-    u, w = composite_gauss(-1.0, 1.0, panels, 24)
+    u, w = composite_gauss(-1.0, 1.0, panels)
     gw = w * _bump_profile(u)
     gw /= gw.sum()
     return u, gw
@@ -481,25 +481,25 @@ class RadiusCertificate:
 
 
 def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
-                      family_size: int = 100, window_blocks: int = 256,
-                      circle_points: int = 16) -> RadiusCertificate:
+                      family_size: int = 100, window_blocks: int = 256
+                      ) -> RadiusCertificate:
     """Smallest radius B (power-of-two multiple of l) such that dropping all
     product factors with |node| > B moves the windowed product by less than
     eps on the disk |z| <= r, over a randomized saturated family.
 
     The dropped factors form a holomorphic function, so the sup over the
-    disk is attained on the circle |z| = r; the certificate probes there.
-    Candidate radii stop at half the window so the dropped set is never
-    trivially empty. The dominant error is the one block pair the cut
-    |node| > B splits, roughly r*l*rho/B, so certifying small eps takes a
-    window of order r*l*rho/eps blocks.
+    disk is attained on the circle |z| = r; the certificate probes 16
+    equally spaced points there. Candidate radii stop at half the window
+    so the dropped set is never trivially empty. The dominant error is the
+    one block pair the cut |node| > B splits, roughly r*l*rho/B, so
+    certifying small eps takes a window of order r*l*rho/eps blocks.
     """
     rng = np.random.default_rng(seed)
     win = (-window_blocks, window_blocks)
     family = [saturate(random_admissible_multiset(params, win, rng))
               for _ in range(family_size)]
     if r > 0:
-        angles = np.linspace(0.0, 2.0 * np.pi, circle_points, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         zs = r * np.exp(1j * angles)
     else:
         zs = np.array([0.0 + 0.0j])
@@ -532,14 +532,15 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
 
 
 def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
-                    family_size: int = 100, window_blocks: int = 48,
-                    block_radius: int | None = None,
-                    grid_points: int = 65) -> RadiusCertificate:
+                    family_size: int = 100, window_blocks: int = 48
+                    ) -> RadiusCertificate:
     """Smallest radius B (power-of-two multiple of l) such that admissible
     multisets agreeing on [-B, B] give cardinal kernels within eps on the
-    real interval |x| <= r, over a randomized family of agreeing pairs."""
-    a = block_radius if block_radius is not None else window_blocks - 8
-    xs = np.linspace(-r, r, grid_points).astype(complex)
+    real interval |x| <= r, over a randomized family of agreeing pairs.
+    The kernels are compared at 65 equally spaced points of the interval,
+    with block radius window_blocks - 8."""
+    a = window_blocks - 8
+    xs = np.linspace(-r, r, 65).astype(complex)
     radii = []
     b = float(params.l)
     max_radius = window_blocks * params.l / 2
@@ -585,28 +586,27 @@ def _extreme_multisets(params: GridParams, window) -> list[NodeMultiset]:
             build(np.where(ns > 0, anchor, right))]
 
 
-def decay_constant(params: GridParams, probe_radius: float = 32.0,
-                   family_size: int = 64, seed: int = 0,
-                   window_blocks: int = 48, block_radius: int | None = None,
-                   grid_points: int = 513) -> float:
+def decay_constant(params: GridParams, seed: int = 0) -> float:
     """Empirical envelope constant K = max |kernel(x)| * (1 + x^2) over the
     bare saturated lattice, deterministic extreme deficiency patterns, and a
-    randomized admissible family.
+    randomized admissible family of 64 multisets.
 
-    The extreme patterns pin the maximum, so the estimate is stable across
+    Multisets span blocks -48..48, the kernels use block radius 40, and
+    the envelope is probed at 513 equally spaced points of [-32, 32]. The
+    extreme patterns pin the maximum, so the estimate is stable across
     seeds; random members are generated per index from (seed, i), so
     enlarging the family never decreases the constant.
     """
-    a = block_radius if block_radius is not None else window_blocks - 8
-    win = (-window_blocks, window_blocks)
-    xs = np.linspace(-probe_radius, probe_radius, grid_points).astype(complex)
+    a = 40
+    win = (-48, 48)
+    xs = np.linspace(-32.0, 32.0, 513).astype(complex)
     weight = 1.0 + (xs.real * xs.real)
     lattice = saturate(NodeMultiset((), params, win))
     best = float(np.max(np.abs(cardinal_kernel(lattice, xs, a)) * weight))
     for mset in _extreme_multisets(params, win):
         vals = cardinal_kernel(mset, xs, a)
         best = max(best, float(np.max(np.abs(vals) * weight)))
-    for i in range(family_size):
+    for i in range(64):
         rng = np.random.default_rng((seed, i))
         mset = random_admissible_multiset(params, win, rng)
         vals = cardinal_kernel(mset, xs, a)

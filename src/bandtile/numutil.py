@@ -1,7 +1,5 @@
 """Shared numeric helpers: exact trig at lattice points, composite Gauss rules."""
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -30,21 +28,19 @@ def cispi(x):
     return cospi(x) + 1j * np.asarray(sinpi(x))
 
 
-@lru_cache(maxsize=128)
-def _gauss_base(nodes_per_panel: int):
-    return np.polynomial.legendre.leggauss(nodes_per_panel)
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
-def composite_gauss(lo: float, hi: float, panels: int, nodes_per_panel: int = 24):
-    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
+def composite_gauss(lo: float, hi: float, panels: int):
+    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi],
+    24 nodes per panel."""
     if hi <= lo:
         raise ValueError("empty quadrature interval")
-    x0, w0 = _gauss_base(nodes_per_panel)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
+    x = (mids[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    w = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return x, w
 
 

@@ -424,34 +424,33 @@ def is_embedding(m: SimplicialMap) -> tuple:
     return True, None
 
 
-def verify_witness(m: SimplicialMap, w: CollisionWitness,
-                   tol: float = SNAP) -> bool:
+def verify_witness(m: SimplicialMap, w: CollisionWitness) -> bool:
     """Re-check a collision witness against the map itself: both
     barycentric points must map to the same target point while being
-    distinct points of the realization. The points may differ by tol
+    distinct points of the realization. The points may differ by SNAP
     times the largest |coordinate| of the two simplices' images (at least
-    tol), since float evaluation rounds relative to that size.
+    SNAP), since float evaluation rounds relative to that size.
     Distinctness compares the support-restricted coordinate maps,
-    treating coordinates <= tol as zero."""
+    treating coordinates <= SNAP as zero."""
     pa = m.eval(w.simplex_a, w.bary_a)
     pb = m.eval(w.simplex_b, w.bary_b)
     size = max([1.0] + [abs(c) for v in w.simplex_a + w.simplex_b
                         for c in m.images[v]])
-    if float(np.max(np.abs(pa - pb))) > tol * size:
+    if float(np.max(np.abs(pa - pb))) > SNAP * size:
         return False
-    xs = {v: c for v, c in zip(w.simplex_a, w.bary_a) if c > tol}
-    ys = {v: c for v, c in zip(w.simplex_b, w.bary_b) if c > tol}
-    if set(xs) == set(ys) and all(abs(xs[v] - ys[v]) <= tol for v in xs):
+    xs = {v: c for v, c in zip(w.simplex_a, w.bary_a) if c > SNAP}
+    ys = {v: c for v, c in zip(w.simplex_b, w.bary_b) if c > SNAP}
+    if set(xs) == set(ys) and all(abs(xs[v] - ys[v]) <= SNAP for v in xs):
         return False
     return True
 
 
 def perturb_to_embedding(m: SimplicialMap, magnitude: float,
-                         rng_seed: int, max_tries: int = 32
-                         ) -> SimplicialMap:
+                         rng_seed: int) -> SimplicialMap:
     """Nudge vertex images (each coordinate by at most magnitude) until
-    is_embedding passes; the unperturbed map is tried first. Requires
-    target dimension >= 2 dim + 1, where random maps embed generically."""
+    is_embedding passes; the unperturbed map is tried first, then up to
+    32 perturbations. Requires target dimension >= 2 dim + 1, where
+    random maps embed generically."""
     if m.dim_target < 2 * m.complex.dim + 1:
         raise ValueError(
             f"target dimension {m.dim_target} below 2*dim+1 = "
@@ -464,7 +463,7 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
     rng = np.random.default_rng(rng_seed)
     verts = m.complex.vertices
     D = m.dim_target
-    for _ in range(max_tries):
+    for _ in range(32):
         # dyadic offsets keep the scaled integer images short
         grid = rng.integers(-(2 ** 20), 2 ** 20, size=(len(verts), D))
         images = {v: tuple(c + magnitude * g / 2.0 ** 20
@@ -475,7 +474,7 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
         if ok:
             return cand
     raise RuntimeError(
-        f"no embedding found within {max_tries} perturbations of "
+        "no embedding found within 32 perturbations of "
         f"magnitude {magnitude}")
 
 
@@ -591,13 +590,13 @@ def triangulated_strip(n: int) -> Complex:
     return Complex.from_maximal(tris[:n])
 
 
-def random_map(c: Complex, D: int, rng, grid: int = 2 ** 20
-               ) -> SimplicialMap:
-    """Vertex images uniform on the dyadic grid {0, 1/grid, ..., 1}^D;
-    with grid a power of two the scaled integer images stay short, which
-    keeps the exact solver fast."""
+def random_map(c: Complex, D: int, rng) -> SimplicialMap:
+    """Vertex images uniform on the dyadic grid {0, 1/2^20, ..., 1}^D; on
+    a power-of-two grid the scaled integer images stay short, which keeps
+    the exact solver fast."""
     if D < 1:
         raise ValueError("D must be >= 1")
+    grid = 2 ** 20
     images = {}
     for v in c.vertices:
         row = rng.integers(0, grid + 1, size=D)

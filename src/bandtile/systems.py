@@ -29,13 +29,13 @@ from .numutil import cispi, circle_dist, cospi, frac
 from .tiling import MARKER_DTYPE, MarkerSeq
 
 
-def near_rational(alpha: float, qmax: int = 1000, tol: float = 1e-12):
-    """Smallest-denominator rational p/q with q <= qmax within tol of
+def near_rational(alpha: float):
+    """Smallest-denominator rational p/q with q <= 1000 within 1e-12 of
     alpha, as (p, q, error), or None. Advisory: callers warn, not fail."""
-    for q in range(1, qmax + 1):
+    for q in range(1, 1001):
         p = round(alpha * q)
         err = abs(alpha - p / q)
-        if err < tol:
+        if err < 1e-12:
             return p, q, err
     return None
 
@@ -46,8 +46,8 @@ class Rotation:
 
     step counts how many times the shift has been applied: point(n)
     evaluates the phase at time step+n in one rounding, so shifted(k)
-    produces bitwise the same orbit values at relabeled times. rational
-    hints are advisory only; a nearly rational alpha still constructs.
+    produces bitwise the same orbit values at relabeled times. A nearly
+    rational alpha still constructs (near_rational is advisory only).
     """
 
     alpha: float
@@ -61,9 +61,6 @@ class Rotation:
             raise ValueError("step must be an integer")
         object.__setattr__(self, "x0", frac(float(self.x0)))
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    def rational_hint(self, qmax: int = 1000, tol: float = 1e-12):
-        return near_rational(self.alpha, qmax, tol)
 
     def point(self, n):
         """Phase at time n, or elementwise at an integer array of times."""
@@ -146,9 +143,10 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
     """Minimum sup-distance between embedded signals over phase pairs.
 
     phases is a sequence of circle points; pairs is a sequence of index
-    pairs, or None for all distinct pairs. Returns (gap, (x, y)) for the
-    first closest pair; a positive gap certifies injectivity at sample
-    scale. Raises ValueError when there is no pair to compare."""
+    pairs, each index in [0, len(phases)), or None for all distinct
+    pairs. Returns (gap, (x, y)) for the first closest pair; a positive
+    gap certifies injectivity at sample scale. Raises ValueError when
+    there is no pair to compare or an index is out of range."""
     window = _check_window(window)
     x0 = np.asarray(phases, dtype=float)
     if not (math.isfinite(alpha) and np.isfinite(x0).all()):
@@ -165,6 +163,10 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
                 best, arg = float(gaps[j]), (i, i + 1 + j)
     else:
         ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        outside = (ij < 0) | (ij >= len(x0))
+        if outside.any():
+            raise ValueError(f"pair index {int(ij[outside][0])} outside "
+                             f"the {len(x0)} phases")
         if len(ij):
             gaps = np.max(np.abs(V[ij[:, 0]] - V[ij[:, 1]]), axis=1)
             k = int(np.argmin(gaps))
@@ -260,17 +262,16 @@ def orbit_markers(r: Rotation, h, window, L: int, M: int) -> MarkerSeq:
 
 
 @lru_cache(maxsize=1)
-def _quadratic_decay_guard(kernel, near: float = 8.0,
-                           far: float = 64.0) -> float:
+def _quadratic_decay_guard(kernel) -> float:
     """Numeric stand-in for the envelope |phi(t)| <= K/(1+t^2): the
-    far-field envelope constant must not exceed twice the near-field
-    one. Rejects slowly decaying kernels (plain sinc fails). Returns the
-    near-field K. Remembers the last kernel it passed (kernels are frozen
-    and hashable), so an encoder rebuilt with the same kernel, as for a
-    shift check, is guarded once; a rejection is not cached and raises
-    again on every call."""
-    tn = np.linspace(0.0, near, 257)
-    tf = np.linspace(near, far, 449)
+    far-field envelope constant, on [8, 64], must not exceed twice the
+    near-field one, on [0, 8]. Rejects slowly decaying kernels (plain
+    sinc fails). Returns the near-field K. Remembers the last kernel it
+    passed (kernels are frozen and hashable), so an encoder rebuilt with
+    the same kernel, as for a shift check, is guarded once; a rejection
+    is not cached and raises again on every call."""
+    tn = np.linspace(0.0, 8.0, 257)
+    tf = np.linspace(8.0, 64.0, 449)
     k_near = float(np.max(np.abs(kernel.eval(tn)) * (1.0 + tn ** 2)))
     k_far = float(np.max(np.abs(kernel.eval(tf)) * (1.0 + tf ** 2)))
     if k_far > 2.0 * k_near:
@@ -380,6 +381,11 @@ def sturmian_window(slope: float, intercept: float,
 
 
 def _check_markers(markers, window: range) -> tuple:
+    markers = tuple(markers)
+    # rejected, not truncated by int(), as MarkerSeq does
+    for m in markers:
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+            raise ValueError(f"markers must be integers, got {m!r}")
     mk = tuple(sorted(int(m) for m in markers))
     if not mk:
         raise ValueError("need at least one marker")
@@ -407,21 +413,17 @@ def voronoi_tiles(markers, window) -> tuple:
     return tuple(tiles)
 
 
-def toy_encode(x: SubshiftWindow, markers, G=None, window=None,
+def toy_encode(x: SubshiftWindow, markers, G=None,
                tube: float = None) -> DiscreteSignal:
-    """Tile the window by nearest marker and apply one block map per tile.
+    """Tile the word's window by nearest marker and apply one block map
+    per tile.
 
     Each tile of size c feeds its uint8 letter block to the size-c map of
     the family G (a mapping from block length to map, or one map used for
     every length; default is the identity inclusion of binary blocks) and
-    the c outputs land on the tile's sites in order. The result restricts
-    to the requested subwindow. With tube set, the output must stay within
-    tube of the identity encoding (the word itself) at every site."""
-    if window is None:
-        window = x.window
-    window = _check_window(window)
-    if window.start < x.window.start or window.stop > x.window.stop:
-        raise ValueError("requested window exceeds the word window")
+    the c outputs land on the tile's sites in order. With tube set, the
+    output must stay within tube of the identity encoding (the word
+    itself) at every site."""
     start = x.window.start
     values = np.empty(len(x.window))
     for m, lo, hi in voronoi_tiles(markers, x.window):
@@ -441,10 +443,9 @@ def toy_encode(x: SubshiftWindow, markers, G=None, window=None,
                 f"block map returned {out.size} values for a tile of "
                 f"size {size}")
         values[lo - start:hi - start + 1] = out
-    sub = slice(window.start - start, window.stop - start)
-    sig = DiscreteSignal(window, values[sub])
+    sig = DiscreteSignal(x.window, values)
     if tube is not None:
-        gap = float(np.max(np.abs(sig.values - x.word[sub])))
+        gap = float(np.max(np.abs(sig.values - x.word)))
         if gap >= tube:
             raise ValueError(
                 f"encoded signal leaves the tube: sup gap {gap:.6g} >= "
@@ -518,10 +519,10 @@ def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
 class ToyReport:
     """Verification outcome over word pairs sharing a marker set.
 
-    violations: pairs whose encodings agree to eta yet whose word
-    distance reaches delta. chain_failures: pairs where the distance at
-    the origin exceeded the trajectory distance over the origin's tile
-    (impossible; a nonempty list is a bug witness). eps_failures: pairs
+    violations: pairs whose encodings are equal yet whose word distance
+    reaches delta. chain_failures: pairs where the distance at the origin
+    exceeded the trajectory distance over the origin's tile (impossible;
+    a nonempty list is a bug witness). eps_failures: pairs
     with equal blocks on the origin's tile whose trajectory distance
     still reached eps."""
 
@@ -547,15 +548,15 @@ class ToyReport:
         }
 
 
-def toy_verify(pairs, markers, delta: float, eps: float,
-               eta: float = 0.0, G=None) -> ToyReport:
-    """Check the delta-embedding property of toy_encode over word pairs.
+def toy_verify(pairs, markers, delta: float, eps: float) -> ToyReport:
+    """Check the delta-embedding property of toy_encode, with its default
+    identity block maps, over word pairs.
 
     markers is one shared set, or one set per pair. For every pair whose
-    encodings agree to within eta, the word distance must stay below
-    delta. The origin's tile additionally realizes the two-step chain:
-    distance at the origin <= trajectory distance over the tile (always),
-    and < eps whenever the pair's letter blocks on that tile agree."""
+    encodings are equal, the word distance must stay below delta. The
+    origin's tile additionally realizes the two-step chain: distance at
+    the origin <= trajectory distance over the tile (always), and < eps
+    whenever the pair's letter blocks on that tile agree."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs given")
@@ -571,11 +572,11 @@ def toy_verify(pairs, markers, delta: float, eps: float,
         if x.window != y.window:
             raise ValueError(f"pair {i}: words on different windows")
         mk = markers[i] if per_pair else markers
-        gx = toy_encode(x, mk, G)
-        gy = toy_encode(y, mk, G)
+        gx = toy_encode(x, mk)
+        gy = toy_encode(y, mk)
         sup = gx.sup_gap(gy)
         d = word_metric(x, y)
-        if sup <= eta:
+        if sup == 0.0:
             equal += 1
             if d >= delta:
                 violations.append((i, d, sup))

@@ -292,14 +292,13 @@ def tile_anchors(t: Tiling, n: int, N: int) -> TileAnchors:
     return TileAnchors(r=r, s=s, c=max(c, 0.0), c_prime=max(c_prime, 0.0))
 
 
-def build_node_set(t: Tiling, theta: dict, N: int, rho,
-                   tau: float = 0.5) -> NodeMultiset:
+def build_node_set(t: Tiling, theta: dict, N: int, rho) -> NodeMultiset:
     """Union over nonempty tiles of n + ((1/rho) Z intersect
     [(r + theta_n) N, (s - theta'_n) N)), as a NodeMultiset on blocks of
-    length N. Requires rho*N integral; theta maps each nonempty tile index
-    to its bit pair. Tiles where the shrunk range inverts contribute
-    nothing."""
-    params = GridParams(l=N, rho=rho, tau=tau)
+    length N with window support tau = 1/2. Requires rho*N integral;
+    theta maps each nonempty tile index to its bit pair. Tiles where the
+    shrunk range inverts contribute nothing."""
+    params = GridParams(l=N, rho=rho, tau=0.5)
     cap_scale = params.lrho  # rho * N as an exact integer
     num, den = params.rho.numerator, params.rho.denominator
     pos = [np.empty(0)]
@@ -321,11 +320,12 @@ def build_node_set(t: Tiling, theta: dict, N: int, rho,
     return NodeMultiset(node_records(pos, 1), params, window)
 
 
-def random_marker_seq(L: int, M: int, lo: float, hi: float, rng,
-                      height_levels: int = 8) -> MarkerSeq:
+def random_marker_seq(L: int, M: int, lo: float, hi: float,
+                      rng) -> MarkerSeq:
     """Markers spanning [lo, hi] with M+L padding on both sides: integer
-    gaps uniform in [L+1, M-1], heights from the uniform grid {1/k, ..., 1},
-    height 1 forced one step before waiting any longer would break coverage.
+    gaps uniform in [L+1, M-1], heights from the uniform grid
+    {1/8, 2/8, ..., 1}, height 1 forced one step before waiting any longer
+    would break coverage.
 
     Gaps stay strictly below M so no two height-1 markers sit exactly M
     apart; that configuration puts a Voronoi tie exactly on a tile bound
@@ -341,7 +341,7 @@ def random_marker_seq(L: int, M: int, lo: float, hi: float, rng,
         positions.append(positions[-1] + int(rng.integers(L + 1, M)))
     entries, last_one = [], None
     for p, q in zip(positions, positions[1:] + [positions[-1] + M + 1]):
-        h = float(rng.integers(1, height_levels + 1)) / height_levels
+        h = float(rng.integers(1, 9)) / 8
         if h == 1.0 or last_one is None or q - last_one >= M:
             h, last_one = 1.0, p
         entries.append((p, h))

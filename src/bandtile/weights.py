@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,6 +233,12 @@ def finalize(v: dict, p: WeightParams) -> WeightMatrix:
     return WeightMatrix(entries=entries, params=p)
 
 
+def allocate(t: Tiling, p: WeightParams) -> WeightMatrix:
+    """The whole pipeline on one tiling: bases, greedy rounds, cascade.
+    Raises SurplusError when the greedy rounds leave need unmet."""
+    return finalize(greedy_rounds(*bases(t, p), p), p)
+
+
 def _translate_tiling(t: Tiling, k: int) -> Tiling:
     # exact translation by an integer; the round-trip assert would only
     # fire at magnitudes far beyond any realistic window
@@ -257,7 +263,8 @@ class WeightReport:
     support_capped: positive entries per row stay within
     1 + (|tile| - tax_threshold)+ / cost_ratio. wild_served: every core
     integer within care_range - 4 of the boundary receives a full weight
-    of 1 from some donor."""
+    of 1 from some donor. matrix is the allocation that was checked; it
+    is not part of the JSON form."""
 
     equivariant: bool
     short_rows_zero: bool
@@ -266,6 +273,7 @@ class WeightReport:
     rows_checked: int
     wild_points: int
     witnesses: tuple
+    matrix: WeightMatrix = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -284,32 +292,31 @@ class WeightReport:
                 "witnesses": list(self.witnesses)}
 
 
-def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
-                      shift: int = 1) -> WeightReport:
-    """Check the four allocation conditions on one instance. Equivariance
-    recomputes the pipeline on the exactly translated tiling and demands
-    bitwise equal records at shifted donor indices; the other three are
-    read off the records, since every (n, m) without one has weight 0.
-    Failures land in witnesses, never raise."""
+def verify_conditions(t: Tiling, p: WeightParams) -> WeightReport:
+    """Allocate the tiling once and check the four allocation conditions
+    on the result. Equivariance allocates the tiling translated exactly by
+    one step and demands bitwise equal records at shifted donor indices;
+    the other three are read off the records, since every (n, m) without
+    one has weight 0. Failed conditions land in witnesses, never raise.
+    Raises ValueError when the receiver core is empty, since nothing
+    would be checked, and SurplusError when allocation fails."""
+    core = receiver_core(t, p)
+    if not core:
+        win_lo, win_hi = t.window
+        raise ValueError(
+            f"no receiver to check: the core [window start + reach + M, "
+            f"window end - 2 M] of window [{win_lo:g}, {win_hi:g}] holds "
+            f"no integer; the window must span at least reach + 3 M = "
+            f"{p.reach + 3 * p.M}")
     witnesses = []
 
-    a0, b0 = bases(t, p)
-    base = finalize(greedy_rounds(a0, b0, p), p)
-    equivariant = True
-    if not np.array_equal(base.entries, w.entries):
-        equivariant = False
-        witnesses.append("matrix does not match the pipeline output "
-                         "for this tiling")
-    else:
-        t2 = _translate_tiling(t, shift)
-        a2, b2 = bases(t2, p)
-        moved = finalize(greedy_rounds(a2, b2, p), p)
-        want = w.entries.copy()
-        want["n"] -= shift
-        if not np.array_equal(moved.entries, want):
-            equivariant = False
-            witnesses.append(f"shift by {shift} does not reindex the "
-                             f"matrix exactly")
+    w = allocate(t, p)
+    moved = allocate(_translate_tiling(t, 1), p)
+    want = w.entries.copy()
+    want["n"] -= 1
+    equivariant = np.array_equal(moved.entries, want)
+    if not equivariant:
+        witnesses.append("shift by 1 does not reindex the matrix exactly")
 
     e = w.entries
     donors, counts = np.unique(e["n"][e["weight"] > 0.0], return_counts=True)
@@ -333,7 +340,6 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
             witnesses.append(f"row {n} has {positive} positive entries, "
                              f"cap {cap:.6g}")
 
-    core = receiver_core(t, p)
     rs = np.arange(core.start, core.stop)
     wild = rs[_boundary_distance(t, rs) <= p.care_range - 4 + SLACK]
     full = e["weight"] >= 1.0 - SLACK
@@ -348,7 +354,7 @@ def verify_conditions(w: WeightMatrix, t: Tiling, p: WeightParams,
                         wild_served=wild_served,
                         rows_checked=rows_checked,
                         wild_points=len(wild),
-                        witnesses=tuple(witnesses))
+                        witnesses=tuple(witnesses), matrix=w)
 
 
 def surplus_check(t: Tiling, p: WeightParams, a: float) -> bool:

@@ -107,6 +107,14 @@ def test_suites_green_and_deterministic(tmp_path, args):
      "82b65bb291dfb7ee729d7ba410de744ae1961e3b335bad6682958ab719be2419"),
     (NYQUIST,
      "2e5d9f6d3f52dd011e2c2f43760c4a2c799510fecebbb4ebce5eedcfe69131ee"),
+    (["interp", "oracle-sinc", "--seed", "9"],
+     "c8326b8e62c7ac16db20bfec19288d7d74cc397f54944af1b75217963d32c15b"),
+    (["interp", "radii", "--seed", "3"],
+     "2cfcced8b7b65eb0e6905c17799834a07e55e449b0177aab622e70f03bfb1488"),
+    (["simplicial", "check", "--seed", "7"],
+     "1a964cef733c9926da7d2c8e88669d890f351d70231534d074d811cd175eb073"),
+    (["simplicial", "perturb", "--seed", "7"],
+     "52392935a4de9079df67d7157a2fc761c047b88b4896b2db926c469bbb370cde"),
 ])
 def test_dynamics_report_bytes_pinned(tmp_path, args, digest):
     # frozen report bytes of the dynamics and marker-to-signal suites: a
@@ -217,11 +225,30 @@ def test_tolerance_override_recorded(tmp_path):
     ["interp", "eval", "--tol", "node=inf"],
     ["codec", "toy", "--tol", "delta=inf"],
     ["codec", "marker", "--tol", "leak=nan"],
+    # below reach + 3 M = 530 the receiver core is empty: nothing to check
+    ["weights", "run", "--span", "500"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["codec", "rotation", "--L", "0"],
+    ["codec", "marker", "--trials", "5"],
+    ["codec", "toy", "--window", "-5", "5"],
+    ["codec", "toy", "--alpha", "0.5"],
+    ["codec", "toy", "--L", "3"],
+    ["simplicial", "check", "--magnitude", "-5"],
+    ["sampling", "--stress"],
+])
+def test_flag_the_suite_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
+                                              args):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -43,7 +43,7 @@ def test_rotation_points_and_exact_relabeling():
 def test_near_rational_detection():
     assert near_rational(0.5) == (1, 2, 0.0)
     assert near_rational(ALPHA) is None
-    assert Rotation(1.0 / 3.0).rational_hint() is not None
+    assert near_rational(1.0 / 3.0)[:2] == (1, 3)
 
 
 def test_rotation_embed_exact_endpoints():
@@ -81,6 +81,13 @@ def test_embedding_gap_without_pairs_raises():
     for phases, pairs in (([0.1], None), ([0.1, 0.2], []), ([], None)):
         with pytest.raises(ValueError, match="no phase pair"):
             embedding_gap(ALPHA, range(-5, 6), phases, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(0, -1)], [(0, 3)], [(1, 2), (3, 0)]])
+def test_embedding_gap_rejects_pair_indices_out_of_range(pairs):
+    # -1 would wrap to the last phase, 3 would raise IndexError
+    with pytest.raises(ValueError, match="index (-1|3) outside the 3 phases"):
+        embedding_gap(ALPHA, range(-5, 6), [0.1, 0.2, 0.3], pairs)
 
 
 def test_marker_function_shape():
@@ -291,6 +298,14 @@ def test_toy_encode_guards():
     toy_encode(x, [0], G=noisy, tube=0.1)
     with pytest.raises(ValueError):
         toy_encode(x, [0], G=noisy, tube=0.01)
+
+
+@pytest.mark.parametrize("markers", [[2.7], [2.0], [True], np.array([2.5])])
+def test_toy_encode_rejects_non_integer_markers(markers):
+    # int() would truncate each of these to a site instead
+    x = sturmian_window(GOLD, 0.0, range(-5, 6))
+    with pytest.raises(ValueError, match="markers must be integers"):
+        toy_encode(x, markers)
 
 
 def test_toy_encode_bitwise_equivariance():

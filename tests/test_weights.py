@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from bandtile import weights
 from bandtile.tiling import (
     MarkerSeq,
     Tiling,
@@ -21,6 +22,7 @@ from bandtile.weights import (
     WeightMatrix,
     WeightParams,
     _boundary_distance,
+    allocate,
     bases,
     finalize,
     greedy_rounds,
@@ -147,10 +149,11 @@ def test_wild_instance_serves_every_near_boundary_point():
     assert b0 == {1697: 1.0, 1698: 2.0, 1699: 3.0, 1700: 4.0, 1701: 5.0,
                   1702: 6.0, 1703: 5.0, 1704: 4.0, 1705: 3.0, 1706: 2.0,
                   1707: 1.0}
-    wm = finalize(greedy_rounds(a0, b0, p), p)
+    wm = allocate(t, p)
     assert {m: w for n, m, _, w in wm.entries.tolist()
             if n == 1368 and w > 0} == {m: 1.0 for m in range(330, 340)}
-    rep = verify_conditions(wm, t, p)
+    rep = verify_conditions(t, p)
+    assert rep.matrix.entries.tobytes() == wm.entries.tobytes()
     assert rep.passed
     assert rep.wild_points == 5
     assert rep.witnesses == ()
@@ -196,32 +199,41 @@ def test_random_instances_all_conditions():
     for _ in range(50):
         markers = random_marker_seq(106, 110, 0.0, 900.0, rng)
         t = compute_tiles(markers, (0.0, 900.0))
-        a0, b0 = bases(t, STD)
-        wm = finalize(greedy_rounds(a0, b0, STD), STD)
-        rep = verify_conditions(wm, t, STD)
+        rep = verify_conditions(t, STD)
         assert rep.passed, rep.witnesses[:3]
+        want = allocate(t, STD).entries
+        assert rep.matrix.entries.tobytes() == want.tobytes()
 
 
-def _reweigh_record(e):
-    e = e.copy()
-    e["weight"][3] = 0.25 if e["weight"][3] == 0.5 else 0.5
-    return e
-
-
-@pytest.mark.parametrize("edit", [_reweigh_record, lambda e: np.delete(e, 3)],
-                         ids=["one weight changed", "one record dropped"])
-def test_verify_conditions_rejects_a_foreign_matrix(edit):
+def test_verify_conditions_flags_a_translation_that_moves_the_matrix(
+        monkeypatch):
+    """A translation one step too far reindexes every record by 2, not 1:
+    equivariance fails with its one witness and the other conditions,
+    read off the tiling's own allocation, still hold."""
     rng = np.random.default_rng(7)
     markers = random_marker_seq(106, 110, 0.0, 900.0, rng)
     t = compute_tiles(markers, (0.0, 900.0))
-    wm = finalize(greedy_rounds(*bases(t, STD), STD), STD)
-    rep = verify_conditions(wm, t, STD)
+    rep = verify_conditions(t, STD)
     assert rep.passed and rep.witnesses == ()
-    foreign = WeightMatrix(entries=edit(wm.entries), params=STD)
-    rep = verify_conditions(foreign, t, STD)
+    translate = weights._translate_tiling
+    monkeypatch.setattr(weights, "_translate_tiling",
+                        lambda t, k: translate(t, k + 1))
+    rep = verify_conditions(t, STD)
     assert not rep.equivariant and not rep.passed
-    assert ("matrix does not match the pipeline output for this tiling"
-            in rep.witnesses)
+    assert rep.short_rows_zero and rep.support_capped and rep.wild_served
+    assert rep.witnesses == ("shift by 1 does not reindex the matrix exactly",)
+
+
+def test_verify_conditions_rejects_an_empty_core():
+    rng = np.random.default_rng(3)
+    markers = random_marker_seq(106, 110, 0.0, 529.0, rng)
+    t = compute_tiles(markers, (0.0, 529.0))
+    assert not receiver_core(t, STD)
+    with pytest.raises(ValueError, match="at least reach \\+ 3 M = 530"):
+        verify_conditions(t, STD)
+    t = compute_tiles(markers, (0.0, 530.0))
+    assert receiver_core(t, STD) == range(310, 311)
+    assert verify_conditions(t, STD).passed
 
 
 def test_conservation_on_the_core():
@@ -229,7 +241,7 @@ def test_conservation_on_the_core():
     markers = random_marker_seq(106, 110, 0.0, 900.0, rng)
     t = compute_tiles(markers, (0.0, 900.0))
     a0, b0 = bases(t, STD)
-    wm = finalize(greedy_rounds(a0, b0, STD), STD)
+    wm = allocate(t, STD)
     served = {}
     spent = {}
     for n, m, val, _ in wm.entries.tolist():
@@ -249,10 +261,8 @@ def test_marker_level_equivariance():
     k = 13
     t = compute_tiles(markers, (0.0, 700.0))
     ts = compute_tiles(shift_markers(markers, k), (-13.0, 687.0))
-    a0, b0 = bases(t, STD)
-    as_, bs = bases(ts, STD)
-    wm = finalize(greedy_rounds(a0, b0, STD), STD)
-    ws = finalize(greedy_rounds(as_, bs, STD), STD)
+    wm = allocate(t, STD)
+    ws = allocate(ts, STD)
     shifted = {(n, m): val for n, m, val, _ in ws.entries.tolist()}
     assert {(n - k, m) for n, m in wm.entries[["n", "m"]].tolist()} == set(
         shifted)
