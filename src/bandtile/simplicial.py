@@ -10,9 +10,22 @@ basic solutions of the equality system decides the pair exactly. Every
 finite float is an integer times a power of two, so each map's images are
 scaled once by a common power of two to Python ints, and each pair system
 is solved by fraction-free elimination on those ints. Only the vertices
-found become rationals, so the verdict never depends on a tolerance; a
-strict bounding-box test prunes pairs that cannot meet before any exact
-work happens.
+found become rationals, so the verdict never depends on a tolerance.
+
+Each pair goes through four steps, and the cheaper ones drop the pairs
+that cannot give a witness before the costlier ones run:
+1. a strict bounding-box test drops pairs whose image boxes are apart;
+2. the union test drops pairs whose union of vertices has affinely
+   independent images: the map is then injective on the simplex they
+   span, so equal images mean the same point of the shared face. It is a
+   rank test by the forward elimination pass, and covers the self pair of
+   every simplex in general position;
+3. the forward pass on the pair system ends the pair when a pivot lands
+   in the right-hand-side column (an inconsistent system), before the
+   back pass;
+4. the basic solutions of the remaining system are enumerated.
+Steps 2 and 3 drop no pair with a witness, so the pair order and the
+first witness are those of the plain enumeration.
 """
 
 from __future__ import annotations
@@ -101,11 +114,13 @@ class Complex:
         return tuple(listed[i] for i in order)
 
     def maximal_simplices(self) -> tuple:
-        maxs = [s for s in self.simplices
-                if not any(s < t for t in self.simplices)]
-        return tuple(self.ordered(s) for s in
-                     sorted(maxs, key=lambda s: tuple(
-                         sorted(self.vertex_index(v) for v in s))))
+        # the family is face-closed, so a simplex inside a larger one is a
+        # facet of some simplex: s < t gives s + {w} in it for w in t - s
+        facets = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
+        index = {v: i for i, v in enumerate(self.vertices)}
+        keys = sorted(tuple(sorted(index[v] for v in s))
+                      for s in self.simplices if s not in facets)
+        return tuple(tuple(self.vertices[i] for i in key) for key in keys)
 
     @classmethod
     def from_maximal(cls, maximal) -> "Complex":
@@ -205,13 +220,15 @@ class MetricSample:
             for j in range(n):
                 if d[i][j] < 0.0 or d[i][j] != d[j][i]:
                     raise ValueError("matrix must be symmetric nonnegative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k] + 1e-12:
-                        raise ValueError(
-                            f"triangle inequality fails at "
-                            f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
+        # bad[i, j, k] is d_ik > d_ij + d_jk + 1e-12, summed in that order;
+        # argwhere lists triples in C order, the loop order i, j, k
+        a = np.array(d).reshape(n, n)
+        bad = np.argwhere(a[:, None, :] > a[:, :, None] + a[None] + 1e-12)
+        if len(bad):
+            i, j, k = bad[0]
+            raise ValueError(
+                f"triangle inequality fails at "
+                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
 
     def index(self, label) -> int:
         return self.labels.index(label)
@@ -244,29 +261,32 @@ def subdivide_map(m: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(sub, images)
 
 
-def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place
-    (Bareiss 1968). Every update (piv*a - f*b) // prev divides exactly,
-    since each entry stays an integer minor of the input. On return the
-    pivot rows come first, each holding the common value det at its own
-    pivot column and 0 at the others: they are det times the reduced row
-    echelon form. Returns (pivot columns, det); det is 1 with no pivot."""
+def _forward(rows, through_gaps=True):
+    """Fraction-free forward elimination of integer rows, in place (Bareiss
+    1968). Every update (piv*a - f*b) // prev divides exactly, since each
+    entry stays an integer minor of the input. On return the pivot rows
+    come first in echelon form, and the rows after them are zero in every
+    column passed. Returns (pivot columns, det), det being the last pivot
+    (1 with no pivot). With through_gaps false the pass stops at the first
+    column that has no pivot, which is all a rank or square solve needs."""
     pivots = []
     prev = 1
     r = 0
     for col in range(len(rows[0])):
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
-            continue
+            if through_gaps:
+                continue
+            break
         rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]
         piv = prow[col]
-        for i, row in enumerate(rows):
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
             f = row[col]
             if f:
-                if i != r:
-                    rows[i] = [(piv * a - f * b) // prev
-                               for a, b in zip(row, prow)]
+                rows[i] = [(piv * a - f * b) // prev
+                           for a, b in zip(row, prow)]
             elif piv != prev:
                 rows[i] = [piv * a // prev for a in row]
         prev = piv
@@ -277,11 +297,31 @@ def _eliminate(rows):
     return pivots, prev
 
 
+def _back(rows, pivots, det):
+    """Back pass after _forward: each pivot row becomes det times its row
+    of the reduced row echelon form R, holding det at its own pivot column
+    and 0 at the others. Forward row k is d_k R_k + sum_{j>k} g_j R_j with
+    d_k its pivot and g_j its entry at pivot j, so det R_k is
+    (det row_k - sum_{j>k} g_j det R_j) / d_k; det R is the adjugate of
+    the pivot block times the rows, so the division is exact."""
+    for k in range(len(pivots) - 2, -1, -1):
+        row = rows[k]
+        acc = [det * a for a in row]
+        for j in range(k + 1, len(pivots)):
+            g = row[pivots[j]]
+            if g:
+                acc = [a - g * b for a, b in zip(acc, rows[j])]
+        dk = row[pivots[k]]
+        rows[k] = [a // dk for a in acc]
+
+
 def _polytope_vertices(aug):
     """All vertices of {z >= 0 : A z = b}, exactly, from the augmented
     integer rows [A | b] (consumed). The polytope here is always bounded
     (barycentric coordinates), so it is the convex hull of these points;
-    returns [] when the system is infeasible.
+    returns [] when the system is infeasible. An inconsistent system shows
+    as a pivot in the right-hand-side column of the forward pass, and
+    returns before the back pass.
 
     After one elimination, row i reads det z_{p_i} + sum_f g_if z_f = c_i
     over the free columns f. A basis keeps some free columns T and drops
@@ -289,9 +329,10 @@ def _polytope_vertices(aug):
     system g[S, T] z_T = c_S and then each kept pivot row for z_{p_i}. All
     values are integers over one denominator until a vertex is found."""
     k = len(aug[0]) - 1
-    pivots, det = _eliminate(aug)
-    if k in pivots:
+    pivots, det = _forward(aug)
+    if pivots and pivots[-1] == k:
         return []
+    _back(aug, pivots, det)
     rank = len(pivots)
     rows = aug[:rank]
     found = set()
@@ -303,9 +344,10 @@ def _polytope_vertices(aug):
         e, zT = 1, []
         if s:
             sub = [[row[j] for j in T] + [row[k]] for row in S]
-            piv, e = _eliminate(sub)
-            if len(piv) != s or piv[-1] != s - 1:
+            piv, e = _forward(sub, through_gaps=False)
+            if len(piv) != s:
                 continue  # singular basis
+            _back(sub, piv, e)
             zT = [row[s] for row in sub]  # z_T = zT / e
         den = det * e
         z = [0] * k
@@ -386,6 +428,17 @@ def _pair_witness(va, vb, ints, D):
     return None
 
 
+def _affinely_independent(verts, cols) -> bool:
+    """Whether the integer images of verts are affinely independent: the
+    columns (1, image) have full rank, which the forward pass decides at
+    the first column without a pivot. More than D + 1 points never are."""
+    if len(verts) > len(cols[verts[0]]):
+        return False
+    rows = [list(r) for r in zip(*(cols[v] for v in verts))]
+    pivots, _ = _forward(rows, through_gaps=False)
+    return len(pivots) == len(verts)
+
+
 def is_embedding(m: SimplicialMap) -> tuple:
     """Decide exactly whether the affine extension of m is injective on
     the geometric realization. Returns (True, None) or (False, witness)
@@ -394,6 +447,7 @@ def is_embedding(m: SimplicialMap) -> tuple:
     maxs = m.complex.maximal_simplices()
     ints, scale = _scaled_images(m)
     D = m.dim_target
+    cols = {v: (1,) + img for v, img in ints.items()}
     boxes = []
     for s in maxs:
         pts = [m.images[v] for v in s]
@@ -406,6 +460,9 @@ def is_embedding(m: SimplicialMap) -> tuple:
             if any(hi_i[d] < lo_j[d] or hi_j[d] < lo_i[d]
                    for d in range(D)):
                 continue
+            union = maxs[i] + tuple(v for v in maxs[j] if v not in maxs[i])
+            if _affinely_independent(union, cols):
+                continue  # the map is injective on the simplex of the union
             hit = _pair_witness(maxs[i], maxs[j], ints, D)
             if hit is None:
                 continue

@@ -146,7 +146,8 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
     pairs, each index in [0, len(phases)), or None for all distinct
     pairs. Returns (gap, (x, y)) for the first closest pair; a positive
     gap certifies injectivity at sample scale. Raises ValueError when
-    there is no pair to compare or an index is out of range."""
+    there is no pair to compare or an index is out of range or not an
+    integer."""
     window = _check_window(window)
     x0 = np.asarray(phases, dtype=float)
     if not (math.isfinite(alpha) and np.isfinite(x0).all()):
@@ -162,6 +163,11 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
             if gaps[j] < best:
                 best, arg = float(gaps[j]), (i, i + 1 + j)
     else:
+        pairs = [tuple(pair) for pair in pairs]
+        # rejected, not truncated by the int64 conversion, as MarkerSeq does
+        for i in (i for pair in pairs for i in pair):
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ValueError(f"pair index {i!r} is not an integer")
         ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         outside = (ij < 0) | (ij >= len(x0))
         if outside.any():
@@ -381,7 +387,11 @@ def sturmian_window(slope: float, intercept: float,
 
 
 def _check_markers(markers, window: range) -> tuple:
-    markers = tuple(markers)
+    try:
+        markers = tuple(markers)
+    except TypeError:
+        raise ValueError(f"markers must be a sequence of integers, "
+                         f"got {markers!r}") from None
     # rejected, not truncated by int(), as MarkerSeq does
     for m in markers:
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
@@ -552,7 +562,7 @@ def toy_verify(pairs, markers, delta: float, eps: float) -> ToyReport:
     """Check the delta-embedding property of toy_encode, with its default
     identity block maps, over word pairs.
 
-    markers is one shared set, or one set per pair. For every pair whose
+    markers holds one marker set per pair. For every pair whose
     encodings are equal, the word distance must stay below delta. The
     origin's tile additionally realizes the two-step chain: distance at
     the origin <= trajectory distance over the tile (always), and < eps
@@ -560,9 +570,7 @@ def toy_verify(pairs, markers, delta: float, eps: float) -> ToyReport:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs given")
-    per_pair = len(markers) > 0 and not isinstance(
-        next(iter(markers)), (int, np.integer))
-    if per_pair and len(markers) != len(pairs):
+    if len(markers) != len(pairs):
         raise ValueError("one marker set per pair required")
     violations = []
     chain_failures = []
@@ -571,7 +579,7 @@ def toy_verify(pairs, markers, delta: float, eps: float) -> ToyReport:
     for i, (x, y) in enumerate(pairs):
         if x.window != y.window:
             raise ValueError(f"pair {i}: words on different windows")
-        mk = markers[i] if per_pair else markers
+        mk = markers[i]
         gx = toy_encode(x, mk)
         gy = toy_encode(y, mk)
         sup = gx.sup_gap(gy)

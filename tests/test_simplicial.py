@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,9 @@ from bandtile.simplicial import (
     triangulated_strip,
     verify_witness,
 )
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def crossing_edges():
@@ -111,6 +115,17 @@ def test_subdivision_counts():
     assert sum(len(s) == 2 for s in tri.simplices) == 12
 
 
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_maximal_simplices_match_pairwise_scan(tops):
+    c = Complex.from_maximal(tops)
+    maxs = [s for s in c.simplices if not any(s < t for t in c.simplices)]
+    want = tuple(c.ordered(s) for s in sorted(maxs, key=lambda s: tuple(
+        sorted(c.vertex_index(v) for v in s))))
+    assert c.maximal_simplices() == want
+
+
 def test_subdivide_map_sends_barycenter_to_image_barycenter():
     tri = Complex.from_maximal([(0, 1, 2)])
     m = SimplicialMap(tri, {0: (0.0, 0.0), 1: (3.0, 0.0), 2: (0.0, 3.0)})
@@ -194,6 +209,46 @@ def test_eps_embedding_check_witnesses():
                                          "r": (0.05,)}, eps=0.5, eta=0.1)
     assert not ok2
     assert (w2[0], w2[1]) == ("p", "r")
+
+
+def triangle_failure_ref(labels, d):
+    """The per-triple loop MetricSample ran: its first failing triple."""
+    n = len(labels)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + 1e-12:
+                    return (f"triangle inequality fails at "
+                            f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Zero-diagonal symmetric matrices whose entries sit on, just past and
+    within the 1e-12 slack of the triangle bound, or at infinity."""
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from([0.0, 1e-12, 2e-12, 0.5, 1.0, 1.0 + 1e-12,
+                             1.0 + 3e-12, 1.5, 2.0, 2.0 + 1e-12, 3.0,
+                             math.inf])
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(entry)
+    return tuple(f"p{i}" for i in range(n)), d
+
+
+@settings(PROPERTY, max_examples=500)
+@given(symmetric_matrices())
+def test_metric_sample_triangle_check_matches_per_triple_loop(sample):
+    labels, d = sample
+    want = triangle_failure_ref(labels, d)
+    if want is None:
+        assert MetricSample(labels, d).dist == tuple(map(tuple, d))
+    else:
+        with pytest.raises(ValueError) as err:
+            MetricSample(labels, d)
+        assert str(err.value) == want
 
 
 def test_approx_map_vertex_placements_copy_f():
@@ -349,9 +404,38 @@ def assert_matches_reference(m):
     return got
 
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None)
 DYADIC = st.integers(0, 2 ** 20).map(lambda g: g / 2 ** 20)
 SMALL = st.integers(-2, 2).map(float)  # forces coincident and flat images
+
+
+def _prefix_pivots(pivots):
+    """The pivots before the first column without one."""
+    return [p for i, p in itertools.takewhile(lambda ip: ip[0] == ip[1],
+                                              enumerate(pivots))]
+
+
+@st.composite
+def integer_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])  # many rank drops
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(PROPERTY, max_examples=400)
+@given(integer_matrices())
+def test_forward_and_back_give_det_times_rref(rows):
+    ref = [[Fraction(x) for x in row] for row in rows]
+    want = _rref_ref(ref)
+    got = [row[:] for row in rows]
+    pivots, det = simplicial._forward(got)
+    assert pivots == want
+    simplicial._back(got, pivots, det)
+    for row, rrow in zip(got, ref[:len(pivots)]):
+        assert row == [det * x for x in rrow]
+    assert all(x == 0 for row in got[len(pivots):] for x in row)
+    short = [row[:] for row in rows]
+    assert (simplicial._forward(short, through_gaps=False)[0]
+            == _prefix_pivots(want))
 
 
 @st.composite
@@ -476,3 +560,84 @@ def test_verify_witness_accepts_exact_witnesses_on_large_images():
                 witnesses += 1
                 assert verify_witness(mm, w)
     assert witnesses >= 40
+
+
+def test_polytope_vertices_exits_on_an_inconsistent_system(monkeypatch):
+    """Parallel edges at heights 0 and 1: the height row reads
+    -(y_c + y_d) = 0 against y_c + y_d = 1, so the forward pass pivots in
+    the right-hand-side column and no back pass runs."""
+    m = _edge_pair((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    ints, _ = simplicial._scaled_images(m)
+    va, vb = ("a", "b"), ("c", "d")
+    rows = simplicial._pair_system(va, vb, ints, 2)
+    assert simplicial._forward([r[:] for r in rows])[0][-1] == 4
+    assert _polytope_vertices_ref(
+        *_pair_system_ref(va, vb, _exact_images(m), 2)) == []
+    assert_matches_reference(m)
+
+    def no_back_pass(*args):
+        raise AssertionError("back pass ran on an inconsistent system")
+
+    monkeypatch.setattr(simplicial, "_back", no_back_pass)
+    assert simplicial._polytope_vertices(rows) == []
+
+
+@st.composite
+def degenerate_maps(draw):
+    """1-6 maximal edges, triangles or tetrahedra into R^1..R^6 with images
+    on a coarse grid {0, ..., g}^D, g <= 3, drawn from a pool of at most as
+    many points as vertices: images repeat and lie flat, so many unions are
+    affinely dependent and fall through to the solver."""
+    size = draw(st.integers(2, 4))
+    nv = draw(st.integers(size, 7))
+    tops = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=size,
+                                 max_size=size), min_size=1, max_size=6))
+    comp = Complex.from_maximal(tops)
+    D = draw(st.integers(1, 6))
+    coord = st.integers(0, draw(st.integers(1, 3))).map(float)
+    pool = draw(st.lists(st.tuples(*[coord] * D), min_size=1,
+                         max_size=len(comp.vertices)))
+    return SimplicialMap(comp, {v: draw(st.sampled_from(pool))
+                                for v in comp.vertices})
+
+
+def _affine_rank_ref(verts, exact):
+    rows = [[Fraction(1)] * len(verts)]
+    rows += [[exact[v][d] for v in verts] for d in range(len(exact[verts[0]]))]
+    return len(_rref_ref(rows))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(degenerate_maps())
+def test_union_filter_skips_only_pairs_without_witness(m):
+    """The union test agrees with a Fraction rank, and every pair it skips
+    has no reference vertex off the shared-face diagonal."""
+    assert_matches_reference(m)
+    ints, _ = simplicial._scaled_images(m)
+    cols = {v: (1,) + img for v, img in ints.items()}
+    exact = _exact_images(m)
+    D = m.dim_target
+    maxs = m.complex.maximal_simplices()
+    for va, vb in itertools.combinations_with_replacement(maxs, 2):
+        union = va + tuple(v for v in vb if v not in va)
+        skip = simplicial._affinely_independent(union, cols)
+        assert skip == (_affine_rank_ref(union, exact) == len(union))
+        if skip:
+            shared = set(va) & set(vb)
+            for z in _polytope_vertices_ref(*_pair_system_ref(va, vb, exact,
+                                                              D)):
+                assert simplicial._same_point(va, vb, z[:len(va)],
+                                              z[len(va):], shared)
+
+
+def test_union_filter_falls_through_on_dependent_unions():
+    """Collinear images, a repeated image and more than D + 1 points go to
+    the solver; affinely independent images are skipped."""
+    plane = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (0, 0), 4: (0, 1),
+             5: (1, 1)}
+    cols = {v: (1,) + img for v, img in plane.items()}
+    assert not simplicial._affinely_independent((0, 1, 2), cols)
+    assert not simplicial._affinely_independent((4, 0, 3), cols)
+    assert not simplicial._affinely_independent((0, 1, 4, 5), cols)
+    assert simplicial._affinely_independent((0, 1, 4), cols)
+    assert simplicial._affinely_independent((1, 4), cols)

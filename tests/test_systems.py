@@ -90,6 +90,23 @@ def test_embedding_gap_rejects_pair_indices_out_of_range(pairs):
         embedding_gap(ALPHA, range(-5, 6), [0.1, 0.2, 0.3], pairs)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0.7, 2.9)], [(True, 1)], [(0, 2.0)], [(1, 2), (0, np.float64(1.0))],
+    np.array([[0.0, 2.0]]),
+])
+def test_embedding_gap_rejects_non_integer_pair_indices(pairs):
+    # int64 conversion would truncate 0.7 and 2.9 to phases 0 and 2
+    with pytest.raises(ValueError, match="is not an integer"):
+        embedding_gap(ALPHA, range(-5, 6), [0.1, 0.2, 0.3], pairs)
+
+
+def test_embedding_gap_accepts_numpy_integer_pairs():
+    want = embedding_gap(ALPHA, range(-5, 6), [0.1, 0.2, 0.3], [(0, 2)])
+    got = embedding_gap(ALPHA, range(-5, 6), [0.1, 0.2, 0.3],
+                        np.array([[0, 2]]))
+    assert got == want
+
+
 def test_marker_function_shape():
     r = Rotation(ALPHA)
     scheme = marker_function(r, 4)
@@ -336,7 +353,7 @@ def test_marker_cylinder_gaps():
 def test_toy_verify_identical_and_near_pairs():
     xx = sturmian_window(GOLD, 0.3, range(-20, 21))
     pairs = [(xx, xx), (xx, sturmian_window(GOLD, 0.31, range(-20, 21)))]
-    rep = toy_verify(pairs, [-15, -5, 5, 15], delta=0.5, eps=0.75)
+    rep = toy_verify(pairs, [[-15, -5, 5, 15]] * 2, delta=0.5, eps=0.75)
     assert rep.pairs_checked == 2
     assert rep.passed
 
@@ -345,19 +362,33 @@ def test_toy_verify_distinguishes_origin_flip():
     wa = SubshiftWindow((0, 1, 0, 0, 1, 0, 0), range(-3, 4))
     wb = SubshiftWindow((0, 1, 0, 1, 0, 0, 1), range(-3, 4))
     assert toy_encode(wa, [0]).sup_gap(toy_encode(wb, [0])) == 1.0
-    rep = toy_verify([(wa, wb)], [0], delta=0.5, eps=0.75)
+    rep = toy_verify([(wa, wb)], [[0]], delta=0.5, eps=0.75)
     assert rep.passed
     assert rep.equal_encoding_pairs == 0
 
 
-def test_toy_verify_shared_markers_as_array():
+def test_toy_verify_marker_sets_as_arrays():
     xx = sturmian_window(GOLD, 0.3, range(-20, 21))
     pairs = [(xx, xx), (xx, sturmian_window(GOLD, 0.31, range(-20, 21))),
              (xx, sturmian_window(GOLD, 0.8, range(-20, 21)))]
-    mk = (-15, -5, 5, 15)
+    mk = [(-15, -5, 5, 15), (-10, 0, 10), (-15, -5, 5, 15)]
     want = toy_verify(pairs, mk, delta=0.5, eps=0.75)
     assert want.pairs_checked == 3
-    assert toy_verify(pairs, np.array(mk), delta=0.5, eps=0.75) == want
+    assert toy_verify(pairs, [np.array(m) for m in mk], delta=0.5,
+                      eps=0.75) == want
+
+
+@pytest.mark.parametrize("markers, match", [
+    ([2.7], "markers must be a sequence of integers, got 2.7"),
+    ([5], "markers must be a sequence of integers, got 5"),
+    ([-15, -5, 5, 15], "one marker set per pair required"),
+    ([[2.7]], "markers must be integers, got 2.7"),
+])
+def test_toy_verify_takes_one_marker_set_per_pair(markers, match):
+    # one set per pair: a flat list of markers is never read as one shared set
+    xx = sturmian_window(GOLD, 0.3, range(-20, 21))
+    with pytest.raises(ValueError, match=match):
+        toy_verify([(xx, xx)], markers, delta=0.5, eps=0.75)
 
 
 def test_toy_verify_random_sturmian_batch():
