@@ -2,9 +2,8 @@
 of the line, greedy tax/weight allocation, exact simplicial embedding
 checks, and sampling codecs for concrete minimal systems."""
 
-from .bandlimited import (Band, BandSignal, BumpKernel, ConstantKernel,
-                          SincKernel, ToneKernel, band_check,
-                          constant_signal, metric_d, realify, sample,
+from .bandlimited import (Band, BandSignal, BumpKernel, SincKernel,
+                          ToneKernel, band_check, sample,
                           sampling_injectivity_stress, tone_signal)
 from .interpolation import (BlockOverflowError, GridParams, NodeMultiset,
                             agreeing_pair, bump_transform, cardinal_kernel,
@@ -17,19 +16,18 @@ from .tiling import (MarkerSeq, Tile, Tiling, boundary_set, build_node_set,
                      shift_markers, tile_anchors)
 from .weights import (SurplusError, WeightMatrix, WeightParams,
                       WeightReport, allocate, bases, finalize,
-                      greedy_rounds, receiver_core, surplus_check,
-                      validate_params, verify_conditions)
+                      greedy_rounds, receiver_core, validate_params,
+                      verify_conditions)
 from .simplicial import (CollisionWitness, Complex, MetricSample,
                          SimplicialMap, approx_map, crossing_pair,
                          eps_embedding_check, is_embedding,
                          perturb_to_embedding, random_map,
-                         segment_family_check, subdivide, subdivide_map,
                          triangulated_strip, verify_witness)
 from .systems import (DiscreteSignal, MarkerBump, MarkerScheme, Rotation,
                       SubshiftWindow, ToyReport, bowen_metric,
                       embedding_gap, marker_cylinder, marker_encode,
-                      marker_function, near_rational, orbit_markers,
-                      rotation_embed, sturmian_window, toy_encode,
-                      toy_verify, voronoi_tiles, word_metric)
+                      marker_function, orbit_markers, rotation_embed,
+                      sturmian_window, toy_encode, toy_verify,
+                      voronoi_tiles, word_metric)
 
 __version__ = "0.1.0"

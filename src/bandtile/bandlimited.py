@@ -1,13 +1,12 @@
-"""Band-limited signals: representation, metric, sampling, spectral checks.
+"""Band-limited signals: representation, sampling, spectral checks.
 
 A signal is a finite node/coefficient expansion against a shift-invariant
 kernel, optionally modulated by a global carrier: the value at t is
 
     sum_k coeffs[k] * kernel(t - nodes[k]) * e^(2 pi i carrier t)
 
-with an optional final real-part projection (see realify). The kernel
-descriptor fixes the nominal band: a kernel of spectral halfwidth h under
-carrier c gives content inside [c - h, c + h].
+The kernel descriptor fixes the nominal band: a kernel of spectral
+halfwidth h under carrier c gives content inside [c - h, c + h].
 
 Bump-kernel expansions are evaluated through their spectrum. The bump
 transform is a quadrature sum_j gw_j cos(a_j u) over nodes a_j inside the
@@ -18,21 +17,18 @@ The other kernels are evaluated on the T x K matrix of offsets t - n_k.
 
 Band membership is certified numerically, by grid sups and by windowed
 oscillatory quadrature of the spectrum (band_check); nothing here does
-symbolic complex analysis. The metric is the standard weighted sum of sups
-over growing intervals, truncated at a configurable depth.
+symbolic complex analysis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .interpolation import bump_series, bump_transform
-from .numutil import cispi, composite_gauss, cospi, sinpi
-
-GRID_STEP = 1.0 / 64.0
+from .numutil import cispi, composite_gauss, sinpi
 
 
 @dataclass(frozen=True)
@@ -43,6 +39,9 @@ class Band:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(
+                f"band edges must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"band needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -54,31 +53,18 @@ class Band:
 
 
 @dataclass(frozen=True)
-class ConstantKernel:
-    """kernel(u) = 1. Spectral halfwidth 0 (pure carrier line)."""
-
-    halfwidth = 0.0
-
-    def eval(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))
-
-
-@dataclass(frozen=True)
 class ToneKernel:
-    """kernel(u) = sin(2 pi f u) or cos(2 pi f u), exact at quarter periods.
+    """kernel(u) = sin(2 pi f u), exact at quarter periods.
 
-    Argument reduction makes sin vanish identically on (1/(2f))Z in closed
+    Argument reduction makes it vanish identically on (1/(2f))Z in closed
     form, which is what the Nyquist counterexample needs.
     """
 
     freq: float
-    form: str = "sin"
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError("tone frequency must be positive")
-        if self.form not in ("sin", "cos"):
-            raise ValueError(f"unknown tone form {self.form!r}")
+        if not (math.isfinite(self.freq) and self.freq > 0):
+            raise ValueError("tone frequency must be finite and positive")
         object.__setattr__(self, "freq", float(self.freq))
 
     @property
@@ -86,8 +72,7 @@ class ToneKernel:
         return self.freq
 
     def eval(self, u):
-        x = 2.0 * self.freq * np.asarray(u, dtype=float)
-        return sinpi(x) if self.form == "sin" else cospi(x)
+        return sinpi(2.0 * self.freq * np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -97,8 +82,8 @@ class SincKernel:
     halfwidth: float
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValueError("sinc halfwidth must be positive")
+        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError("sinc halfwidth must be finite and positive")
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def eval(self, u):
@@ -113,8 +98,8 @@ class BumpKernel:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("bump support must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("bump support must be finite and positive")
         object.__setattr__(self, "tau", float(self.tau))
 
     @property
@@ -131,16 +116,13 @@ class BandSignal:
 
     nodes: read-only float64 array, finite and strictly increasing; coeffs:
     read-only complex128 array of finite values, one per node. The
-    constructor copies whatever it is given. real_part=True means the
-    signal is the pointwise real part of the expansion (the realification
-    map); evaluation stays complex-typed.
+    constructor copies whatever it is given. carrier_freq must be finite.
     """
 
     nodes: np.ndarray
     coeffs: np.ndarray
-    kernel: object = field(default_factory=ConstantKernel)
+    kernel: object
     carrier_freq: float = 0.0
-    real_part: bool = False
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -151,6 +133,8 @@ class BandSignal:
             raise ValueError("nodes and coeffs must be finite")
         if np.any(nodes[1:] <= nodes[:-1]):
             raise ValueError("nodes must be strictly increasing")
+        if not math.isfinite(self.carrier_freq):
+            raise ValueError("carrier frequency must be finite")
         nodes.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -178,40 +162,14 @@ class BandSignal:
             vals = self.kernel.eval(offs).astype(complex) @ self.coeffs
         if self.carrier_freq != 0.0:
             vals = vals * cispi(2.0 * self.carrier_freq * ts)
-        if self.real_part:
-            vals = vals.real.astype(complex)
         if scalar:
             return complex(vals[0])
         return vals.reshape(t_arr.shape)
 
 
-def constant_signal(value: complex) -> BandSignal:
-    if value == 0:
-        return BandSignal((), ())
-    return BandSignal((0.0,), (complex(value),))
-
-
-def tone_signal(freq: float, form: str = "sin") -> BandSignal:
-    """sin(2 pi f t) or cos(2 pi f t) as a single-node expansion."""
-    return BandSignal((0.0,), (1.0 + 0.0j,), ToneKernel(freq, form))
-
-
-def metric_d(s1: BandSignal, s2: BandSignal, depth: int = 40) -> float:
-    """Truncated weighted metric: sum_{n=1}^{depth} 2^-n sup_{[-n,n]}|s1-s2|,
-    sups taken over a grid of pitch GRID_STEP = 1/64."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    count = int(math.floor(depth / GRID_STEP + 1e-9))
-    ts = np.arange(-count, count + 1) * GRID_STEP
-    diff = np.abs(s1.eval(ts) - s2.eval(ts))
-    order = np.argsort(np.abs(ts), kind="stable")
-    sorted_abs = np.abs(ts)[order]
-    running = np.maximum.accumulate(diff[order])
-    total = 0.0
-    for n in range(1, depth + 1):
-        idx = int(np.searchsorted(sorted_abs, n + 1e-12, side="right")) - 1
-        total += 2.0 ** -n * float(running[idx])
-    return total
+def tone_signal(freq: float) -> BandSignal:
+    """sin(2 pi f t) as a single-node expansion."""
+    return BandSignal((0.0,), (1.0 + 0.0j,), ToneKernel(freq))
 
 
 @dataclass(frozen=True)
@@ -263,13 +221,6 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     return BandCheckReport(leakage=tuple(leakage), tol=tol, passed=passed,
                            half_window=T, edge_fraction=edge_fraction,
                            window_short=window_short)
-
-
-def realify(s: BandSignal) -> BandSignal:
-    """Pointwise real part: the projection of V[a,b] into the real signals
-    of band [-hi, hi]. Idempotent."""
-    return BandSignal(s.nodes, s.coeffs, s.kernel, s.carrier_freq,
-                      real_part=True)
 
 
 def sample(s: BandSignal, step: float, window) -> np.ndarray:
@@ -327,8 +278,8 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
                          f"got {halfwidth}")
     if denominator < 1:
         raise ValueError("sampling denominator must be a positive integer")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     step = 1.0 / denominator
     rng = np.random.default_rng(seed)
     k_max = int(round(32.0 * denominator))
@@ -350,8 +301,8 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
         if sampled < 1e-9 and cont > 1e-6:
             violations.append(trial)
     counterexample = None
-    if trials >= 1 and halfwidth >= denominator / 2.0:
-        tone = tone_signal(denominator / 2.0, "sin")
+    if halfwidth >= denominator / 2.0:
+        tone = tone_signal(denominator / 2.0)
         vals = sample(tone, step, (-k_max, k_max))
         cont = float(np.max(np.abs(tone.eval(grid))))
         counterexample = {

@@ -138,10 +138,10 @@ class NodeMultiset:
         """Block n with n*l <= position < (n+1)*l, per entry."""
         return np.floor(self.positions() / self.params.l).astype(np.int64)
 
-    def block_counts(self, window=None) -> np.ndarray:
+    def block_counts(self) -> np.ndarray:
         """Multiplicity-weighted node count per block; element i counts
-        block lo + i of the window (default: the multiset's own)."""
-        lo, hi = window if window is not None else self.window
+        block lo + i of the multiset's window (lo, hi)."""
+        lo, hi = self.window
         blocks = self.block_index()
         inside = (blocks >= lo) & (blocks <= hi)
         return np.bincount(blocks[inside] - lo,
@@ -168,14 +168,14 @@ class ConditionReport:
         return self.c1 and self.c2
 
 
-def check_conditions(mset: NodeMultiset, window=None) -> ConditionReport:
+def check_conditions(mset: NodeMultiset) -> ConditionReport:
     """Evaluate c1 (origin gap), c2 (block capacity), c3 (full nonzero
-    blocks) on the given block window."""
-    win = tuple(window) if window is not None else mset.window
+    blocks) on the multiset's block window."""
+    win = mset.window
     p = mset.params
     dist = np.abs(mset.positions())
     c1 = bool(np.all(dist[dist > POSITION_ZERO_TOL] >= p.min_gap - CONDITION_SLACK))
-    counts = mset.block_counts(win)
+    counts = mset.block_counts()
     ns = np.arange(win[0], win[1] + 1)
     cap = p.lrho
     over = tuple(ns[counts > cap].tolist())

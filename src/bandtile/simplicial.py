@@ -237,30 +237,6 @@ class MetricSample:
         return self.dist[self.index(a)][self.index(b)]
 
 
-def subdivide(c: Complex) -> Complex:
-    """Barycentric subdivision: new vertices are the simplices of c (as
-    ordered tuples), new maximal simplices are the complete flags
-    sigma_1 < sigma_2 < ... inside each maximal simplex. Dimension is
-    preserved and the geometric realization is unchanged."""
-    flags = []
-    for top in c.maximal_simplices():
-        for perm in itertools.permutations(top):
-            chain = [c.ordered(perm[:r]) for r in range(1, len(perm) + 1)]
-            flags.append(tuple(chain))
-    return Complex.from_maximal(flags)
-
-
-def subdivide_map(m: SimplicialMap) -> SimplicialMap:
-    """Induced map on the barycentric subdivision: each chain vertex goes
-    to the barycenter of its simplex's vertex images."""
-    sub = subdivide(m.complex)
-    images = {}
-    for w in sub.vertices:
-        pts = [m.images[v] for v in w]
-        images[w] = tuple(sum(col) / len(pts) for col in zip(*pts))
-    return SimplicialMap(sub, images)
-
-
 def _forward(rows, through_gaps=True):
     """Fraction-free forward elimination of integer rows, in place (Bareiss
     1968). Every update (piv*a - f*b) // prev divides exactly, since each
@@ -533,28 +509,6 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
     raise RuntimeError(
         "no embedding found within 32 perturbations of "
         f"magnitude {magnitude}")
-
-
-def segment_family_check(f: SimplicialMap, g: SimplicialMap,
-                         t_grid) -> tuple:
-    """is_embedding along the segment (1-t) f + t g at each grid t in
-    [0, 1). A sampled surrogate: it checks the grid, not the whole
-    interval. Returns (True, None) or (False, first failing t)."""
-    if f.complex != g.complex:
-        raise ValueError("maps must share one complex")
-    if f.dim_target != g.dim_target:
-        raise ValueError("maps must share one target dimension")
-    for t in t_grid:
-        t = float(t)
-        if not 0.0 <= t < 1.0:
-            raise ValueError("grid values must lie in [0, 1)")
-        images = {v: tuple((1.0 - t) * a + t * b
-                           for a, b in zip(f.images[v], g.images[v]))
-                  for v in f.complex.vertices}
-        ok, _ = is_embedding(SimplicialMap(f.complex, images))
-        if not ok:
-            return False, t
-    return True, None
 
 
 def eps_embedding_check(sample: MetricSample, images: dict, eps: float,

@@ -6,8 +6,9 @@ discrete [0,1]-valued signals, a trapezoidal marker bump whose orbit
 samples satisfy the marker-sequence invariants, and a band-limited encoder
 that plants one kernel copy per time step with the orbit height as
 coefficient. The subshift gets a toy codec: a nearest-marker partition of
-the integer window, one block map per tile, and a verifier for the
-resulting delta-embedding property under the word metric.
+the integer window with the identity block map on every tile, and a
+verifier for the resulting delta-embedding property under the word
+metric.
 
 Time shifts are handled exactly. A Rotation carries an integer step count
 so that advancing the orbit relabels time instead of re-rounding the
@@ -20,24 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .bandlimited import Band, BandSignal, BumpKernel
 from .numutil import cispi, circle_dist, cospi, frac
 from .tiling import MARKER_DTYPE, MarkerSeq
-
-
-def near_rational(alpha: float):
-    """Smallest-denominator rational p/q with q <= 1000 within 1e-12 of
-    alpha, as (p, q, error), or None. Advisory: callers warn, not fail."""
-    for q in range(1, 1001):
-        p = round(alpha * q)
-        err = abs(alpha - p / q)
-        if err < 1e-12:
-            return p, q, err
-    return None
 
 
 @dataclass(frozen=True)
@@ -47,7 +37,7 @@ class Rotation:
     step counts how many times the shift has been applied: point(n)
     evaluates the phase at time step+n in one rounding, so shifted(k)
     produces bitwise the same orbit values at relabeled times. A nearly
-    rational alpha still constructs (near_rational is advisory only).
+    rational alpha still constructs.
     """
 
     alpha: float
@@ -212,16 +202,18 @@ class MarkerScheme(NamedTuple):
 
 # orbit times per vectorised step of the marker_function plateau scan
 SCAN_CHUNK = 4096
+# plateau visits that calibrate M, and the last orbit time scanned for them
+PLATEAU_HITS = 64
+SCAN_LIMIT = 10 ** 6
 
 
-def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
-                    scan_limit: int = 10 ** 6) -> MarkerScheme:
+def marker_function(r: Rotation, L: int) -> MarkerScheme:
     """Bump h whose orbit samples are valid markers at separation L.
 
     The support arc takes 90% of the closest approach of the first L
     rotation steps to 0, so two orbit points inside the support are always
     more than L steps apart. M is calibrated from the orbit scanned until
-    plateau_hits visits of the h = 1 core. Return gaps to an arc take at
+    PLATEAU_HITS visits of the h = 1 core, up to time SCAN_LIMIT. Return gaps to an arc take at
     most three values, the largest the sum of the other two (Slater's
     three-gap theorem), so a scan can miss the rare largest one. M is one
     above the larger of the largest observed gap and the sum of the two
@@ -236,15 +228,15 @@ def marker_function(r: Rotation, L: int, plateau_hits: int = 64,
     w = 0.45 * gap
     h = MarkerBump(w)
     hits = []
-    for start in range(0, scan_limit + 1, SCAN_CHUNK):
-        ns = np.arange(start, min(start + SCAN_CHUNK, scan_limit + 1))
+    for start in range(0, SCAN_LIMIT + 1, SCAN_CHUNK):
+        ns = np.arange(start, min(start + SCAN_CHUNK, SCAN_LIMIT + 1))
         hits.extend(ns[h(r.point(ns)) == 1.0].tolist())
-        if len(hits) >= plateau_hits:
+        if len(hits) >= PLATEAU_HITS:
             break
-    hits = hits[:plateau_hits]
+    hits = hits[:PLATEAU_HITS]
     if len(hits) < 2:
         raise ValueError(
-            f"orbit scan of {scan_limit} steps saw {len(hits)} plateau "
+            f"orbit scan of {SCAN_LIMIT} steps saw {len(hits)} plateau "
             f"visits; alpha = {r.alpha} gives no usable marker scheme")
     # one above the worst plateau return gap: height-1 entries then sit
     # strictly closer than M, keeping Voronoi tiles inside open windows
@@ -287,8 +279,7 @@ def _quadratic_decay_guard(kernel) -> float:
     return k_near
 
 
-def marker_encode(r: Rotation, h, band: Band, window,
-                  kernel=None) -> BandSignal:
+def marker_encode(r: Rotation, h, band: Band, window) -> BandSignal:
     """Band-limited orbit encoding: one kernel copy per integer time k
     with coefficient h(x_k), modulated to the band center. The nodes are
     the window's times as float64; h is applied elementwise to the array
@@ -297,16 +288,11 @@ def marker_encode(r: Rotation, h, band: Band, window,
     The carrier phase is absorbed into the coefficients, so each term
     depends on (t - k) and the orbit point alone and the encoder of the
     shifted rotation equals the time-shifted encoding up to rounding and
-    window truncation. Defaults to a smooth bump kernel occupying 90% of
-    the band; kernels must fit the band halfwidth and decay
-    quadratically."""
+    window truncation. The kernel is the smooth bump occupying 90% of the
+    band, so it fits the band; it must still pass the quadratic decay
+    guard, which the bump of a narrow band, spread wide in time, fails."""
     window = _check_window(window)
-    if kernel is None:
-        kernel = BumpKernel(0.9 * (band.hi - band.lo))
-    if kernel.halfwidth > (band.hi - band.lo) / 2.0 + 1e-12:
-        raise ValueError(
-            f"kernel halfwidth {kernel.halfwidth} exceeds band halfwidth "
-            f"{(band.hi - band.lo) / 2.0}")
+    kernel = BumpKernel(0.9 * (band.hi - band.lo))
     _quadratic_decay_guard(kernel)
     c = band.carrier()
     ns = np.arange(window.start, window.stop)
@@ -352,10 +338,6 @@ class SubshiftWindow:
                 and self.window == other.window
                 and np.array_equal(self.word, other.word))
 
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.word.min() == self.word.max())
-
     def __getitem__(self, n: int) -> int:
         return int(self.word[self.window.index(n)])
 
@@ -378,7 +360,7 @@ def sturmian_window(slope: float, intercept: float,
     floor((n+1) slope + intercept) - floor(n slope + intercept).
 
     Irrational slopes give Sturmian words; rational slopes give periodic
-    balanced words; slope 0 is the all-zero word (degenerate flag)."""
+    balanced words; slope 0 is the all-zero word."""
     window = _check_window(window)
     ns = np.arange(window.start, window.stop)
     word = (np.floor((ns + 1) * slope + intercept)
@@ -423,44 +405,13 @@ def voronoi_tiles(markers, window) -> tuple:
     return tuple(tiles)
 
 
-def toy_encode(x: SubshiftWindow, markers, G=None,
-               tube: float = None) -> DiscreteSignal:
-    """Tile the word's window by nearest marker and apply one block map
-    per tile.
-
-    Each tile of size c feeds its uint8 letter block to the size-c map of
-    the family G (a mapping from block length to map, or one map used for
-    every length; default is the identity inclusion of binary blocks) and
-    the c outputs land on the tile's sites in order. With tube set, the
-    output must stay within tube of the identity encoding (the word
-    itself) at every site."""
-    start = x.window.start
-    values = np.empty(len(x.window))
-    for m, lo, hi in voronoi_tiles(markers, x.window):
-        block = x.letters(lo, hi)
-        size = hi - lo + 1
-        if isinstance(G, Mapping):
-            if size not in G:
-                raise ValueError(
-                    f"no block map of length {size} supplied; the tile of "
-                    f"marker {m} spans sites {lo}..{hi}")
-            gmap = G[size]
-        else:
-            gmap = G
-        out = block if gmap is None else np.fromiter(gmap(block), float)
-        if out.size != size:
-            raise ValueError(
-                f"block map returned {out.size} values for a tile of "
-                f"size {size}")
-        values[lo - start:hi - start + 1] = out
-    sig = DiscreteSignal(x.window, values)
-    if tube is not None:
-        gap = float(np.max(np.abs(sig.values - x.word)))
-        if gap >= tube:
-            raise ValueError(
-                f"encoded signal leaves the tube: sup gap {gap:.6g} >= "
-                f"{tube} from the identity encoding")
-    return sig
+def toy_encode(x: SubshiftWindow, markers) -> DiscreteSignal:
+    """The toy codec with identity block maps: each tile of the
+    nearest-marker partition (voronoi_tiles) carries its own letters, so
+    the encoding is the word itself on its window. The markers are checked
+    as voronoi_tiles checks them."""
+    _check_markers(markers, x.window)
+    return DiscreteSignal(x.window, x.word)
 
 
 def _local_word_distance(x: SubshiftWindow, y: SubshiftWindow, lo: int,
@@ -559,8 +510,7 @@ class ToyReport:
 
 
 def toy_verify(pairs, markers, delta: float, eps: float) -> ToyReport:
-    """Check the delta-embedding property of toy_encode, with its default
-    identity block maps, over word pairs.
+    """Check the delta-embedding property of toy_encode over word pairs.
 
     markers holds one marker set per pair. For every pair whose
     encodings are equal, the word distance must stay below delta. The

@@ -356,22 +356,3 @@ def verify_conditions(t: Tiling, p: WeightParams) -> WeightReport:
                         wild_points=len(wild),
                         witnesses=tuple(witnesses), matrix=w)
 
-
-def surplus_check(t: Tiling, p: WeightParams, a: float) -> bool:
-    """Tax versus care over one averaging window: sum of
-    (|tile n| - tax_threshold)+ over markers n in [a, a + reach] must reach
-    cost_ratio times the sum of (care_range - dist(r, boundary))+ over
-    integers r there. The window must cover [a - M, a + reach + M] so both
-    sums use exact tiles."""
-    win_lo, win_hi = t.window
-    if a - p.M < win_lo - SLACK or a + p.reach + p.M > win_hi + SLACK:
-        raise ValueError(
-            "tiling window must cover [a - M, a + reach + M]")
-    tax = sum(max(tile.length - p.tax_threshold, 0.0)
-              for n, tile in t.nonempty()
-              if a - SLACK <= n <= a + p.reach + SLACK)
-    rs = np.arange(math.ceil(a - SLACK), math.floor(a + p.reach + SLACK) + 1)
-    # a Python sum adds left to right; np.sum's pairwise order rounds apart
-    care = sum(np.maximum(p.care_range - _boundary_distance(t, rs),
-                          0.0).tolist())
-    return tax + SLACK >= p.cost_ratio * care

@@ -105,7 +105,7 @@ def test_02_interpolation_duality():
 def test_03_nyquist_pair():
     t0 = time.perf_counter()
     rep = sampling_injectivity_stress(0.4, 1, 1000, seed=0)
-    tone = tone_signal(1.0, "sin")
+    tone = tone_signal(1.0)
     vals = sample(tone, 0.5, (-64, 64))
     assert vals.shape == (129,)
     peak = float(np.max(np.abs(vals)))

@@ -9,13 +9,9 @@ from bandtile.bandlimited import (
     Band,
     BandSignal,
     BumpKernel,
-    ConstantKernel,
     SincKernel,
     ToneKernel,
     band_check,
-    constant_signal,
-    metric_d,
-    realify,
     sample,
     sampling_injectivity_stress,
     tone_signal,
@@ -25,12 +21,12 @@ from bandtile.numutil import cispi
 
 
 def test_eval_single_node_normalization():
-    s = BandSignal((0.0,), (1.0 + 0.0j,), ConstantKernel())
+    s = BandSignal((0.0,), (1.0 + 0.0j,), SincKernel(0.45))
     assert s.eval(0.0) == 1.0
 
 
 def test_eval_empty_signal_is_zero():
-    s = BandSignal((), ())
+    s = BandSignal((), (), SincKernel(0.45))
     assert s.eval(0.0) == 0.0
     assert s.eval(17.3) == 0.0
 
@@ -46,13 +42,13 @@ def test_eval_two_nodes_matches_direct_sum():
 
 def _direct_bump_sum(sig, t):
     """The per-(point, node) sum that BandSignal.eval replaces for bump
-    kernels, with the carrier and real part applied after it."""
+    kernels, with the carrier applied after it."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     nodes, coeffs = np.array(sig.nodes), np.array(sig.coeffs)
     vals = bump_transform(sig.kernel.tau, ts[:, None] - nodes[None, :]) @ coeffs
     if sig.carrier_freq != 0.0:
         vals = vals * cispi(2.0 * sig.carrier_freq * ts)
-    return vals.real + 0j if sig.real_part else vals
+    return vals
 
 
 def test_bump_eval_matches_direct_sum():
@@ -65,8 +61,7 @@ def test_bump_eval_matches_direct_sum():
         nodes = np.sort(rng.uniform(-30.0, 30.0, count))
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
         sig = BandSignal(tuple(nodes), tuple(coeffs), BumpKernel(tau),
-                         carrier_freq=(0.0, 2.5)[trial % 2],
-                         real_part=trial % 4 >= 2)
+                         carrier_freq=(0.0, 2.5)[trial % 2])
         bound = 1e-15 * (1.0 + np.abs(coeffs).sum())
         # points beyond the node span on both sides, and on nodes
         ts = np.concatenate([rng.uniform(-70.0, 70.0, 60), nodes[:3]])
@@ -79,29 +74,15 @@ def test_bump_eval_matches_direct_sum():
         assert empty.shape == (0,) and empty.dtype == complex
 
 
-def test_metric_identity_and_symmetry():
-    s = tone_signal(0.3, "cos")
-    z = constant_signal(0.0)
-    assert metric_d(s, s) == 0.0
-    assert metric_d(s, z) == metric_d(z, s)
-
-
-def test_metric_constants_geometric_series():
-    # sup gap is 1 on every block, so the metric telescopes to 1 - 2^-30
-    one = constant_signal(1.0)
-    zero = constant_signal(0.0)
-    assert metric_d(one, zero, depth=30) == 1.0 - 2.0 ** -30
-
-
 def test_band_check_midband_tone_passes():
     band = Band(2.0, 3.0)
-    s = tone_signal(2.5, "cos")
+    s = tone_signal(2.5)
     rep = band_check(s, band, probe_freqs=[1.0, 4.0], tol=1e-3)
     assert rep.passed
 
 
 def test_band_check_zero_signal():
-    rep = band_check(constant_signal(0.0), Band(2.0, 3.0),
+    rep = band_check(BandSignal((), (), SincKernel(0.45)), Band(2.0, 3.0),
                      probe_freqs=[1.0, 4.0], tol=1e-12)
     assert rep.passed
     assert all(v == 0.0 for _, v in rep.leakage)
@@ -109,46 +90,34 @@ def test_band_check_zero_signal():
 
 def test_band_check_out_of_band_tone_fails():
     band = Band(2.0, 3.0)
-    s = tone_signal(4.0, "cos")
+    s = tone_signal(4.0)
     rep = band_check(s, band, probe_freqs=[4.0], tol=1e-3)
     assert not rep.passed
     assert dict(rep.leakage)[4.0] > 0.1
 
 
-def test_realify_fixes_reals_kills_imaginary():
-    s = tone_signal(0.3, "sin")
-    r = realify(s)
-    for t in (0.0, 0.4, 1.7):
-        assert r.eval(t) == s.eval(t).real
-    imag = constant_signal(1j)
-    assert realify(imag).eval(0.7) == 0.0
-
-
-def test_realify_complex_exponential_gives_cosine():
-    # e^{2 pi i t} via a unit carrier on the constant kernel
-    s = BandSignal((0.0,), (1.0 + 0.0j,), ConstantKernel(), carrier_freq=1.0)
-    r = realify(s)
-    for t, want in ((0.0, 1.0), (0.25, 0.0), (0.5, -1.0)):
-        assert r.eval(t) == pytest.approx(want, abs=1e-15)
-
-
 def test_sample_constant_all_ones():
-    vals = sample(constant_signal(1.0), 0.5, (0, 7))
+    # sin(2 pi (t + 1) / 4) sampled once per period, at its crests
+    s = BandSignal((-1.0,), (1.0,), ToneKernel(0.25))
+    vals = sample(s, 4.0, (0, 7))
     assert vals.dtype == complex and vals.tolist() == [1.0 + 0.0j] * 8
 
 
 def test_sample_cosine_frozen_values():
-    vals = sample(tone_signal(0.3, "cos"), 0.5, (0, 3))
+    # sin(2 pi (t + 1) / 4) = cos(pi t / 2), exact at the quarter periods
+    s = BandSignal((-1.0,), (1.0,), ToneKernel(0.25))
+    vals = sample(s, 0.5, (0, 3))
     assert vals.shape == (4,)
-    assert vals[0] == pytest.approx(1.0, abs=1e-15)
-    assert vals[1] == pytest.approx(math.cos(0.3 * math.pi), abs=1e-15)
+    assert vals[0] == 1.0 and vals[2] == 0.0
+    assert vals[1] == pytest.approx(math.cos(0.25 * math.pi), abs=1e-15)
+    assert vals[3] == pytest.approx(math.cos(0.75 * math.pi), abs=1e-15)
 
 
-def test_stress_empty_report():
-    rep = sampling_injectivity_stress(0.4, 1, 0)
-    assert rep.trials == 0
-    assert rep.violations == ()
-    assert rep.counterexample is None
+def test_stress_rejects_zero_trials():
+    # with no trial nothing is checked, not even the injected counterexample
+    for halfwidth in (0.4, 0.5):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sampling_injectivity_stress(halfwidth, 1, 0)
 
 
 def test_stress_subcritical_band_no_violations():
@@ -161,7 +130,7 @@ def test_nyquist_counterexample_vanishes_on_half_integers():
     """sin(2 pi t) is band limited to [-1, 1] yet every half-integer
     sample is exactly zero, so rate-1/2 sampling cannot separate it
     from the zero signal."""
-    s = tone_signal(1.0, "sin")
+    s = tone_signal(1.0)
     vals = sample(s, 0.5, (-64, 64))
     assert vals.shape == (129,) and np.all(vals == 0.0)
 
@@ -186,6 +155,23 @@ def test_band_signal_rejects_bad_arrays(nodes, coeffs):
         BandSignal(nodes, coeffs, SincKernel(0.4))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Band(0.0, math.inf),
+    lambda: Band(-math.inf, 0.0),
+    lambda: BumpKernel(math.nan),
+    lambda: BumpKernel(math.inf),
+    lambda: ToneKernel(math.nan),
+    lambda: ToneKernel(math.inf),
+    lambda: SincKernel(math.nan),
+    lambda: BandSignal((0.0,), (1.0,), SincKernel(0.4),
+                       carrier_freq=math.nan),
+], ids=["band-hi-inf", "band-lo-inf", "bump-nan", "bump-inf", "tone-nan",
+        "tone-inf", "sinc-nan", "carrier-nan"])
+def test_non_finite_parameters_are_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_band_signal_holds_read_only_copies():
     nodes, coeffs = np.array([0.0, 1.5]), np.array([1.0, 2.0 - 1.0j])
     s = BandSignal(nodes, coeffs, SincKernel(0.4))
@@ -204,14 +190,13 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 @st.composite
 def signals(draw):
-    kernel = draw(st.sampled_from([ConstantKernel(), SincKernel(0.45),
-                                   ToneKernel(0.3, "cos"), BumpKernel(0.8)]))
+    kernel = draw(st.sampled_from([SincKernel(0.45), ToneKernel(0.3),
+                                   BumpKernel(0.8)]))
     slots = draw(st.lists(st.integers(-60, 60), max_size=8, unique=True))
     coeffs = [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
               for _ in slots]
     return BandSignal(np.sort(slots) / 3.0, coeffs, kernel,
-                      carrier_freq=draw(st.sampled_from([0.0, 0.3, 2.5])),
-                      real_part=draw(st.booleans()))
+                      carrier_freq=draw(st.sampled_from([0.0, 0.3, 2.5])))
 
 
 @PROPERTY

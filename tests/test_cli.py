@@ -227,6 +227,8 @@ def test_tolerance_override_recorded(tmp_path):
     ["codec", "marker", "--tol", "leak=nan"],
     # below reach + 3 M = 530 the receiver core is empty: nothing to check
     ["weights", "run", "--span", "500"],
+    # no trial: nothing would be checked, the counterexample included
+    ["sampling", "--trials", "0"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)

@@ -244,15 +244,16 @@ def reference_block_counts(mset, window):
 def test_conditions_match_per_entry_reference(mset, dlo, dhi):
     lo, hi = mset.window
     window = (lo + dlo, max(lo + dlo, hi + dhi))
+    rewindowed = NodeMultiset(mset.entries, mset.params, window)
     counts = reference_block_counts(mset, window)
-    assert mset.block_counts(window).tolist() == list(counts.values())
+    assert rewindowed.block_counts().tolist() == list(counts.values())
     cap = mset.params.lrho
     nonzero = [abs(p) for p, _ in mset.entries.tolist()
                if abs(p) > POSITION_ZERO_TOL]
     c1 = not nonzero or min(nonzero) >= mset.params.min_gap - CONDITION_SLACK
     over = tuple(n for n, c in counts.items() if c > cap)
     c3 = not over and all(c == cap for n, c in counts.items() if n != 0)
-    rep = check_conditions(mset, window)
+    rep = check_conditions(rewindowed)
     assert (rep.c1, rep.c2, rep.c3) == (c1, not over, c3)
     assert rep.offending_blocks == over
 

@@ -20,9 +20,6 @@ from bandtile.simplicial import (
     is_embedding,
     perturb_to_embedding,
     random_map,
-    segment_family_check,
-    subdivide,
-    subdivide_map,
     triangulated_strip,
     verify_witness,
 )
@@ -103,18 +100,6 @@ def test_crossing_pair_counterexamples(D):
     assert verify_witness(m, w)
 
 
-def test_subdivision_counts():
-    pt = subdivide(Complex.from_maximal([("p",)]))
-    assert len(pt.vertices) == 1 and len(pt.simplices) == 1
-    edge = subdivide(Complex.from_maximal([(0, 1)]))
-    assert len(edge.vertices) == 3
-    assert sum(len(s) == 2 for s in edge.simplices) == 2
-    tri = subdivide(Complex.from_maximal([(0, 1, 2)]))
-    assert len(tri.vertices) == 7
-    assert sum(len(s) == 3 for s in tri.simplices) == 6
-    assert sum(len(s) == 2 for s in tri.simplices) == 12
-
-
 @settings(PROPERTY, max_examples=200)
 @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
                 min_size=1, max_size=8))
@@ -124,16 +109,6 @@ def test_maximal_simplices_match_pairwise_scan(tops):
     want = tuple(c.ordered(s) for s in sorted(maxs, key=lambda s: tuple(
         sorted(c.vertex_index(v) for v in s))))
     assert c.maximal_simplices() == want
-
-
-def test_subdivide_map_sends_barycenter_to_image_barycenter():
-    tri = Complex.from_maximal([(0, 1, 2)])
-    m = SimplicialMap(tri, {0: (0.0, 0.0), 1: (3.0, 0.0), 2: (0.0, 3.0)})
-    sm = subdivide_map(m)
-    center = next(v for v in sm.complex.vertices if len(v) == 3)
-    assert sm.images[center] == (1.0, 1.0)
-    ok, _ = is_embedding(sm)
-    assert ok
 
 
 def test_triangulated_strip_shape():
@@ -183,20 +158,6 @@ def test_collapse_map_on_an_edge_gets_fixed():
     fixed = perturb_to_embedding(squashed, magnitude=0.5, rng_seed=1)
     ok, _ = is_embedding(fixed)
     assert ok
-
-
-def test_segment_family_identity_and_midpoint_collapse():
-    c = Complex.from_maximal([("a", "b"), ("b", "c")])
-    f = SimplicialMap(c, {"a": (0.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
-                          "c": (2.0, 0.0, 0.0)})
-    ok, t = segment_family_check(f, f, [0.0, 0.25, 0.5, 0.75])
-    assert ok and t is None
-    # reversing the chain collapses everything to the midpoint at t = 1/2
-    g = SimplicialMap(c, {"a": (2.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
-                          "c": (0.0, 0.0, 0.0)})
-    ok2, t2 = segment_family_check(f, g, [0.0, 0.25, 0.5, 0.75])
-    assert not ok2
-    assert t2 == 0.5
 
 
 def test_eps_embedding_check_witnesses():
@@ -527,21 +488,6 @@ def test_power_of_two_scaling_is_lossless(m):
     ok, w = assert_matches_reference(m)
     if not ok:
         assert verify_witness(m, w)
-
-
-def test_segment_family_step_at_one_third_matches_reference():
-    c = Complex.from_maximal([("a", "b"), ("b", "c")])
-    f = SimplicialMap(c, {"a": (0.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
-                          "c": (2.0, 0.0, 0.0)})
-    g = SimplicialMap(c, {"a": (2.0, 0.1, 0.0), "b": (1.0, 0.0, 0.3),
-                          "c": (0.0, 0.0, 0.0)})
-    t = 1 / 3
-    images = {v: tuple((1.0 - t) * a + t * b
-                       for a, b in zip(f.images[v], g.images[v]))
-              for v in c.vertices}
-    ok, _ = assert_matches_reference(SimplicialMap(c, images))
-    assert segment_family_check(f, g, [t]) == ((True, None) if ok
-                                               else (False, t))
 
 
 def test_verify_witness_accepts_exact_witnesses_on_large_images():

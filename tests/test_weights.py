@@ -27,7 +27,6 @@ from bandtile.weights import (
     finalize,
     greedy_rounds,
     receiver_core,
-    surplus_check,
     validate_params,
     verify_conditions,
 )
@@ -157,22 +156,6 @@ def test_wild_instance_serves_every_near_boundary_point():
     assert rep.passed
     assert rep.wild_points == 5
     assert rep.witnesses == ()
-    assert surplus_check(t, p, 1400.0)
-
-
-def test_surplus_check_far_from_boundaries():
-    markers = MarkerSeq(tuple((n, 1.0) for n in (-107, 0, 107, 214)),
-                        L=106, M=110)
-    t = compute_tiles(markers, (-160.0, 260.0))
-    # boundaries sit at -53.5, 53.5, 160.5; none inside [60, 100]
-    assert surplus_check(t, replace(STD, reach=40), 60.0)
-
-
-def test_surplus_check_densest_valid_spacing():
-    markers = MarkerSeq(tuple((n, 1.0) for n in range(0, 1284, 107)),
-                        L=106, M=110)
-    t = compute_tiles(markers, (0.0, 1283.0))
-    assert surplus_check(t, STD, 500.0)
 
 
 def test_invalid_params_can_fail_greedy():
@@ -298,8 +281,8 @@ def reference_dist_to(points, x):
 
 @st.composite
 def weighted_tilings(draw):
-    """A tiling and parameters whose receiver core and averaging window
-    fit inside it; one draw in ten has no nonempty tile at all."""
+    """A tiling and parameters whose receiver core fits inside it; one
+    draw in ten has no nonempty tile at all."""
     L = draw(st.integers(1, 6))
     M = draw(st.integers(L + 2, L + 12))
     p = WeightParams(cost_ratio=draw(st.sampled_from([0.5, 1.0, 3.0])),
@@ -326,21 +309,13 @@ def test_boundary_distance_matches_scalar_search(tp, xs, data):
                                      max_size=5))
     got = _boundary_distance(t, np.array(xs, dtype=float))
     assert got.tolist() == [reference_dist_to(pts, x) for x in xs]
-    # the three callers: receiver needs, and care over one window
+    # the receiver needs that bases reads from it
     want = {}
     for r in receiver_core(t, p):
         need = p.care_range - reference_dist_to(pts, float(r))
         if need > 0.0:
             want[r] = need
     assert bases(t, p)[1] == want
-    a = t.window[0] + p.M
-    tax = sum(max(tile.length - p.tax_threshold, 0.0)
-              for n, tile in t.nonempty()
-              if a - SLACK <= n <= a + p.reach + SLACK)
-    care = sum(max(p.care_range - reference_dist_to(pts, float(r)), 0.0)
-               for r in range(math.ceil(a - SLACK),
-                              math.floor(a + p.reach + SLACK) + 1))
-    assert surplus_check(t, p, a) == (tax + SLACK >= p.cost_ratio * care)
 
 
 # ---------------------------------------------------------------------------
