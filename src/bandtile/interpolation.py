@@ -35,6 +35,9 @@ from .numutil import composite_gauss
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
+# terms of the lattice tail's log series; |w/(A+1)| <= 0.95 converges in
+# about 400, and a series that reaches the limit raises
+LATTICE_TAIL_TERMS = 1999
 
 
 class BlockOverflowError(ValueError):
@@ -232,13 +235,33 @@ def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
     r2 = (w / q) ** 2
     power = np.array(r2, copy=True)
     total = np.zeros_like(r2)
-    for k in range(1, 2000):
+    for k in range(1, LATTICE_TAIL_TERMS + 1):
         term = power * (_zeta_tail_scaled(2 * k, q) / k)
         total += term
         if np.max(np.abs(term)) <= 1e-18 * (1.0 + np.max(np.abs(total))):
             break
         power = power * r2
+    else:
+        raise ValueError(
+            f"lattice tail series did not converge in {LATTICE_TAIL_TERMS} "
+            f"terms (|z|/l = {wmax:.3g}, block radius {block_radius})")
     return np.exp(-lrho * total)
+
+
+def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
+                    block_radius: int) -> np.ndarray:
+    """prod (1 - z/node)^mult over the nonzero nodes in blocks
+    |n| <= block_radius, at each point of the flat complex array z_flat."""
+    pos = mset.positions()
+    keep = ((np.abs(pos) > POSITION_ZERO_TOL)
+            & (np.abs(mset.block_index()) <= block_radius))
+    pos, mult = pos[keep], mset.multiplicities()[keep]
+    if not pos.size:
+        return np.ones_like(z_flat)
+    factors = 1.0 - z_flat[:, None] / pos[None, :]
+    if np.all(mult == 1):
+        return np.prod(factors, axis=1)
+    return np.prod(factors ** mult[None, :], axis=1)
 
 
 def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
@@ -253,21 +276,10 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()
-    l = mset.params.l
-    pos = mset.positions()
-    keep = ((np.abs(pos) > POSITION_ZERO_TOL)
-            & (np.abs(mset.block_index()) <= block_radius))
-    pos, mult = pos[keep], mset.multiplicities()[keep]
-    if pos.size:
-        factors = 1.0 - z_flat[:, None] / pos[None, :]
-        if np.all(mult == 1):
-            out = np.prod(factors, axis=1)
-        else:
-            out = np.prod(factors ** mult[None, :], axis=1)
-    else:
-        out = np.ones_like(z_flat)
+    out = _finite_product(mset, z_flat, block_radius)
     if lattice_tail:
-        out = out * _lattice_tail(z_flat / l, block_radius, mset.params.lrho)
+        p = mset.params
+        out = out * _lattice_tail(z_flat / p.l, block_radius, p.lrho)
     if scalar:
         return complex(out[0])
     return out.reshape(z_arr.shape)
@@ -363,10 +375,38 @@ def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
     return out.reshape(t_arr.shape)
 
 
+def _kernel_factors(params: GridParams, z_flat: np.ndarray,
+                    block_radius: int):
+    """The two kernel factors that no node set changes, on the flat complex
+    points z_flat: the bump window transform and the idealized lattice tail
+    beyond block_radius."""
+    return (bump_transform(params.tau, z_flat),
+            _lattice_tail(z_flat / params.l, block_radius, params.lrho))
+
+
+def _kernel_with(mset: NodeMultiset, z_flat: np.ndarray, block_radius: int,
+                 factors) -> np.ndarray:
+    """cardinal_kernel of mset on z_flat, given _kernel_factors of its
+    params on the same points and block radius."""
+    bump, tail = factors
+    work = NodeMultiset(mset.entries, mset.params,
+                        (-block_radius, block_radius))
+    report = check_conditions(work)
+    if not report.admissible:
+        raise ValueError(
+            f"re-windowed multiset violates conditions (c1={report.c1}, "
+            f"c2={report.c2}, blocks {report.offending_blocks})")
+    finite = _finite_product(saturate(work), z_flat, block_radius)
+    return bump * (finite * tail)
+
+
 def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     """Kernel equal to 1 at the origin and 0 at every other node of the
-    saturated `mset`: the bump window transform times the Weierstrass
-    product with its lattice tail.
+    saturated `mset`: bump * (finite * tail), where bump is the bump window
+    transform, finite the Weierstrass product over the saturated nodes in
+    blocks |n| <= block_radius, and tail the idealized lattice beyond them.
+    Only `finite` depends on the nodes; the certificates compute the other
+    two once per probe grid.
 
     The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,
@@ -375,16 +415,8 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()
-    work = NodeMultiset(mset.entries, mset.params,
-                        (-block_radius, block_radius))
-    report = check_conditions(work)
-    if not report.admissible:
-        raise ValueError(
-            f"re-windowed multiset violates conditions (c1={report.c1}, "
-            f"c2={report.c2}, blocks {report.offending_blocks})")
-    sat = saturate(work)
-    prod = weierstrass_product(sat, z_flat, block_radius, lattice_tail=True)
-    out = bump_transform(mset.params.tau, z_flat) * prod
+    factors = _kernel_factors(mset.params, z_flat, block_radius)
+    out = _kernel_with(mset, z_flat, block_radius, factors)
     if scalar:
         return complex(out[0])
     return out.reshape(z_arr.shape)
@@ -480,6 +512,17 @@ class RadiusCertificate:
     radii_tested: tuple
 
 
+def _check_certificate_args(r: float, eps: float, family_size: int):
+    """A radius certificate needs a finite r >= 0, a finite eps > 0 and at
+    least one family member; otherwise nothing would be checked."""
+    if family_size < 1:
+        raise ValueError(f"family_size must be at least 1, got {family_size}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and >= 0, got {r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+
+
 def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
                       family_size: int = 100, window_blocks: int = 256
                       ) -> RadiusCertificate:
@@ -493,7 +536,10 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     so the dropped set is never trivially empty. The dominant error is the
     one block pair the cut |node| > B splits, roughly r*l*rho/B, so
     certifying small eps takes a window of order r*l*rho/eps blocks.
+    Raises ValueError unless r is finite and >= 0, eps finite and > 0 and
+    family_size >= 1.
     """
+    _check_certificate_args(r, eps, family_size)
     rng = np.random.default_rng(seed)
     win = (-window_blocks, window_blocks)
     family = [saturate(random_admissible_multiset(params, win, rng))
@@ -538,9 +584,12 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     multisets agreeing on [-B, B] give cardinal kernels within eps on the
     real interval |x| <= r, over a randomized family of agreeing pairs.
     The kernels are compared at 65 equally spaced points of the interval,
-    with block radius window_blocks - 8."""
+    with block radius window_blocks - 8. Raises ValueError on the arguments
+    truncation_radius rejects."""
+    _check_certificate_args(r, eps, family_size)
     a = window_blocks - 8
     xs = np.linspace(-r, r, 65).astype(complex)
+    factors = _kernel_factors(params, xs, a)
     radii = []
     b = float(params.l)
     max_radius = window_blocks * params.l / 2
@@ -551,8 +600,8 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
         worst = 0.0
         for _ in range(family_size):
             m1, m2 = agreeing_pair(params, (-window_blocks, window_blocks), b, rng)
-            v1 = cardinal_kernel(m1, xs, a)
-            v2 = cardinal_kernel(m2, xs, a)
+            v1 = _kernel_with(m1, xs, a, factors)
+            v2 = _kernel_with(m2, xs, a, factors)
             worst = max(worst, float(np.max(np.abs(v1 - v2))))
         worst_last = worst
         if worst < eps:
@@ -601,14 +650,15 @@ def decay_constant(params: GridParams, seed: int = 0) -> float:
     win = (-48, 48)
     xs = np.linspace(-32.0, 32.0, 513).astype(complex)
     weight = 1.0 + (xs.real * xs.real)
+    factors = _kernel_factors(params, xs, a)
     lattice = saturate(NodeMultiset((), params, win))
-    best = float(np.max(np.abs(cardinal_kernel(lattice, xs, a)) * weight))
+    best = float(np.max(np.abs(_kernel_with(lattice, xs, a, factors)) * weight))
     for mset in _extreme_multisets(params, win):
-        vals = cardinal_kernel(mset, xs, a)
+        vals = _kernel_with(mset, xs, a, factors)
         best = max(best, float(np.max(np.abs(vals) * weight)))
     for i in range(64):
         rng = np.random.default_rng((seed, i))
         mset = random_admissible_multiset(params, win, rng)
-        vals = cardinal_kernel(mset, xs, a)
+        vals = _kernel_with(mset, xs, a, factors)
         best = max(best, float(np.max(np.abs(vals) * weight)))
     return best

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandtile import interpolation
 from bandtile.interpolation import (
     CONDITION_SLACK,
     POSITION_ZERO_TOL,
@@ -177,6 +178,58 @@ def test_locality_radius_frozen():
     assert cert.sup_error == 0.008406082293035744
 
 
+CERTIFICATES = {
+    "truncation": lambda r, eps, family_size: truncation_radius(
+        r, eps, PARAMS, family_size=family_size, window_blocks=16),
+    "locality": lambda r, eps, family_size: locality_radius(
+        r, eps, PARAMS, family_size=family_size, window_blocks=16),
+}
+
+
+@pytest.mark.parametrize("cert", sorted(CERTIFICATES))
+@pytest.mark.parametrize("r, eps, family_size, message", [
+    (1.0, 1e-2, 0, "family_size"),
+    (1.0, 1e-2, -3, "family_size"),
+    (math.nan, 1e-2, 2, "r must"),
+    (math.inf, 1e-2, 2, "r must"),
+    (-1.0, 1e-2, 2, "r must"),
+    (1.0, 0.0, 2, "eps must"),
+    (1.0, -1e-2, 2, "eps must"),
+    (1.0, math.nan, 2, "eps must"),
+    (1.0, math.inf, 2, "eps must"),
+])
+def test_radius_certificates_reject_unchecked_arguments(cert, r, eps,
+                                                        family_size, message):
+    # with no member, a non-finite or negative r, or an eps that every
+    # error meets or none can, a certificate would check nothing
+    with pytest.raises(ValueError, match=message):
+        CERTIFICATES[cert](r, eps, family_size)
+
+
+def test_lattice_tail_reports_its_term_limit(monkeypatch):
+    lat = saturate(NodeMultiset((), PARAMS, (-8, 8)))
+    z = np.array([2.5 + 0.0j])
+    weierstrass_product(lat, z, 8, lattice_tail=True)
+    monkeypatch.setattr(interpolation, "LATTICE_TAIL_TERMS", 3)
+    with pytest.raises(ValueError, match="did not converge in 3 terms"):
+        weierstrass_product(lat, z, 8, lattice_tail=True)
+
+
+def test_certificates_build_kernel_factors_once(monkeypatch):
+    calls = {"bump_transform": 0, "_lattice_tail": 0}
+    for name in calls:
+        inner = getattr(interpolation, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(interpolation, name, counted)
+    locality_radius(4.0, 1e-2, PARAMS, family_size=4, window_blocks=24)
+    assert calls == {"bump_transform": 1, "_lattice_tail": 1}
+    decay_constant(PARAMS)
+    assert calls == {"bump_transform": 2, "_lattice_tail": 2}
+
+
 def test_identical_multisets_give_identical_kernels():
     rng = np.random.default_rng(8)
     mset = saturate(random_admissible_multiset(PARAMS, (-40, 40), rng))
@@ -310,3 +363,72 @@ def test_agreeing_pair_matches_sequential_fill(params, half, radius, seed):
         merged[p] = m
     assert variant.entries.tolist() == sorted(merged.items())
     assert check_conditions(variant).admissible
+
+
+# ---------------------------------------------------------------------------
+# the kernel split into node-free factors and the per-member product
+
+
+def reference_kernel(mset, z, block_radius):
+    """cardinal_kernel as one expression: window times the saturated
+    product with its lattice tail."""
+    work = NodeMultiset(mset.entries, mset.params,
+                        (-block_radius, block_radius))
+    prod = weierstrass_product(saturate(work), z, block_radius,
+                               lattice_tail=True)
+    return bump_transform(mset.params.tau, z) * prod
+
+
+SPLIT_PARAMS = (PARAMS, GridParams(l=2, rho=Fraction(3, 2), tau=0.5),
+                GridParams(l=3, rho=Fraction(2, 3), tau=0.9))
+
+
+@PROPERTY
+@given(st.sampled_from(SPLIT_PARAMS), st.sampled_from((4, 8, 12)),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=40),
+       st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+def test_kernel_split_is_bitwise(params, radius, seed, fractions, imag):
+    mset = random_admissible_multiset(params, (-radius - 4, radius + 4),
+                                      np.random.default_rng(seed))
+    z = np.array(fractions) * (radius * params.l) + 1j * imag
+    assert np.array_equal(cardinal_kernel(mset, z, radius),
+                          reference_kernel(mset, z, radius))
+
+
+def test_locality_radius_matches_per_member_reference():
+    # the certificate's loop, with the reference kernel per member
+    r, eps, family, blocks = 4.0, 1e-2, 3, 24
+    xs = np.linspace(-r, r, 65).astype(complex)
+    radii = []
+    for b in (1.0, 2.0, 4.0, 8.0):
+        radii.append(b)
+        rng = np.random.default_rng((0, int(b)))
+        worst = 0.0
+        for _ in range(family):
+            m1, m2 = agreeing_pair(PARAMS, (-blocks, blocks), b, rng)
+            gap = (reference_kernel(m1, xs, blocks - 8)
+                   - reference_kernel(m2, xs, blocks - 8))
+            worst = max(worst, float(np.max(np.abs(gap))))
+        if worst < eps:
+            break
+    cert = locality_radius(r, eps, PARAMS, family_size=family,
+                           window_blocks=blocks)
+    assert cert.certified
+    assert (cert.radius, cert.sup_error, cert.radii_tested) == (
+        b, worst, tuple(radii))
+
+
+def test_decay_constant_matches_per_member_reference():
+    params = SPLIT_PARAMS[1]
+    win = (-48, 48)
+    xs = np.linspace(-32.0, 32.0, 513).astype(complex)
+    family = [saturate(NodeMultiset((), params, win))]
+    family += interpolation._extreme_multisets(params, win)
+    family += [random_admissible_multiset(params, win,
+                                          np.random.default_rng((5, i)))
+               for i in range(64)]
+    best = max(float(np.max(np.abs(reference_kernel(m, xs, 40))
+                            * (1.0 + xs.real * xs.real)))
+               for m in family)
+    assert decay_constant(params, seed=5) == best
