@@ -226,7 +226,9 @@ def _zeta_tail_scaled(k2: int, q: int) -> float:
 def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
     """Product over idealized saturated blocks |n| > A, in symmetric pairs:
     prod_{n>A} (1 - w^2/n^2)^{lrho}, via the Hurwitz zeta log series."""
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
+    if not w.size:
+        return np.ones_like(w)
+    wmax = float(np.max(np.abs(w)))
     q = block_radius + 1
     if wmax >= 0.95 * q:
         raise ValueError(

@@ -304,9 +304,14 @@ def marker_encode(r: Rotation, h, band: Band, window) -> BandSignal:
 @dataclass(frozen=True, eq=False)
 class SubshiftWindow:
     """A binary word observed over an integer window: one read-only uint8
-    array with one letter per window site, validated balanced (two factors
-    of equal length never differ by more than one in their count of
-    ones). Equal when the windows and the letters are equal."""
+    array with one letter per window site, balanced (two factors of equal
+    length never differ by more than one in their count of ones). Equal
+    when the windows and the letters are equal.
+
+    The public constructor validates the letters and runs the O(n^2)
+    balance check. The private _trusted classmethod skips both; it is only
+    for words balanced by construction (an exact mechanical word, or the
+    letters of a window already built)."""
 
     word: np.ndarray
     window: range
@@ -333,6 +338,15 @@ class SubshiftWindow:
         word.flags.writeable = False
         object.__setattr__(self, "word", word)
 
+    @classmethod
+    def _trusted(cls, word: np.ndarray, window: range) -> "SubshiftWindow":
+        """Wrap a read-only uint8 word, balanced by construction and with
+        one letter per site of the step-1 window, without checking it."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "word", word)
+        object.__setattr__(x, "window", window)
+        return x
+
     def __eq__(self, other):
         return (isinstance(other, SubshiftWindow)
                 and self.window == other.window
@@ -350,22 +364,36 @@ class SubshiftWindow:
         """The k-step shifted word: site n reads the original site n + k.
         Letters are untouched."""
         k = int(k)
-        return SubshiftWindow(
+        return SubshiftWindow._trusted(
             self.word, range(self.window.start - k, self.window.stop - k))
 
 
 def sturmian_window(slope: float, intercept: float,
                     window) -> SubshiftWindow:
-    """Mechanical word over the window: letter at n is
-    floor((n+1) slope + intercept) - floor(n slope + intercept).
+    """Lower mechanical word over the window: letter at n is
+    floor((n+1) slope + intercept) - floor(n slope + intercept), computed
+    exactly from the rationals the two floats hold.
 
+    The slope must lie in [0, 1] and both parameters must be finite.
     Irrational slopes give Sturmian words; rational slopes give periodic
-    balanced words; slope 0 is the all-zero word."""
+    balanced words; slope 0 is the all-zero word and slope 1 the all-one
+    word. Exact mechanical words are balanced (Lothaire, Algebraic
+    Combinatorics on Words, ch. 2), so the balance check is skipped."""
     window = _check_window(window)
-    ns = np.arange(window.start, window.stop)
-    word = (np.floor((ns + 1) * slope + intercept)
-            - np.floor(ns * slope + intercept))
-    return SubshiftWindow(word, window)
+    slope, intercept = float(slope), float(intercept)
+    if not 0.0 <= slope <= 1.0:  # NaN fails this too
+        raise ValueError(f"slope must be a number in [0, 1], got {slope}")
+    if not math.isfinite(intercept):
+        raise ValueError(f"intercept must be finite, got {intercept}")
+    a, b = slope.as_integer_ratio()
+    c, d = intercept.as_integer_ratio()
+    ad, cb, bd = a * d, c * b, b * d
+    floors = [(n * ad + cb) // bd
+              for n in range(window.start, window.stop + 1)]
+    word = np.array([q - p for p, q in zip(floors, floors[1:])],
+                    dtype=np.uint8)
+    word.flags.writeable = False
+    return SubshiftWindow._trusted(word, window)
 
 
 def _check_markers(markers, window: range) -> tuple:

@@ -215,6 +215,16 @@ def test_lattice_tail_reports_its_term_limit(monkeypatch):
         weierstrass_product(lat, z, 8, lattice_tail=True)
 
 
+def test_kernel_and_tailed_product_take_an_empty_point_array():
+    mset = saturate(random_admissible_multiset(PARAMS, (-12, 12),
+                                               np.random.default_rng(3)))
+    empty = np.array([], complex)
+    for got in (cardinal_kernel(mset, empty, 8),
+                weierstrass_product(mset, empty, 8, lattice_tail=True),
+                weierstrass_product(mset, empty, 8)):
+        assert got.shape == (0,) and got.dtype == complex
+
+
 def test_certificates_build_kernel_factors_once(monkeypatch):
     calls = {"bump_transform": 0, "_lattice_tail": 0}
     for name in calls:

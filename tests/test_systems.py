@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,6 +278,52 @@ def test_sturmian_degenerate_slope():
     assert set(z.word) == {0}
 
 
+@pytest.mark.parametrize("slope, intercept, match", [
+    (1.5, 0.0, "slope"), (-0.1, 0.0, "slope"), (math.nan, 0.0, "slope"),
+    (math.inf, 0.0, "slope"), (-math.inf, 0.0, "slope"),
+    (0.5, math.nan, "intercept"), (0.5, math.inf, "intercept"),
+    (0.5, -math.inf, "intercept"),
+])
+def test_sturmian_rejects_non_binary_parameters(slope, intercept, match):
+    # each would give letters outside {0, 1}
+    with pytest.raises(ValueError, match=match):
+        sturmian_window(slope, intercept, range(-5, 6))
+
+
+def test_rational_sturmian_windows_pass_the_public_check():
+    # float floors got 28 of these wrong: at slope and intercept 0.3,
+    # 9 * 0.3 + 0.3 = 2.9999999999999996 lands below 3
+    window = range(-20, 21)
+    for q in range(2, 11):
+        for p in range(1, q):
+            for c in range(10):
+                x = sturmian_window(p / q, c / 10, window)
+                assert x.word.tolist() == reference_mechanical(p / q, c / 10,
+                                                               window)
+                assert SubshiftWindow(x.word, window) == x
+                for k in (1, -3, 7):
+                    assert x.shifted(k) == SubshiftWindow(
+                        x.word, range(window.start - k, window.stop - k))
+
+
+def test_trusted_windows_match_public_construction():
+    """sturmian_window and shifted skip the public constructor's checks;
+    on the acceptance-7 parameter stream they build the same windows."""
+    rng = np.random.default_rng(42)
+    window = range(-15, 16)
+    for _ in range(150):
+        slope = 0.2 + 0.6 * rng.random()
+        for _ in range(2):
+            x = sturmian_window(slope, rng.random(), window)
+            for k in (0, 1, -3, 7):
+                y = x.shifted(k) if k else x
+                public = SubshiftWindow(
+                    x.word.tolist(), range(window.start - k, window.stop - k))
+                assert y == public
+                assert y.word.dtype == public.word.dtype == np.uint8
+                assert not y.word.flags.writeable
+
+
 def test_subshift_balance_validation():
     with pytest.raises(ValueError):
         SubshiftWindow((1, 1, 0, 0, 1, 1), range(0, 6))
@@ -445,6 +492,14 @@ def reference_balanced(word):
     return True
 
 
+def reference_mechanical(slope, intercept, window):
+    """The lower mechanical word in Fraction arithmetic, one site at a
+    time."""
+    s, c = Fraction(slope), Fraction(intercept)
+    return [math.floor((n + 1) * s + c) - math.floor(n * s + c)
+            for n in window]
+
+
 def reference_cylinder(word, start, N):
     """marker_cylinder over a tuple word, factors visited in sorted order."""
     n = len(word)
@@ -487,12 +542,31 @@ def windows(draw, max_len=120):
     return range(lo, lo + draw(st.integers(1, max_len)))
 
 
+P_OVER_Q = st.integers(2, 10).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: p / q))
+C_OVER_10 = st.integers(0, 9).map(lambda c: c / 10)
+SLOPES = st.one_of(UNIT, P_OVER_Q,
+                   st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 2 / 5, GOLD]))
+
+
 @st.composite
 def mechanical_words(draw, max_len=31):
-    """Mechanical words, Sturmian or periodic: rational slopes p/q too."""
-    slope = draw(st.one_of(UNIT, st.sampled_from([0.0, 1.0, 0.5, 1 / 3,
-                                                  2 / 5, GOLD])))
-    return sturmian_window(slope, draw(UNIT), draw(windows(max_len)))
+    """Mechanical words, Sturmian or periodic: rational slopes p/q and
+    intercepts c/10 too."""
+    return sturmian_window(draw(SLOPES), draw(st.one_of(UNIT, C_OVER_10)),
+                           draw(windows(max_len)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(SLOPES, st.one_of(UNIT, C_OVER_10, st.floats(-1e6, 1e6),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+       windows(60))
+def test_sturmian_window_matches_exact_reference(slope, intercept, window):
+    x = sturmian_window(slope, intercept, window)
+    assert x.window == window
+    assert x.word.tolist() == reference_mechanical(slope, intercept, window)
+    assert x.word.dtype == np.uint8 and not x.word.flags.writeable
+    assert reference_balanced(x.word.tolist())
 
 
 @PROPERTY
