@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from .bandlimited import Band, band_check, sampling_injectivity_stress
 from .interpolation import (GridParams, NodeMultiset, cardinal_kernel,
                             decay_constant, locality_radius,
@@ -34,12 +35,6 @@ from .systems import (Rotation, embedding_gap, marker_cylinder,
 from .tiling import compute_tiles, density_report, random_marker_seq
 from .weights import (SurplusError, WeightParams, validate_params,
                       verify_conditions)
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("bandtile")
-except Exception:  # not installed; running from a checkout
-    VERSION = "0.1.0"
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -83,7 +78,7 @@ class RunConfig:
         return float(self.tolerances.get(name, TOLERANCES[self.suite][name]))
 
     def provenance(self) -> dict:
-        return {"package": "bandtile", "version": VERSION,
+        return {"package": "bandtile", "version": __version__,
                 "suite": self.suite, "seed": self.seed, "format": self.format,
                 "tolerances": dict(sorted(self.tolerances.items()))}
 

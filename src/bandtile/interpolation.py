@@ -70,8 +70,8 @@ class GridParams:
             raise ValueError("rho must be positive")
         if (self.l * rho).denominator != 1:
             raise ValueError("l*rho must be an integer")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
 
     @property
     def lrho(self) -> int:

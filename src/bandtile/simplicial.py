@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,6 +148,13 @@ class Complex:
         return cls(verts, simps)
 
 
+def _image_coordinate(c) -> float:
+    """An image coordinate as a float; non-real values and bools raise."""
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise ValueError(f"vertex image coordinate {c!r} is not a number")
+    return float(c)
+
+
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex images in R^D; the map extends affinely over each simplex."""
@@ -157,7 +165,7 @@ class SimplicialMap:
     def __post_init__(self):
         if set(self.images) != set(self.complex.vertices):
             raise ValueError("images must cover exactly the vertex set")
-        images = {v: tuple(float(c) for c in img)
+        images = {v: tuple(_image_coordinate(c) for c in img)
                   for v, img in self.images.items()}
         object.__setattr__(self, "images", images)
         dims = {len(img) for img in images.values()}
@@ -191,6 +199,9 @@ class SimplicialMap:
     @classmethod
     def from_json(cls, d: dict) -> "SimplicialMap":
         c = Complex.from_json(d)
+        if len(d["images"]) != len(c.vertices):
+            raise ValueError(f"{len(d['images'])} images for "
+                             f"{len(c.vertices)} vertices")
         images = {v: tuple(img) for v, img in
                   zip(c.vertices, d["images"])}
         return cls(c, images)

@@ -129,15 +129,14 @@ def rotation_embed(r: Rotation, window) -> DiscreteSignal:
         window, _coordinate(r.point(np.arange(window.start, window.stop))))
 
 
-def embedding_gap(alpha: float, window, phases, pairs=None):
+def embedding_gap(alpha: float, window, phases, pairs):
     """Minimum sup-distance between embedded signals over phase pairs.
 
     phases is a sequence of circle points; pairs is a sequence of index
-    pairs, each index in [0, len(phases)), or None for all distinct
-    pairs. Returns (gap, (x, y)) for the first closest pair; a positive
-    gap certifies injectivity at sample scale. Raises ValueError when
-    there is no pair to compare or an index is out of range or not an
-    integer."""
+    pairs, each index in [0, len(phases)). Returns (gap, (x, y)) for the
+    first closest pair; a positive gap certifies injectivity at sample
+    scale. Raises ValueError when there is no pair to compare or an index
+    is out of range or not an integer."""
     window = _check_window(window)
     x0 = np.asarray(phases, dtype=float)
     if not (math.isfinite(alpha) and np.isfinite(x0).all()):
@@ -145,31 +144,22 @@ def embedding_gap(alpha: float, window, phases, pairs=None):
     # row i is rotation_embed(Rotation(alpha, phases[i]), window).values
     ns = np.arange(window.start, window.stop)
     V = _coordinate(frac(frac(x0)[:, None] + ns * float(alpha)))
-    best, arg = math.inf, None
-    if pairs is None:
-        for i in range(len(x0) - 1):
-            gaps = np.max(np.abs(V[i + 1:] - V[i]), axis=1)
-            j = int(np.argmin(gaps))
-            if gaps[j] < best:
-                best, arg = float(gaps[j]), (i, i + 1 + j)
-    else:
-        pairs = [tuple(pair) for pair in pairs]
-        # rejected, not truncated by the int64 conversion, as MarkerSeq does
-        for i in (i for pair in pairs for i in pair):
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise ValueError(f"pair index {i!r} is not an integer")
-        ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        outside = (ij < 0) | (ij >= len(x0))
-        if outside.any():
-            raise ValueError(f"pair index {int(ij[outside][0])} outside "
-                             f"the {len(x0)} phases")
-        if len(ij):
-            gaps = np.max(np.abs(V[ij[:, 0]] - V[ij[:, 1]]), axis=1)
-            k = int(np.argmin(gaps))
-            best, arg = float(gaps[k]), tuple(ij[k].tolist())
-    if arg is None:
+    pairs = [tuple(pair) for pair in pairs]
+    # rejected, not truncated by the int64 conversion, as MarkerSeq does
+    for i in (i for pair in pairs for i in pair):
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise ValueError(f"pair index {i!r} is not an integer")
+    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = (ij < 0) | (ij >= len(x0))
+    if outside.any():
+        raise ValueError(f"pair index {int(ij[outside][0])} outside "
+                         f"the {len(x0)} phases")
+    if not len(ij):
         raise ValueError("no phase pair to compare")
-    return best, (phases[arg[0]], phases[arg[1]])
+    gaps = np.max(np.abs(V[ij[:, 0]] - V[ij[:, 1]]), axis=1)
+    k = int(np.argmin(gaps))
+    i, j = ij[k].tolist()
+    return float(gaps[k]), (phases[i], phases[j])
 
 
 @dataclass(frozen=True)

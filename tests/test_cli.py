@@ -1,8 +1,10 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import bandtile
 from bandtile.cli import main, parse_config
 
 
@@ -40,6 +42,18 @@ def test_report_shape_and_provenance(tmp_path):
     assert prov["seed"] == 9
     assert prov["suite"] == "interp oracle-sinc"
     assert doc["report"]["max_error"] < 1e-6
+
+
+def test_provenance_version_is_the_package_version(tmp_path):
+    # one version source, whatever bandtile distribution is installed
+    tomllib = pytest.importorskip("tomllib")
+    code, payload = run_to(tmp_path, "r.json", ["sampling", "--trials", "1"])
+    assert code == 0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fp:
+        declared = tomllib.load(fp)["project"]["version"]
+    version = json.loads(payload)["provenance"]["version"]
+    assert version == bandtile.__version__ == declared
 
 
 def test_parse_config_repeats_through_the_shared_parser():
@@ -252,6 +266,29 @@ def test_flag_the_suite_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
     assert main(args) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# map files that load only by dropping or coercing data: a surplus image,
+# and coordinates given as a string and a boolean
+MALFORMED_MAPS = {
+    "surplus image": {"vertices": [0, 1, 2],
+                      "simplices": [[0], [1], [2], [0, 1], [1, 2]],
+                      "images": [[0, 0], [1, 0], [2, 0], [9, 9]]},
+    "string and bool": {"vertices": [0, 1], "simplices": [[0], [1], [0, 1]],
+                        "images": [["0.5", True], [1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("action", ["check", "perturb"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_MAPS))
+def test_malformed_map_file_exits_2(tmp_path, monkeypatch, capsys, action,
+                                    name):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(MALFORMED_MAPS[name]))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simplicial", action, "--map", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read map file")
+    assert [p.name for p in tmp_path.iterdir()] == ["map.json"]
 
 
 def test_marker_codec_backward_orbit_markers(tmp_path):

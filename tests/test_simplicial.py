@@ -243,6 +243,37 @@ def test_json_round_trips():
     assert Complex.from_json(strip.to_json()) == strip
 
 
+PATH_3 = {"vertices": [0, 1, 2], "simplices": [[0], [1], [2], [0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("images", [
+    [[0, 0], [1, 0], [2, 0], [9, 9]],
+    [[0, 0], [1, 0]],
+])
+def test_map_from_json_rejects_an_image_count_off_the_vertex_count(images):
+    # zip would drop the surplus image silently
+    with pytest.raises(ValueError, match=f"{len(images)} images for 3"):
+        SimplicialMap.from_json({**PATH_3, "images": images})
+
+
+@pytest.mark.parametrize("coord", ["0.5", True, False, None, [0.5],
+                                   np.bool_(True), 1 + 0j])
+def test_map_rejects_a_coordinate_that_is_not_a_real_number(coord):
+    images = [[coord, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(ValueError, match="is not a number"):
+        SimplicialMap.from_json({**PATH_3, "images": images})
+    with pytest.raises(ValueError, match="is not a number"):
+        SimplicialMap(Complex.from_json(PATH_3),
+                      dict(zip(range(3), images)))
+
+
+def test_map_takes_numpy_and_integer_coordinates_as_floats():
+    images = {0: (np.float64(0.5), np.int64(1)), 1: (1, 0.0), 2: (2, -0.0)}
+    m = SimplicialMap(Complex.from_json(PATH_3), images)
+    assert m.images == {0: (0.5, 1.0), 1: (1.0, 0.0), 2: (2.0, -0.0)}
+    assert all(type(c) is float for img in m.images.values() for c in img)
+
+
 # Reference solver: reduced row echelon form over Fractions, the exact
 # rational arithmetic the integer elimination in the package replaced.
 def _rref_ref(rows):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -59,7 +60,8 @@ def test_rotation_embed_bitwise_equivariance():
 
 def test_embedding_gap_frozen_grid_value():
     grid = [i / 200.0 for i in range(200)]
-    gap, pair = embedding_gap(ALPHA, range(-50, 51), grid)
+    gap, pair = embedding_gap(ALPHA, range(-50, 51), grid,
+                              itertools.combinations(range(200), 2))
     assert gap == pytest.approx(0.01570031940016814, abs=1e-15)
     assert pair == (0.125, 0.13)
 
@@ -73,7 +75,9 @@ def test_embedding_gap_explicit_pairs_positive():
 
 
 def test_embedding_gap_without_pairs_raises():
-    for phases, pairs in (([0.1], None), ([0.1, 0.2], []), ([], None)):
+    for phases, pairs in (([0.1], itertools.combinations(range(1), 2)),
+                          ([0.1, 0.2], []),
+                          ([], itertools.combinations(range(0), 2))):
         with pytest.raises(ValueError, match="no phase pair"):
             embedding_gap(ALPHA, range(-5, 6), phases, pairs)
 
@@ -465,13 +469,10 @@ def reference_embed(r, window):
     return [(1.0 + cospi(2.0 * r.point(n))) / 2.0 for n in window]
 
 
-def reference_gap(alpha, window, phases, pairs=None):
+def reference_gap(alpha, window, phases, pairs):
     """embedding_gap with one signal per phase and a pair-by-pair scan."""
     V = [reference_embed(Rotation(alpha, x), window) for x in phases]
     best, arg = math.inf, None
-    if pairs is None:
-        pairs = [(i, j) for i in range(len(phases))
-                 for j in range(i + 1, len(phases))]
     for i, j in pairs:
         gap = max(abs(a - b) for a, b in zip(V[i], V[j]))
         if gap < best:
@@ -590,8 +591,10 @@ def test_embedding_gap_matches_per_phase_signals(alpha, window, phases,
     if repeat == 0:  # ties at gap 0: the first closest pair must win
         phases = phases + phases[:2]
     n = len(phases)
-    pairs = None if all_pairs else [(i % n, (i + 1 + d % (n - 1)) % n)
-                                    for i, d in pairs]
+    if all_pairs:
+        pairs = list(itertools.combinations(range(n), 2))
+    else:
+        pairs = [(i % n, (i + 1 + d % (n - 1)) % n) for i, d in pairs]
     got = embedding_gap(alpha, window, phases, pairs)
     assert got == reference_gap(alpha, window, phases, pairs)
 
