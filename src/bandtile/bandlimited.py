@@ -191,8 +191,9 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     the fastest oscillation present. A slowly decaying signal still large
     near the window edge degrades the estimate; that is reported as
     window_short rather than silently passed. The signal is evaluated once,
-    on the quadrature nodes; edge_fraction is the peak |s| over the nodes
-    with |t| >= 0.8 T over the peak over all nodes, short above 0.3.
+    on the quadrature nodes and the two cut points t = +-0.8 T;
+    edge_fraction is the peak |s| over the cut points and the nodes past
+    them over the peak over all these points, short above 0.3.
     """
     probes = [float(f) for f in probe_freqs]
     for f in probes:
@@ -207,8 +208,10 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     ts, qw = composite_gauss(-T, T, panels)
     taper = np.cos(np.pi * ts / (2.0 * T)) ** 2
     norm = T  # closed-form integral of the Hann taper over [-T, T]
-    raw = s.eval(ts)
-    vals = raw * taper
+    cut = 0.8 * T
+    at = np.append(ts, [-cut, cut])
+    raw = s.eval(at)
+    vals = raw[:-2] * taper
     leakage = []
     for f in probes:
         est = np.sum(vals * qw * cispi(-2.0 * f * ts)) / norm
@@ -216,7 +219,7 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     # edge diagnostic: the outer fifth's share of the peak |s|
     mag = np.abs(raw)
     overall = float(np.max(mag))
-    outer = float(np.max(mag[np.abs(ts) >= 0.8 * T]))
+    outer = float(np.max(mag[np.abs(at) >= cut]))
     edge_fraction = outer / overall if overall > 0 else 0.0
     window_short = edge_fraction > 0.3
     passed = all(v <= tol for _, v in leakage)

@@ -42,8 +42,13 @@ SNAP = 1e-9
 
 
 def _freeze(v):
+    """A vertex label read from JSON, made hashable: an int, a str, or a
+    list of labels as a tuple. A bool, a float or null raises, since
+    True == 1 == 1.0 would make labels of different types collide."""
     if isinstance(v, (list, tuple)):
         return tuple(_freeze(u) for u in v)
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"vertex label {v!r} is not an int, a str or a list")
     return v
 
 
@@ -71,8 +76,8 @@ class Complex:
     def __post_init__(self):
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        vset = set(verts)
-        if len(vset) != len(verts):
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(verts)})
+        if len(self._index) != len(verts):
             raise ValueError("duplicate vertices")
         simps = frozenset(frozenset(s) for s in self.simplices)
         object.__setattr__(self, "simplices", simps)
@@ -81,7 +86,7 @@ class Complex:
         for s in simps:
             if not s:
                 raise ValueError("empty simplex")
-            if not s <= vset:
+            if not s.issubset(self._index):
                 raise ValueError("simplex uses unknown vertices")
             if len(s) >= 2:
                 for v in s:
@@ -98,8 +103,8 @@ class Complex:
 
     def vertex_index(self, v) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._index[v]
+        except KeyError:
             raise KeyError(f"unknown vertex {v!r}") from None
 
     def ordered(self, simplex) -> tuple:
@@ -108,18 +113,15 @@ class Complex:
 
     def canonical(self) -> tuple:
         """All simplices, deterministically ordered by size then indices."""
-        keyed = [(len(s), tuple(self.vertex_index(v) for v in self.ordered(s)))
-                 for s in self.simplices]
-        order = sorted(range(len(keyed)), key=lambda i: keyed[i])
-        listed = [self.ordered(s) for s in self.simplices]
-        return tuple(listed[i] for i in order)
+        keys = sorted((len(s), sorted(self._index[v] for v in s))
+                      for s in self.simplices)
+        return tuple(tuple(self.vertices[i] for i in key) for _, key in keys)
 
     def maximal_simplices(self) -> tuple:
         # the family is face-closed, so a simplex inside a larger one is a
         # facet of some simplex: s < t gives s + {w} in it for w in t - s
         facets = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
-        index = {v: i for i, v in enumerate(self.vertices)}
-        keys = sorted(tuple(sorted(index[v] for v in s))
+        keys = sorted(sorted(self._index[v] for v in s)
                       for s in self.simplices if s not in facets)
         return tuple(tuple(self.vertices[i] for i in key) for key in keys)
 
@@ -207,33 +209,36 @@ class SimplicialMap:
         return cls(c, images)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSample:
-    """Finite metric space given by a distance matrix; symmetry, zero
-    diagonal, nonnegativity and the triangle inequality are checked."""
+    """Finite metric space: labels and a copy of their distance matrix, a
+    read-only float64 (n, n) array with row i for labels[i]. Checks raise at
+    the first failure: the shape; row by row a diagonal entry other than 0,
+    then an entry negative or asymmetric (NaN fails both); the first
+    triple in C order breaking the triangle inequality by over 1e-12."""
 
     labels: tuple
-    dist: tuple
+    dist: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         n = len(labels)
-        if len(set(labels)) != n:
+        object.__setattr__(self, "_row", {p: i for i, p in enumerate(labels)})
+        if len(self._row) != n:
             raise ValueError("duplicate labels")
-        d = tuple(tuple(float(x) for x in row) for row in self.dist)
-        object.__setattr__(self, "dist", d)
-        if len(d) != n or any(len(row) != n for row in d):
+        if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix shape mismatch")
-        for i in range(n):
-            if d[i][i] != 0.0:
-                raise ValueError("nonzero diagonal")
-            for j in range(n):
-                if d[i][j] < 0.0 or d[i][j] != d[j][i]:
-                    raise ValueError("matrix must be symmetric nonnegative")
+        a = np.array(self.dist, dtype=float).reshape(n, n)
+        a.flags.writeable = False
+        object.__setattr__(self, "dist", a)
+        diagonal = np.diagonal(a) != 0.0
+        failing = diagonal | np.any((a < 0.0) | (a != a.T), axis=1)
+        if failing.any():
+            raise ValueError("nonzero diagonal" if diagonal[failing.argmax()]
+                             else "matrix must be symmetric nonnegative")
         # bad[i, j, k] is d_ik > d_ij + d_jk + 1e-12, summed in that order;
         # argwhere lists triples in C order, the loop order i, j, k
-        a = np.array(d).reshape(n, n)
         bad = np.argwhere(a[:, None, :] > a[:, :, None] + a[None] + 1e-12)
         if len(bad):
             i, j, k = bad[0]
@@ -242,10 +247,10 @@ class MetricSample:
                 f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
 
     def index(self, label) -> int:
-        return self.labels.index(label)
+        return self._row[label]
 
     def d(self, a, b) -> float:
-        return self.dist[self.index(a)][self.index(b)]
+        return float(self.dist[self.index(a), self.index(b)])
 
 
 def _forward(rows, through_gaps=True):
@@ -435,36 +440,30 @@ def is_embedding(m: SimplicialMap) -> tuple:
     ints, scale = _scaled_images(m)
     D = m.dim_target
     cols = {v: (1,) + img for v, img in ints.items()}
-    boxes = []
-    for s in maxs:
-        pts = [m.images[v] for v in s]
-        boxes.append(([min(p[d] for p in pts) for d in range(D)],
-                      [max(p[d] for p in pts) for d in range(D)]))
-    for i in range(len(maxs)):
-        for j in range(i, len(maxs)):
-            lo_i, hi_i = boxes[i]
-            lo_j, hi_j = boxes[j]
-            if any(hi_i[d] < lo_j[d] or hi_j[d] < lo_i[d]
-                   for d in range(D)):
-                continue
-            union = maxs[i] + tuple(v for v in maxs[j] if v not in maxs[i])
-            if _affinely_independent(union, cols):
-                continue  # the map is injective on the simplex of the union
-            hit = _pair_witness(maxs[i], maxs[j], ints, D)
-            if hit is None:
-                continue
-            x, y = hit
-            pt = [sum(ints[v][d] * c for v, c in zip(maxs[i], x)) / scale
-                  for d in range(D)]
-            other = [sum(ints[u][d] * c for u, c in zip(maxs[j], y)) / scale
-                     for d in range(D)]
-            assert pt == other  # exact arithmetic; the solver guarantees it
-            witness = CollisionWitness(
-                simplex_a=maxs[i], simplex_b=maxs[j],
-                bary_a=tuple(float(c) for c in x),
-                bary_b=tuple(float(c) for c in y),
-                point=tuple(float(c) for c in pt))
-            return False, witness
+    pts = np.array([m.images[v] for s in maxs for v in s])
+    starts = list(itertools.accumulate(map(len, maxs[:-1]), initial=0))
+    lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    below = (hi[:, None] < lo[None]).any(axis=2)  # an axis has i below j
+    # argwhere walks the upper triangle in C order: i, then j >= i
+    for i, j in np.argwhere(np.triu(~(below | below.T))).tolist():
+        union = maxs[i] + tuple(v for v in maxs[j] if v not in maxs[i])
+        if _affinely_independent(union, cols):
+            continue  # the map is injective on the simplex of the union
+        hit = _pair_witness(maxs[i], maxs[j], ints, D)
+        if hit is None:
+            continue
+        x, y = hit
+        pt = [sum(ints[v][d] * c for v, c in zip(maxs[i], x)) / scale
+              for d in range(D)]
+        other = [sum(ints[u][d] * c for u, c in zip(maxs[j], y)) / scale
+                 for d in range(D)]
+        assert pt == other  # exact arithmetic; the solver guarantees it
+        witness = CollisionWitness(
+            simplex_a=maxs[i], simplex_b=maxs[j],
+            bary_a=tuple(float(c) for c in x),
+            bary_b=tuple(float(c) for c in y),
+            point=tuple(float(c) for c in pt))
+        return False, witness
     return True, None
 
 
@@ -522,21 +521,40 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
         f"magnitude {magnitude}")
 
 
+def _image_rows(images: dict, labels) -> np.ndarray:
+    """The images of the labels, in order, as the rows of one float array.
+    Each image must be a vector, and all of one length."""
+    rows = [np.asarray(images[p], dtype=float) for p in labels]
+    shapes = {r.shape for r in rows}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise ValueError(f"images must be vectors of one length, not "
+                         f"of shapes {sorted(shapes)}")
+    return np.array(rows) if rows else np.zeros((0, 0))
+
+
+def _pair_gaps(x: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of x, each the root of a
+    (1, D) @ (D, 1) dot product: bitwise np.linalg.norm of the difference."""
+    diff = x[:, None, None, :] - x[None, :, None, :]
+    return np.sqrt(diff @ np.swapaxes(diff, 2, 3))[:, :, 0, 0]
+
+
 def eps_embedding_check(sample: MetricSample, images: dict, eps: float,
                         eta: float) -> tuple:
     """A map is an eps-embedding when points with (near-)equal images are
     within eps of each other: every pair at image gap <= eta must have
-    sample distance < eps. Returns (True, None) or (False, witness) with
-    witness = (label, label, distance, gap)."""
+    sample distance < eps. The images are vectors of one length. Returns
+    (True, None) or (False, witness) with witness = (label, label,
+    distance, gap) for the first failing pair (i < j) in label order."""
     if eta < 0:
         raise ValueError("eta must be >= 0")
     labels = sample.labels
-    vecs = {p: np.array(images[p], dtype=float) for p in labels}
-    for i, pi in enumerate(labels):
-        for qj in labels[i + 1:]:
-            gap = float(np.linalg.norm(vecs[pi] - vecs[qj]))
-            if gap <= eta and sample.d(pi, qj) >= eps:
-                return False, (pi, qj, sample.d(pi, qj), gap)
+    gaps = _pair_gaps(_image_rows(images, labels))
+    hits = np.argwhere(np.triu((gaps <= eta) & (sample.dist >= eps), 1))
+    if len(hits):
+        i, j = hits[0]
+        return False, (labels[i], labels[j], float(sample.dist[i, j]),
+                       float(gaps[i, j]))
     return True, None
 
 
@@ -548,8 +566,11 @@ def approx_map(c: Complex, sample: MetricSample, pi: dict, f: dict,
     less than delta. Each vertex then takes the f-value of one point of
     its star (zero when the star is empty), which keeps the simplicial map
     within delta of f at every sample point; that bound is asserted."""
-    placements = {}
-    for p in sample.labels:
+    labels = sample.labels
+    if not labels:
+        raise ValueError("empty sample: no point to take vertex images from")
+    placements, supports = [], []
+    for p in labels:
         simplex, coords = pi[p]
         verts = c.ordered(simplex)
         if frozenset(verts) not in c.simplices:
@@ -559,41 +580,35 @@ def approx_map(c: Complex, sample: MetricSample, pi: dict, f: dict,
             raise ValueError(f"pi({p!r}) has mismatched coordinates")
         if any(x < -SNAP for x in coords) or abs(sum(coords) - 1.0) > SNAP:
             raise ValueError(f"pi({p!r}) is not barycentric")
-        placements[p] = {v: x for v, x in zip(verts, coords) if x > 0.0}
+        placements.append((verts, coords))
+        supports.append({v for v, x in zip(verts, coords) if x > 0.0})
 
-    stars = {v: [p for p in sample.labels if v in placements[p]]
+    stars = {v: [i for i, s in enumerate(supports) if v in s]
              for v in c.vertices}
-    for v, pts in stars.items():
-        for i, pa in enumerate(pts):
-            for pb in pts[i + 1:]:
-                if sample.d(pa, pb) >= eps:
-                    raise ValueError(
-                        f"pi is not an eps-embedding of the sample: "
-                        f"points {pa!r}, {pb!r} share the star of {v!r} "
-                        f"at distance {sample.d(pa, pb):.6g} >= {eps}")
+    for v, rows in stars.items():
+        far = np.argwhere(np.triu(sample.dist[np.ix_(rows, rows)] >= eps, 1))
+        if len(far):
+            a, b = rows[far[0][0]], rows[far[0][1]]
+            raise ValueError(
+                f"pi is not an eps-embedding of the sample: "
+                f"points {labels[a]!r}, {labels[b]!r} share the star of "
+                f"{v!r} at distance {sample.dist[a, b]:.6g} >= {eps}")
 
-    fv = {p: np.array(f[p], dtype=float) for p in sample.labels}
-    for i, pa in enumerate(sample.labels):
-        for pb in sample.labels[i + 1:]:
-            if sample.d(pa, pb) < eps:
-                gap = float(np.linalg.norm(fv[pa] - fv[pb]))
-                if gap >= delta:
-                    raise ValueError(
-                        f"modulus violated: d({pa!r}, {pb!r}) = "
-                        f"{sample.d(pa, pb):.6g} < {eps} but image gap "
-                        f"{gap:.6g} >= {delta}")
+    fx = _image_rows(f, labels)
+    gaps = _pair_gaps(fx)
+    moved = np.argwhere(np.triu((sample.dist < eps) & (gaps >= delta), 1))
+    if len(moved):
+        a, b = moved[0]
+        raise ValueError(
+            f"modulus violated: d({labels[a]!r}, {labels[b]!r}) = "
+            f"{sample.dist[a, b]:.6g} < {eps} but image gap "
+            f"{gaps[a, b]:.6g} >= {delta}")
 
-    D = len(next(iter(fv.values())))
-    images = {}
-    for v in c.vertices:
-        images[v] = tuple(fv[stars[v][0]]) if stars[v] else (0.0,) * D
+    images = {v: tuple(fx[rows[0]]) if rows else (0.0,) * fx.shape[1]
+              for v, rows in stars.items()}
     g = SimplicialMap(c, images)
-    for p in sample.labels:
-        verts = sorted(placements[p], key=c.vertex_index)
-        approx = np.zeros(D)
-        for v in verts:
-            approx += placements[p][v] * np.array(images[v])
-        assert float(np.linalg.norm(fv[p] - approx)) < delta + 1e-12
+    for fp, placed in zip(fx, placements):
+        assert np.linalg.norm(fp - g.eval(*placed)) < delta + 1e-12
     return g
 
 

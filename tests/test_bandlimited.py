@@ -17,7 +17,7 @@ from bandtile.bandlimited import (
     tone_signal,
 )
 from bandtile.interpolation import bump_transform
-from bandtile.numutil import cispi
+from bandtile.numutil import cispi, composite_gauss
 
 
 def test_eval_single_node_normalization():
@@ -112,8 +112,9 @@ def test_band_check_evaluates_the_signal_once(monkeypatch):
     sig = BandSignal(np.arange(-4.0, 5.0), np.ones(9), BumpKernel(0.9),
                      carrier_freq=BAND.carrier())
     band_check(sig, BAND, PROBES, half_window=16.0)
-    # one pass, on the 40 panels of 24 Gauss nodes that 3.7 Hz needs
-    assert sizes == [960]
+    # one pass, on the 40 panels of 24 Gauss nodes that 3.7 Hz needs and
+    # the two cut points
+    assert sizes == [962]
 
 
 def test_window_short_flags_a_tone_and_clears_a_centred_bump_series():
@@ -127,6 +128,21 @@ def test_window_short_flags_a_tone_and_clears_a_centred_bump_series():
     bump = band_check(sig, BAND, PROBES, half_window=16.0)
     assert bump.passed and not bump.window_short
     assert bump.edge_fraction < 0.01
+
+
+def test_window_short_reads_the_value_at_the_cut():
+    # a sinc lobe falls through 0.3 of its peak at the cut 0.8 T = 8; the
+    # first node past the cut, of the 25 Gauss panels at T = 10, lies 0.026
+    # beyond it and reads 0.279, the cut itself 0.310
+    sig = BandSignal((7.175,), (1.0,), SincKernel(0.45),
+                     carrier_freq=BAND.carrier())
+    ts, _ = composite_gauss(-10.0, 10.0, 25)
+    mag = np.abs(sig.eval(ts))
+    assert np.max(mag[np.abs(ts) >= 8.0]) < 0.3 * np.max(mag)
+    rep = band_check(sig, BAND, PROBES, half_window=10.0)
+    assert rep.window_short
+    assert rep.edge_fraction == pytest.approx(abs(sig.eval(8.0)) / np.max(mag),
+                                              rel=1e-12)
 
 
 def edge_fraction_reference(s, T):
@@ -158,10 +174,8 @@ def edge_signals(T):
 
 @pytest.mark.parametrize("T", [8, 16, 24, 64])
 def test_edge_fraction_matches_dense_grid_reference(T):
-    # measured |edge_fraction - reference| over the 24 signals: 1.2e-2 and
-    # 8.5e-3 for the two bump series at T = 64 that are still large at the
-    # cut, where the first node past 0.8 T lies up to one node gap beyond
-    # it; at most 1.6e-3 for the other 22
+    # measured |edge_fraction - reference| over the 24 signals: at most
+    # 2.1e-4, for a bump series at T = 64 still large at the cut
     for sig in edge_signals(T):
         rep = band_check(sig, BAND, PROBES, half_window=float(T))
         assert abs(rep.edge_fraction - edge_fraction_reference(sig, T)) <= 0.02

@@ -269,8 +269,13 @@ def test_flag_the_suite_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
 
 
 # map files that load only by dropping or coercing data: a surplus image,
-# and coordinates given as a string and a boolean
+# coordinates given as a string and a boolean, and vertex labels that are
+# not an int, a str or a list (True == 1 == 1.0 would collide with ints)
 MALFORMED_MAPS = {
+    **{f"{kind} label": {"vertices": [label, 2],
+                         "simplices": [[label], [2], [label, 2]],
+                         "images": [[0, 0], [1, 0]]}
+       for kind, label in (("bool", True), ("float", 1.5), ("null", None))},
     "surplus image": {"vertices": [0, 1, 2],
                       "simplices": [[0], [1], [2], [0, 1], [1, 2]],
                       "images": [[0, 0], [1, 0], [2, 0], [9, 9]]},

@@ -172,9 +172,16 @@ def test_eps_embedding_check_witnesses():
     assert (w2[0], w2[1]) == ("p", "r")
 
 
-def triangle_failure_ref(labels, d):
-    """The per-triple loop MetricSample ran: its first failing triple."""
+def metric_failure_ref(labels, d):
+    """The per-element loops MetricSample ran on a square matrix of floats:
+    the message of its first failure, or None."""
     n = len(labels)
+    for i in range(n):
+        if d[i][i] != 0.0:
+            return "nonzero diagonal"
+        for j in range(n):
+            if d[i][j] < 0.0 or d[i][j] != d[j][i]:
+                return "matrix must be symmetric nonnegative"
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -185,31 +192,202 @@ def triangle_failure_ref(labels, d):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Zero-diagonal symmetric matrices whose entries sit on, just past and
-    within the 1e-12 slack of the triangle bound, or at infinity."""
+def distance_matrices(draw):
+    """Square matrices whose entries sit on, just past and within the
+    1e-12 slack of the triangle bound, or at infinity; some also carry a
+    NaN or negative entry, an asymmetric pair or a nonzero diagonal."""
     n = draw(st.integers(0, 6))
     entry = st.sampled_from([0.0, 1e-12, 2e-12, 0.5, 1.0, 1.0 + 1e-12,
                              1.0 + 3e-12, 1.5, 2.0, 2.0 + 1e-12, 3.0,
                              math.inf])
+    odd = st.sampled_from([math.nan, -1.0, -0.0, 1e-300, 2.5])
     d = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             d[i][j] = d[j][i] = draw(entry)
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i][j] = draw(odd)
+        if draw(st.booleans()):
+            d[j][i] = d[i][j]
     return tuple(f"p{i}" for i in range(n)), d
 
 
-@settings(PROPERTY, max_examples=500)
-@given(symmetric_matrices())
+@settings(PROPERTY, max_examples=600)
+@given(distance_matrices())
 def test_metric_sample_triangle_check_matches_per_triple_loop(sample):
     labels, d = sample
-    want = triangle_failure_ref(labels, d)
+    want = metric_failure_ref(labels, d)
     if want is None:
-        assert MetricSample(labels, d).dist == tuple(map(tuple, d))
+        dist = MetricSample(labels, d).dist
+        assert dist.dtype == np.float64 and not dist.flags.writeable
+        assert np.array_equal(dist, np.array(d).reshape(len(d), len(d)))
     else:
         with pytest.raises(ValueError) as err:
             MetricSample(labels, d)
         assert str(err.value) == want
+
+
+def test_metric_sample_copies_its_matrix_and_rejects_a_shape_mismatch():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    samp = MetricSample(("p", "q"), d)
+    d[0, 1] = 5.0
+    assert samp.d("p", "q") == 1.0 and type(samp.d("p", "q")) is float
+    with pytest.raises(ValueError, match="read-only"):
+        samp.dist[0, 1] = 5.0
+    for bad in ([[0.0, 1.0]], [[0.0, 1.0], [1.0]], [[0.0], [1.0]]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            MetricSample(("p", "q"), bad)
+    with pytest.raises(ValueError, match="duplicate labels"):
+        MetricSample(("p", "p"), d)
+
+
+def eps_embedding_check_ref(labels, d, images, eps, eta):
+    """The per-pair loop eps_embedding_check ran, reading d by position."""
+    vecs = {p: np.array(images[p], dtype=float) for p in labels}
+    for i, pi in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            gap = float(np.linalg.norm(vecs[pi] - vecs[labels[j]]))
+            if gap <= eta and d[i][j] >= eps:
+                return False, (pi, labels[j], d[i][j], gap)
+    return True, None
+
+
+@st.composite
+def l1_samples(draw, min_size=0):
+    """Labels with the L1 distances of integer points in the plane, some
+    of them equal, so the triangle inequality holds exactly."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                        min_size=min_size, max_size=7))
+    labels = tuple(f"p{i}" for i in range(len(pts)))
+    d = [[float(abs(a - c) + abs(b - e)) for c, e in pts] for a, b in pts]
+    return labels, d
+
+
+def image_maps(draw, labels, dim):
+    """Images from a small pool of vectors, so that gaps repeat and vanish;
+    the coordinates are small integers or general floats."""
+    coord = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)]))
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    return {p: draw(st.sampled_from(pool)) for p in labels}
+
+
+def _gaps(images):
+    return sorted({float(np.linalg.norm(np.subtract(u, v)))
+                   for u in images.values() for v in images.values()})
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.data())
+def test_eps_embedding_check_matches_per_pair_loop(data):
+    labels, d = data.draw(l1_samples())
+    images = image_maps(data.draw, labels, data.draw(st.integers(1, 4)))
+    eps = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 9.0]))
+    eta = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5] + _gaps(images)))
+    got = eps_embedding_check(MetricSample(labels, d), images, eps, eta)
+    assert got == eps_embedding_check_ref(labels, d, images, eps, eta)
+    if not got[0]:
+        assert all(type(x) is float for x in got[1][2:])
+
+
+def test_eps_embedding_check_rejects_images_of_unequal_dimension():
+    samp = MetricSample(("a", "b"), ((0.0, 1.0), (1.0, 0.0)))
+    with pytest.raises(ValueError, match="vectors of one length"):
+        eps_embedding_check(samp, {"a": (0.0,), "b": (0.0, 1.0)}, 0.5, 0.1)
+
+
+def approx_map_ref(c, labels, d, pi, f, eps, delta):
+    """The loops approx_map ran, reading d by position."""
+    row = {p: i for i, p in enumerate(labels)}
+
+    def dist(a, b):
+        return d[row[a]][row[b]]
+
+    placements = {}
+    for p in labels:
+        simplex, coords = pi[p]
+        verts = c.ordered(simplex)
+        if frozenset(verts) not in c.simplices:
+            raise ValueError(f"pi({p!r}) uses a simplex not in the complex")
+        coords = tuple(float(x) for x in coords)
+        if len(coords) != len(verts):
+            raise ValueError(f"pi({p!r}) has mismatched coordinates")
+        if (any(x < -simplicial.SNAP for x in coords)
+                or abs(sum(coords) - 1.0) > simplicial.SNAP):
+            raise ValueError(f"pi({p!r}) is not barycentric")
+        placements[p] = {v: x for v, x in zip(verts, coords) if x > 0.0}
+
+    stars = {v: [p for p in labels if v in placements[p]]
+             for v in c.vertices}
+    for v, pts in stars.items():
+        for i, pa in enumerate(pts):
+            for pb in pts[i + 1:]:
+                if dist(pa, pb) >= eps:
+                    raise ValueError(
+                        f"pi is not an eps-embedding of the sample: "
+                        f"points {pa!r}, {pb!r} share the star of {v!r} "
+                        f"at distance {dist(pa, pb):.6g} >= {eps}")
+
+    fv = {p: np.array(f[p], dtype=float) for p in labels}
+    for i, pa in enumerate(labels):
+        for pb in labels[i + 1:]:
+            if dist(pa, pb) < eps:
+                gap = float(np.linalg.norm(fv[pa] - fv[pb]))
+                if gap >= delta:
+                    raise ValueError(
+                        f"modulus violated: d({pa!r}, {pb!r}) = "
+                        f"{dist(pa, pb):.6g} < {eps} but image gap "
+                        f"{gap:.6g} >= {delta}")
+
+    D = len(next(iter(fv.values())))
+    images = {}
+    for v in c.vertices:
+        images[v] = tuple(fv[stars[v][0]]) if stars[v] else (0.0,) * D
+    g = SimplicialMap(c, images)
+    for p in labels:
+        verts = sorted(placements[p], key=c.vertex_index)
+        approx = np.zeros(D)
+        for v in verts:
+            approx += placements[p][v] * np.array(images[v])
+        assert float(np.linalg.norm(fv[p] - approx)) < delta + 1e-12
+    return g
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.data())
+def test_approx_map_matches_per_pair_loops(data):
+    tops = data.draw(st.lists(st.sets(st.integers(0, 5), min_size=1,
+                                      max_size=3), min_size=1, max_size=4))
+    c = Complex.from_maximal(tops)
+    labels, d = data.draw(l1_samples(min_size=1))
+    pi = {}
+    for p in labels:
+        simplex = data.draw(st.sampled_from(c.canonical()))
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(simplex),
+                                     max_size=len(simplex)).filter(any))
+        pi[p] = (simplex, tuple(w / sum(weights) for w in weights))
+    f = image_maps(data.draw, labels, data.draw(st.integers(1, 3)))
+    # half the draws put every pair within eps, past the star check
+    eps = data.draw(st.one_of(st.just(20.0), st.sampled_from(
+        [1.0, 3.0] + sorted({x for r in d for x in r}))))
+    delta = data.draw(st.sampled_from([0.5, 2.5, 20.0] + _gaps(f)))
+    sample = MetricSample(labels, d)
+    try:
+        want = approx_map_ref(c, labels, d, pi, f, eps, delta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            approx_map(c, sample, pi, f, eps, delta)
+        assert str(err.value) == str(exc)
+    else:
+        assert approx_map(c, sample, pi, f, eps, delta) == want
+
+
+def test_approx_map_rejects_an_empty_sample():
+    edge = Complex.from_maximal([(0, 1)])
+    with pytest.raises(ValueError, match="empty sample"):
+        approx_map(edge, MetricSample((), ()), {}, {}, eps=1.0, delta=0.5)
 
 
 def test_approx_map_vertex_placements_copy_f():
@@ -244,6 +422,22 @@ def test_json_round_trips():
 
 
 PATH_3 = {"vertices": [0, 1, 2], "simplices": [[0], [1], [2], [0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("label", [True, False, 1.5, 2.0, None, {"a": 0},
+                                   ["a", True]])
+def test_complex_from_json_takes_int_str_and_list_labels_only(label):
+    # True == 1 == 1.0, so such labels would collide with an int label
+    rule = "is not an int, a str or a list"
+    with pytest.raises(ValueError, match=rule):
+        Complex.from_json({"vertices": [label, 2],
+                           "simplices": [[label], [2], [label, 2]]})
+    with pytest.raises(ValueError, match=rule):
+        Complex.from_json({"vertices": [0, 2],
+                           "simplices": [[0], [2], [label, 2]]})
+    listed = {"vertices": [["a", 0], "b", 3],
+              "simplices": [[["a", 0]], ["b"], [3], [["a", 0], 3]]}
+    assert Complex.from_json(listed).vertices == (("a", 0), "b", 3)
 
 
 @pytest.mark.parametrize("images", [
