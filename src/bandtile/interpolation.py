@@ -340,18 +340,39 @@ def bump_transform(tau: float, t):
     return out.reshape(t_arr.shape)
 
 
+def bump_spectrum(tau: float, tmax: float, nodes, coeffs):
+    """Spectral sums of the bump series sum_k coeffs[k] *
+    bump_transform(tau, t - nodes[k]), on the rule bump_transform picks for
+    offsets |t - n_k| <= tmax.
+
+    Returns the rule's nodes u_j on [-1, 1] and, with a_j = pi tau u_j,
+    the sums C_j = gw_j sum_k c_k cos(a_j n_k) and
+    S_j = gw_j sum_k c_k sin(a_j n_k) as (U, 2) real arrays whose columns
+    are the real and imaginary parts. The series is then
+    sum_j cos(a_j t) C_j + sin(a_j t) S_j, a sum of spectral lines at the
+    frequencies +-tau u_j / 2 with amplitudes (C_j -+ i S_j) / 2.
+    """
+    u, gw = _bump_rule(tau, tmax)
+    a = np.pi * tau * u
+    # real and imaginary parts as rows, so every product stays real
+    parts = np.stack([coeffs.real, coeffs.imag])
+    node_phase = np.multiply.outer(nodes, a)
+    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
+    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
+    return u, spec_cos, spec_sin
+
+
 def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
     """sum_k coeffs[k] * bump_transform(tau, t - nodes[k]) for real t,
     through the quadrature nodes instead of per (point, node) pair.
 
     With a_j = pi tau u_j, the identity cos(a (t - n)) = cos(a t) cos(a n)
-    + sin(a t) sin(a n) splits the sum into per-node spectral sums
-    C_j = gw_j sum_k c_k cos(a_j n_k) and S_j = gw_j sum_k c_k sin(a_j n_k),
-    formed once, and the value sum_j cos(a_j t) C_j + sin(a_j t) S_j at each
-    point: O((T + K) U) cos/sin evaluations against O(T K U) for the direct
-    sum. The rule is the one bump_transform would pick for the offsets
-    t - nodes, sized by max |t - n_k| over the call. Returns a complex array
-    shaped like t.
+    + sin(a t) sin(a n) splits the sum into per-node spectral sums C_j, S_j
+    (bump_spectrum), formed once, and the value
+    sum_j cos(a_j t) C_j + sin(a_j t) S_j at each point: O((T + K) U)
+    cos/sin evaluations against O(T K U) for the direct sum. The rule is
+    the one bump_transform would pick for the offsets t - nodes, sized by
+    max |t - n_k| over the call. Returns a complex array shaped like t.
     """
     t_arr = np.asarray(t, dtype=float)
     ts = t_arr.ravel()
@@ -362,13 +383,8 @@ def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
         return out.reshape(t_arr.shape)
     # largest |t - n_k| over all pairs, rounded as the offsets would be
     tmax = max(float(ts.max() - nodes.min()), float(nodes.max() - ts.min()))
-    u, gw = _bump_rule(tau, tmax)
+    u, spec_cos, spec_sin = bump_spectrum(tau, tmax, nodes, coeffs)
     a = np.pi * tau * u
-    # real and imaginary parts as rows, so every product stays real
-    parts = np.stack([coeffs.real, coeffs.imag])
-    node_phase = np.multiply.outer(nodes, a)
-    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
-    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
     chunk = _chunk_rows(u.size)
     for i in range(0, ts.size, chunk):
         phase = np.multiply.outer(ts[i:i + chunk], a)

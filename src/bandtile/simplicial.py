@@ -580,6 +580,10 @@ def approx_map(c: Complex, sample: MetricSample, pi: dict, f: dict,
             raise ValueError(f"pi({p!r}) has mismatched coordinates")
         if any(x < -SNAP for x in coords) or abs(sum(coords) - 1.0) > SNAP:
             raise ValueError(f"pi({p!r}) is not barycentric")
+        # a sum off 1 by up to SNAP would scale g(p) by it, and the delta
+        # bound below holds only to 1e-12
+        total = sum(coords)
+        coords = tuple(x / total for x in coords)
         placements.append((verts, coords))
         supports.append({v for v, x in zip(verts, coords) if x > 0.0})
 

@@ -112,9 +112,10 @@ def test_band_check_evaluates_the_signal_once(monkeypatch):
     sig = BandSignal(np.arange(-4.0, 5.0), np.ones(9), BumpKernel(0.9),
                      carrier_freq=BAND.carrier())
     band_check(sig, BAND, PROBES, half_window=16.0)
-    # one pass, on the 40 panels of 24 Gauss nodes that 3.7 Hz needs and
-    # the two cut points
-    assert sizes == [962]
+    # one pass, on the 11 panels of 24 Gauss nodes that the baseband
+    # (at least 1 Hz) needs and the two cut points: the leakage of a bump
+    # series comes from its spectral lines, not from these samples
+    assert sizes == [266]
 
 
 def test_window_short_flags_a_tone_and_clears_a_centred_bump_series():
@@ -142,6 +143,22 @@ def test_window_short_reads_the_value_at_the_cut():
     rep = band_check(sig, BAND, PROBES, half_window=10.0)
     assert rep.window_short
     assert rep.edge_fraction == pytest.approx(abs(sig.eval(8.0)) / np.max(mag),
+                                              rel=1e-12)
+
+
+def test_window_short_reads_the_value_at_the_cut_of_a_bump_series():
+    # the same for a bump lobe, on the 8 Gauss panels that band_check
+    # resolves for the baseband at T = 10: the first node past the cut lies
+    # 0.068 beyond it and reads 0.266 of the peak, the cut itself 0.316.
+    # One eval call, as band_check makes, so the bump rule is the same.
+    sig = BandSignal((6.77,), (1.0,), BumpKernel(0.9),
+                     carrier_freq=BAND.carrier())
+    ts, _ = composite_gauss(-10.0, 10.0, 8)
+    mag = np.abs(sig.eval(np.append(ts, [-8.0, 8.0])))
+    assert np.max(mag[:-2][np.abs(ts) >= 8.0]) < 0.3 * np.max(mag)
+    rep = band_check(sig, BAND, PROBES, half_window=10.0)
+    assert rep.window_short
+    assert rep.edge_fraction == pytest.approx(mag[-1] / np.max(mag),
                                               rel=1e-12)
 
 

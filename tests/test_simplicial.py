@@ -390,6 +390,16 @@ def test_approx_map_rejects_an_empty_sample():
         approx_map(edge, MetricSample((), ()), {}, {}, eps=1.0, delta=0.5)
 
 
+def test_approx_map_normalizes_barycentric_coordinates():
+    # the coordinates sum to 1 + 9e-10, inside SNAP; unnormalized they
+    # scale the image 1e6 to 1e6 + 9e-4, off f by more than delta
+    edge = Complex.from_maximal([(0, 1)])
+    samp = MetricSample(("x",), ((0.0,),))
+    pi = {"x": ((0, 1), (0.5 + 5e-10, 0.5 + 4e-10))}
+    g = approx_map(edge, samp, pi, {"x": (1e6,)}, eps=1.0, delta=1e-4)
+    assert g.images == {0: (1e6,), 1: (1e6,)}
+
+
 def test_approx_map_vertex_placements_copy_f():
     edge = Complex.from_maximal([(0, 1)])
     samp = MetricSample(("x", "y"), ((0.0, 3.0), (3.0, 0.0)))
