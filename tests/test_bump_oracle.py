@@ -1,10 +1,11 @@
-"""bump_transform, and bump-kernel series, against a 30-digit mpmath
-quadrature of the bump."""
+"""bump_transform, bump-kernel series and the decay guard's far-field
+constant, against 30-digit mpmath quadratures of the bump."""
 
 import mpmath
 import numpy as np
 import pytest
 
+from bandtile import systems
 from bandtile.bandlimited import BandSignal, BumpKernel
 from bandtile.interpolation import bump_transform
 
@@ -85,3 +86,21 @@ def test_complex_input_on_the_real_axis_takes_the_real_path():
     for tmax in (0.0, 10.0, 20.0):
         at_zero = bump_transform(0.5, np.array([0.0, tmax]))[0]
         assert abs(at_zero - 1.0) <= 1e-15
+
+
+def test_far_field_bound_constant():
+    """The decay guard's far-field constant is (65/64) N2 / pi^2 with
+    N2 = ||beta''||_1 / ||beta||_1, beta'' = beta (6u^4 - 2) / (1-u^2)^4;
+    the integrand is even, so each norm is twice its half on [0, 1], split
+    at the sign change u^4 = 1/3."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(3) ** mpmath.mpf(-0.25)
+
+        def curvature(u):
+            return _bump(u) * (6 * u ** 4 - 2) / (1 - u * u) ** 4
+
+        n2 = ((abs(mpmath.quad(curvature, [0, a]))
+               + abs(mpmath.quad(curvature, [a, 1])))
+              / mpmath.quad(_bump, [0, 1]))
+        want = float(mpmath.mpf(65) / 64 * n2 / mpmath.pi ** 2)
+    assert systems._FAR_FIELD_BOUND == pytest.approx(want, rel=1e-12, abs=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bandtile
+from bandtile import cli
 from bandtile.cli import main, parse_config
 
 
@@ -304,3 +306,22 @@ def test_marker_codec_backward_orbit_markers(tmp_path):
                             "--seed", "24"])
     assert code == 0
     assert json.loads(payload)["report"]["M"] == 33
+
+
+def test_marker_codec_fails_on_a_short_window(tmp_path, monkeypatch):
+    """A band check whose window is too short for its estimate fails the
+    marker codec even when the leakage passes."""
+    real = cli.band_check
+
+    def short(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, passed=True, window_short=True)
+
+    args = ["codec", "marker", "--seed", "1"]
+    assert run_to(tmp_path, "ok.json", args)[0] == 0
+    monkeypatch.setattr(cli, "band_check", short)
+    code, payload = run_to(tmp_path, "short.json", args)
+    assert code == 1
+    doc = json.loads(payload)
+    assert doc["passed"] is False
+    assert doc["report"]["band_check_passed"] is True

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandtile import systems
-from bandtile.bandlimited import Band, band_check
+from bandtile import bandlimited, systems
+from bandtile.bandlimited import Band, BumpKernel, band_check
+from bandtile.interpolation import bump_transform
 from bandtile.systems import (
     DiscreteSignal,
     MarkerBump,
@@ -270,6 +271,75 @@ def test_marker_encode_kernel_guards():
     for _ in range(2):  # the decay guard caches verdicts, not rejections
         with pytest.raises(ValueError, match="quadratic decay"):
             marker_encode(r, scheme.h, band, range(-5, 6))
+
+
+def reference_decay_guard(kernel):
+    """The two-scan decay guard: the envelope constant on 449 points of
+    [8, 64] against twice the one on 257 points of [0, 8]."""
+    tn = np.linspace(0.0, 8.0, 257)
+    tf = np.linspace(8.0, 64.0, 449)
+    k_near = float(np.max(np.abs(kernel.eval(tn)) * (1.0 + tn ** 2)))
+    k_far = float(np.max(np.abs(kernel.eval(tf)) * (1.0 + tf ** 2)))
+    if k_far > 2.0 * k_near:
+        raise ValueError("kernel lacks a quadratic decay envelope")
+    return k_near
+
+
+def _bound_decides(tau, k_near):
+    return systems._FAR_FIELD_BOUND / tau ** 2 <= 2.0 * k_near
+
+
+def test_decay_guard_matches_two_scan_reference():
+    """Same verdicts and the same K as the two-scan guard, across the
+    scan's threshold (tau near 0.066) and the bound's (near 0.0976)."""
+    guard = systems._quadratic_decay_guard.__wrapped__
+    taus = np.concatenate([np.geomspace(0.04, 3.0, 200),
+                           [0.0659, 0.0661, 0.0976, 0.0977]])
+    regimes = set()
+    for tau in taus:
+        kernel = BumpKernel(tau)
+        try:
+            want = reference_decay_guard(kernel)
+        except ValueError:
+            with pytest.raises(ValueError, match="quadratic decay"):
+                guard(kernel)
+            regimes.add("rejected")
+            continue
+        assert guard(kernel) == want
+        regimes.add("bound" if _bound_decides(tau, want) else "scan")
+    assert regimes == {"rejected", "scan", "bound"}
+
+
+def test_marker_encode_band_the_bound_cannot_decide():
+    # tau = 0.081: the bound exceeds 2K, and the far-field scan passes it
+    band = Band(2.0, 2.09)
+    tau = 0.9 * (band.hi - band.lo)
+    assert not _bound_decides(tau, reference_decay_guard(BumpKernel(tau)))
+    r = Rotation(ALPHA)
+    scheme = marker_function(r, 4)
+    sig = marker_encode(r, scheme.h, band, range(-5, 6))
+    assert sig.kernel == BumpKernel(tau)
+
+
+def test_decay_guard_scans_only_the_near_field(monkeypatch):
+    calls = []
+    real = bandlimited.bump_transform
+
+    def counting(tau, t):
+        calls.append(np.size(t))
+        return real(tau, t)
+
+    monkeypatch.setattr(bandlimited, "bump_transform", counting)
+    k_near = systems._quadratic_decay_guard.__wrapped__(BumpKernel(0.9))
+    assert calls == [257]
+    assert k_near == reference_decay_guard(BumpKernel(0.9))
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.675, 1.35, 3.0])
+def test_far_field_bound_holds(tau):
+    t = np.linspace(8.0, 256.0, 2001)
+    env = (1.0 + t ** 2) * np.abs(bump_transform(tau, t))
+    assert np.max(env) <= systems._FAR_FIELD_BOUND / tau ** 2
 
 
 def test_sturmian_frozen_prefix():
