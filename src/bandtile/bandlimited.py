@@ -16,14 +16,13 @@ points and a U-node rule instead of O(T K U) (interpolation.bump_series).
 The other kernels are evaluated on the T x K matrix of offsets t - n_k.
 
 Band membership is certified numerically (band_check), by the leakage of
-the Hann-tapered spectrum at probe frequencies outside the band. The
-spectral sums also write a bump series as a finite sum of lines at
-carrier +- tau u_j / 2, and the tapered transform of one line has a closed
-form, so a bump series' leakage is a sum over its lines, with no time
-samples; its window-edge diagnostic reads |s| on a grid resolved for the
-baseband alone. Sinc and tone signals are integrated in time by composite
-Gauss quadrature resolved for the probe frequencies, and their edge
-diagnostic reads the same nodes. Nothing here does symbolic complex
+the Hann-tapered spectrum at probe frequencies outside the band. Every
+kernel states its spectrum as a finite sum of lines (kernel.spectrum): a
+quadrature of the bump profile, a flat Gauss rule for sinc, and two exact
+lines for a tone. The tapered transform of one line has a closed form
+(hann_transform), so the leakage of any signal is a sum over its lines,
+with no time samples. The window-edge diagnostic reads |s| on a Gauss grid
+resolved for the baseband alone. Nothing here does symbolic complex
 analysis.
 """
 
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import bump_series, bump_spectrum, bump_transform
+from .interpolation import (_bump_rule, _rule_panels, bump_series,
+                            bump_transform)
 from .numutil import cispi, composite_gauss, sinpi
 
 
@@ -81,6 +81,13 @@ class ToneKernel:
     def eval(self, u):
         return sinpi(2.0 * self.freq * np.asarray(u, dtype=float))
 
+    def spectrum(self, tmax: float):
+        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u): here
+        exactly, for every u, sin(2 pi f u) = (e^(2 pi i f u) -
+        e^(-2 pi i f u)) / 2i, so nu = (f, -f) and g = (-i/2, i/2). tmax
+        is not needed."""
+        return np.array([self.freq, -self.freq]), np.array([-0.5j, 0.5j])
+
 
 @dataclass(frozen=True)
 class SincKernel:
@@ -95,6 +102,15 @@ class SincKernel:
 
     def eval(self, u):
         return np.sinc(2.0 * self.halfwidth * np.asarray(u, dtype=float))
+
+    def spectrum(self, tmax: float):
+        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u) for
+        |u| <= tmax: sinc(2 c u) is the mean of e^(2 pi i c x u) over x in
+        [-1, 1], taken by a flat composite Gauss rule (x_j, w_j) with the
+        bump rule's panels for tau = 2 c, so nu = c x and g = w / 2."""
+        c = self.halfwidth
+        x, w = composite_gauss(-1.0, 1.0, _rule_panels(2.0 * c, tmax))
+        return c * x, 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,13 @@ class BumpKernel:
 
     def eval(self, u):
         return bump_transform(self.tau, np.asarray(u, dtype=float))
+
+    def spectrum(self, tmax: float):
+        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u) for
+        |u| <= tmax, to the accuracy of bump_transform: the bump rule
+        (u_j, gw_j) for tmax, with nu = tau u / 2 and g = gw."""
+        u, gw = _bump_rule(self.tau, tmax)
+        return 0.5 * self.tau * u, gw
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,50 +217,47 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     """Estimate spectral leakage at probe frequencies outside the band.
 
     The leakage at f is |F(s * taper)(f)| / integral(taper), with a Hann
-    taper on [-T, T]. A bump series is a finite sum of spectral lines
-    A e^(2 pi i lambda t) (interpolation.bump_spectrum), and a line
-    contributes A H(lambda - f) in closed form (hann_transform), so its
-    leakage needs no time samples. Sinc and tone signals are integrated
-    by composite Gauss quadrature, at least 8 nodes per period of the
-    fastest oscillation present.
+    taper on [-T, T]. With the kernel's lines (nu_j, g_j) for offsets up to
+    tmax = T + max |n_k|, the signal on the window is the sum of lines
+    A_j e^(2 pi i (carrier + nu_j) t), A_j = g_j sum_k c_k e^(-2 pi i nu_j
+    n_k), and a line contributes A_j H(carrier + nu_j - f) in closed form
+    (hann_transform); so the leakage needs no time samples, for any kernel.
+    At least one probe is required: with none, nothing would be checked.
 
     A slowly decaying signal still large near the window edge degrades the
     estimate; that is reported as window_short rather than silently passed.
-    The signal is evaluated once, on a composite Gauss grid and the two cut
-    points t = +-0.8 T; edge_fraction is the peak |s| over the cut points
-    and the nodes past them over the peak over all these points, short
-    above 0.3. For a sinc or tone signal the grid is the quadrature's; |s|
-    does not depend on the carrier, so for a bump series it is resolved
-    for the baseband half-width tau / 2 alone.
+    The signal is evaluated once, on a composite Gauss grid resolved for
+    the baseband half-width (at least 1), since |s| does not depend on the
+    carrier, and on the two cut points t = +-0.8 T; edge_fraction is the
+    peak |s| over the cut points and the nodes past them over the peak over
+    all these points, short above 0.3.
     """
     probes = [float(f) for f in probe_freqs]
+    if not probes:
+        raise ValueError("band_check needs at least one probe frequency")
     for f in probes:
         if band.contains(f):
             raise ValueError(f"probe frequency {f} lies inside the band")
     T = float(half_window)
-    lines = isinstance(s.kernel, BumpKernel)
-    if lines:
-        fmax = max(s.kernel.halfwidth, 1.0)
-    else:
-        fmax = max([abs(f) for f in probes]
-                   + [abs(band.lo), abs(band.hi), abs(s.carrier_freq), 1.0])
+    fmax = max(s.kernel.halfwidth, 1.0)
     # composite panels: 24-node Gauss resolves ~7 periods comfortably; use
     # panel width <= 3 / fmax for >= 8 nodes per period
     panels = max(8, int(math.ceil(2.0 * T * fmax / 3.0)))
-    ts, qw = composite_gauss(-T, T, panels)
+    ts, _ = composite_gauss(-T, T, panels)
     cut = 0.8 * T
     at = np.append(ts, [-cut, cut])
-    raw = s.eval(at)
-    if lines:
-        est = _line_leakage(s, np.array(probes), T)
-    else:
-        taper = np.cos(np.pi * ts / (2.0 * T)) ** 2
-        vals = raw[:-2] * taper * qw
-        # T is the closed-form integral of the Hann taper over [-T, T]
-        est = [np.sum(vals * cispi(-2.0 * f * ts)) / T for f in probes]
+    mag = np.abs(s.eval(at))
+    nu, g = s.kernel.spectrum(T + float(np.max(np.abs(s.nodes), initial=0.0)))
+    # sum_k c_k e^(-i phase_jk) from real cosine and sine matrices, with
+    # the coefficients' real and imaginary parts as rows
+    parts = np.stack([s.coeffs.real, s.coeffs.imag])
+    phase = np.multiply.outer(s.nodes, 2.0 * np.pi * nu)
+    cs, sn = parts @ np.cos(phase), parts @ np.sin(phase)
+    amps = g * ((cs[0] + sn[1]) + 1j * (cs[1] - sn[0]))
+    freqs = s.carrier_freq + nu
+    est = hann_transform(freqs[None, :] - np.array(probes)[:, None], T) @ amps
     leakage = tuple((f, float(abs(e))) for f, e in zip(probes, est))
     # edge diagnostic: the outer fifth's share of the peak |s|
-    mag = np.abs(raw)
     overall = float(np.max(mag))
     outer = float(np.max(mag[np.abs(at) >= cut]))
     edge_fraction = outer / overall if overall > 0 else 0.0
@@ -246,24 +266,6 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     return BandCheckReport(leakage=leakage, tol=tol, passed=passed,
                            half_window=T, edge_fraction=edge_fraction,
                            window_short=window_short)
-
-
-def _line_leakage(s: BandSignal, probes: np.ndarray, T: float) -> np.ndarray:
-    """Hann-tapered transform over [-T, T], divided by T, of a bump series
-    at each probe frequency, summed over its spectral lines: O(U) per probe
-    for a U-node rule."""
-    if s.nodes.size == 0:
-        return np.zeros(probes.size, dtype=complex)
-    tau = s.kernel.tau
-    # the rule covers every offset t - n_k with |t| <= T
-    tmax = max(T - float(s.nodes[0]), float(s.nodes[-1]) + T)
-    u, spec_cos, spec_sin = bump_spectrum(tau, tmax, s.nodes, s.coeffs)
-    c = spec_cos[:, 0] + 1j * spec_cos[:, 1]
-    si = spec_sin[:, 0] + 1j * spec_sin[:, 1]
-    half = 0.5 * tau * u
-    freqs = np.concatenate([s.carrier_freq + half, s.carrier_freq - half])
-    amps = 0.5 * np.concatenate([c - 1j * si, c + 1j * si])
-    return hann_transform(freqs[None, :] - probes[:, None], T) @ amps
 
 
 def hann_transform(nu, T: float):

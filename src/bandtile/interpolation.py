@@ -295,13 +295,18 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rule_panels(tau: float, tmax: float) -> int:
+    """Panels of 24 Gauss nodes on [-1, 1] for at least 16 nodes per period
+    of cos(pi tau tmax u)."""
+    return max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
+
+
 def _bump_rule(tau: float, tmax: float):
     """Nodes u on [-1, 1] and weights gw of the bump quadrature for
     |t| <= tmax: a composite Gauss rule of at least 16 nodes per period of
     cos(pi tau tmax u), weighted by the bump profile and normalised by its
     own integral of the bump, so that t = 0 gives exactly 1."""
-    panels = max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
-    u, w = composite_gauss(-1.0, 1.0, panels)
+    u, w = composite_gauss(-1.0, 1.0, _rule_panels(tau, tmax))
     gw = w * _bump_profile(u)
     gw /= gw.sum()
     return u, gw
@@ -340,35 +345,14 @@ def bump_transform(tau: float, t):
     return out.reshape(t_arr.shape)
 
 
-def bump_spectrum(tau: float, tmax: float, nodes, coeffs):
-    """Spectral sums of the bump series sum_k coeffs[k] *
-    bump_transform(tau, t - nodes[k]), on the rule bump_transform picks for
-    offsets |t - n_k| <= tmax.
-
-    Returns the rule's nodes u_j on [-1, 1] and, with a_j = pi tau u_j,
-    the sums C_j = gw_j sum_k c_k cos(a_j n_k) and
-    S_j = gw_j sum_k c_k sin(a_j n_k) as (U, 2) real arrays whose columns
-    are the real and imaginary parts. The series is then
-    sum_j cos(a_j t) C_j + sin(a_j t) S_j, a sum of spectral lines at the
-    frequencies +-tau u_j / 2 with amplitudes (C_j -+ i S_j) / 2.
-    """
-    u, gw = _bump_rule(tau, tmax)
-    a = np.pi * tau * u
-    # real and imaginary parts as rows, so every product stays real
-    parts = np.stack([coeffs.real, coeffs.imag])
-    node_phase = np.multiply.outer(nodes, a)
-    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
-    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
-    return u, spec_cos, spec_sin
-
-
 def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
     """sum_k coeffs[k] * bump_transform(tau, t - nodes[k]) for real t,
     through the quadrature nodes instead of per (point, node) pair.
 
     With a_j = pi tau u_j, the identity cos(a (t - n)) = cos(a t) cos(a n)
-    + sin(a t) sin(a n) splits the sum into per-node spectral sums C_j, S_j
-    (bump_spectrum), formed once, and the value
+    + sin(a t) sin(a n) splits the sum into per-node spectral sums
+    C_j = gw_j sum_k c_k cos(a_j n_k) and S_j = gw_j sum_k c_k sin(a_j n_k),
+    formed once, and the value
     sum_j cos(a_j t) C_j + sin(a_j t) S_j at each point: O((T + K) U)
     cos/sin evaluations against O(T K U) for the direct sum. The rule is
     the one bump_transform would pick for the offsets t - nodes, sized by
@@ -383,8 +367,14 @@ def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
         return out.reshape(t_arr.shape)
     # largest |t - n_k| over all pairs, rounded as the offsets would be
     tmax = max(float(ts.max() - nodes.min()), float(nodes.max() - ts.min()))
-    u, spec_cos, spec_sin = bump_spectrum(tau, tmax, nodes, coeffs)
+    u, gw = _bump_rule(tau, tmax)
     a = np.pi * tau * u
+    # real and imaginary parts as rows, so every product stays real; the
+    # sums are (U, 2) arrays whose columns are the real and imaginary parts
+    parts = np.stack([coeffs.real, coeffs.imag])
+    node_phase = np.multiply.outer(nodes, a)
+    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
+    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
     chunk = _chunk_rows(u.size)
     for i in range(0, ts.size, chunk):
         phase = np.multiply.outer(ts[i:i + chunk], a)

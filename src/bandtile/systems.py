@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bandlimited import Band, BandSignal, BumpKernel
+from .interpolation import _bump_profile
 from .numutil import cispi, circle_dist, composite_gauss, cospi, frac
 from .tiling import MARKER_DTYPE, MarkerSeq
 
@@ -251,21 +252,18 @@ def orbit_markers(r: Rotation, h, window, L: int, M: int) -> MarkerSeq:
 
 def _bump_curvature_ratio() -> float:
     """N2 = ||beta''||_1 / ||beta||_1 for the bump profile
-    beta(u) = exp(-1/(1-u^2)) on [-1, 1], where
-    beta'' = beta (6u^4 - 2) / (1-u^2)^4. beta'' changes sign at
+    beta(u) = exp(-1/(1-u^2)) on [-1, 1] (interpolation._bump_profile),
+    where beta'' = beta (6u^4 - 2) / (1-u^2)^4. beta'' changes sign at
     u^4 = 1/3, so each piece between the sign changes is integrated on its
     own composite Gauss rule and taken in absolute value."""
-    def beta(u):
-        return np.exp(-1.0 / (1.0 - u * u))
-
     a = 3.0 ** -0.25
     curvature = 0.0
     for lo, hi in ((-1.0, -a), (-a, a), (a, 1.0)):
         u, w = composite_gauss(lo, hi, 64)
-        curvature += abs(float(w @ (beta(u) * (6.0 * u ** 4 - 2.0)
+        curvature += abs(float(w @ (_bump_profile(u) * (6.0 * u ** 4 - 2.0)
                                     / (1.0 - u * u) ** 4)))
     u, w = composite_gauss(-1.0, 1.0, 64)
-    return curvature / float(w @ beta(u))
+    return curvature / float(w @ _bump_profile(u))
 
 
 # tau^2 (1+t^2)|bump_transform(tau, t)| <= _FAR_FIELD_BOUND for all t >= 8
