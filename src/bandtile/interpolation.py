@@ -35,8 +35,10 @@ from .numutil import composite_gauss
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
-# terms of the lattice tail's log series; |w/(A+1)| <= 0.95 converges in
-# about 400, and a series that reaches the limit raises
+# the lattice tail accepts |w| < TAIL_REACH * (A+1); at that ratio its log
+# series converges in about 400 terms, and a series that reaches the limit
+# raises
+TAIL_REACH = 0.95
 LATTICE_TAIL_TERMS = 1999
 
 
@@ -230,7 +232,7 @@ def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
         return np.ones_like(w)
     wmax = float(np.max(np.abs(w)))
     q = block_radius + 1
-    if wmax >= 0.95 * q:
+    if wmax >= TAIL_REACH * q:
         raise ValueError(
             "evaluation point too close to the idealized tail; "
             f"|z|/l = {wmax:.3g} with block radius {block_radius}")
@@ -431,7 +433,7 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
 
 
 # ---------------------------------------------------------------------------
-# randomized families and empirical certificates
+# randomized families and radius certificates
 
 
 def _allowed_block_interval(n: int, l: int, gap: float):
@@ -512,6 +514,16 @@ def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
 
 @dataclass(frozen=True)
 class RadiusCertificate:
+    """The outcome of a radius certificate.
+
+    radius: the first candidate radius certified, or None. sup_error: the
+    error at that radius, or at the last one tested when none is certified;
+    for truncation_radius a proven bound on the sup over the disk, which
+    sits at or above any sampling of it, and for locality_radius the
+    largest difference sampled. radii_tested: the candidate radii in the
+    order tried, up to and including the certified one.
+    """
+
     radius: float | None
     certified: bool
     eps: float
@@ -520,15 +532,110 @@ class RadiusCertificate:
     radii_tested: tuple
 
 
-def _check_certificate_args(r: float, eps: float, family_size: int):
-    """A radius certificate needs a finite r >= 0, a finite eps > 0 and at
-    least one family member; otherwise nothing would be checked."""
+def _check_certificate_args(r: float, eps: float, family_size: int,
+                            window_blocks: int, params: GridParams,
+                            kernel_margin: int | None = None):
+    """A radius certificate needs a finite r >= 0, a finite eps > 0, at
+    least one family member and window_blocks >= 2, so that half the window
+    holds the first candidate radius l; otherwise nothing would be checked.
+    Kernels with block radius window_blocks - kernel_margin must also keep
+    |z|/l = r/l inside the lattice tail's reach."""
     if family_size < 1:
         raise ValueError(f"family_size must be at least 1, got {family_size}")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if window_blocks < 2:
+        raise ValueError("window_blocks must be at least 2 to hold a "
+                         f"candidate radius, got {window_blocks}")
+    if kernel_margin is not None:
+        a = window_blocks - kernel_margin
+        if a < 0 or r / params.l >= TAIL_REACH * (a + 1):
+            raise ValueError(
+                f"window_blocks = {window_blocks} leaves the kernels block "
+                f"radius {a}, too small for r = {r}")
+
+
+def _candidate_radii(params: GridParams, window_blocks: int) -> list:
+    """l, 2l, 4l, ... up to half the window, so that the nodes beyond the
+    largest are never trivially empty."""
+    radii = []
+    b = float(params.l)
+    while b <= window_blocks * params.l / 2:
+        radii.append(b)
+        b *= 2
+    return radii
+
+
+# extra roundings of 2**-53 that the allowance of a sum of reciprocal node
+# powers grants beyond the sum's own, per unit of sum |terms| (see
+# _dropped_sums)
+SUM_ROUNDINGS = 16
+
+
+def _dropped_sums(mset: NodeMultiset, radii: np.ndarray):
+    """Sums over the nodes with |n| > B, with multiplicity, for each cut
+    radius B of the array `radii`: rows S_1 = sum 1/n, S_2 = sum 1/n^2 and
+    A_3 = sum 1/|n|^3, and for each entry an allowance that bounds the
+    distance of the float sum from the exact one. The nodes must be
+    nonzero.
+
+    Each side of the origin is summed from the outside in, so every cut is
+    a prefix of a running sum: O(N) work for all radii together. A term
+    takes up to four roundings of 2**-53, and the k terms of a cut k - 1
+    additions, so the float sum is within gamma_{k+3} sum |terms| <=
+    (k + 3) 2**-52 sum |terms| of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2). The allowance
+    (k + SUM_ROUNDINGS) 2**-52 sum |terms| covers that, the rounding of
+    sum |terms| itself and the dozen roundings that _truncation_bound takes
+    from the sums to the bound, each relative to a value that sum |terms|
+    bounds.
+    """
+    pos = mset.positions()
+    inv = 1.0 / pos
+    t1 = mset.multiplicities() * inv
+    t2 = t1 * inv
+    terms = np.stack([t1, t2, np.abs(t2 * inv), np.abs(t1)])
+    neg = int(np.searchsorted(pos, 0.0))
+    # running sums from the outermost node in, with a zero column for the
+    # empty cut: the negative side ascending, the positive one descending
+    running = []
+    for side in (terms[:, :neg], terms[:, neg:][:, ::-1]):
+        acc = np.zeros((4, side.shape[1] + 1))
+        np.cumsum(side, axis=1, out=acc[:, 1:])
+        running.append(acc)
+    below = np.searchsorted(pos, -radii, side="left")
+    above = pos.size - np.searchsorted(pos, radii, side="right")
+    sums = running[0][:, below] + running[1][:, above]
+    slack = (below + above + SUM_ROUNDINGS) * 2.0 ** -52 * sums[[3, 1, 2]]
+    return sums[:3], slack
+
+
+def _truncation_bound(mset: NodeMultiset, r: float,
+                      radii: np.ndarray) -> np.ndarray:
+    """For each cut radius B > r, a bound on
+    sup_{|z| <= r} |1 - prod_{|n| > B} (1 - z/n)| over the nodes of mset,
+    with multiplicity; inf where B <= r, which the bound does not cover.
+
+    For |z| <= r < B < |n| the product is exp(-sum_m z^m S_m / m), with
+    S_m = sum n^-m over the dropped nodes, and |S_m| <= A_3 B^(3-m) for
+    m >= 3, A_3 = sum |n|^-3. So the exponent is at most
+    E = r |S_1| + r^2 |S_2| / 2 + (r^3 A_3 / 3) / (1 - r/B) in modulus, and
+    |1 - e^w| <= e^|w| - 1 gives the bound exp(E) - 1. Each sum enters
+    with the allowance of _dropped_sums, so the bound holds for the exact
+    sums, not only for their rounded values.
+    """
+    sums, slack = _dropped_sums(mset, radii)
+    s1, s2, a3 = np.abs(sums) + slack
+    covered = radii > r
+    e = np.full(radii.shape, np.inf)
+    q = r / radii[covered]
+    e[covered] = (r * s1[covered] + r * r * s2[covered] / 2
+                  + (r ** 3 * a3[covered] / 3) / (1.0 - q))
+    # an exponent past the float range bounds nothing: inf, uncertified
+    with np.errstate(over="ignore"):
+        return np.expm1(e)
 
 
 def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
@@ -538,51 +645,32 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     product factors with |node| > B moves the windowed product by less than
     eps on the disk |z| <= r, over a randomized saturated family.
 
-    The dropped factors form a holomorphic function, so the sup over the
-    disk is attained on the circle |z| = r; the certificate probes 16
-    equally spaced points there. Candidate radii stop at half the window
-    so the dropped set is never trivially empty. The dominant error is the
-    one block pair the cut |node| > B splits, roughly r*l*rho/B, so
-    certifying small eps takes a window of order r*l*rho/eps blocks.
-    Raises ValueError unless r is finite and >= 0, eps finite and > 0 and
-    family_size >= 1.
+    For each member and candidate radius the error is bounded, not
+    sampled: sup_error is the family's largest value of the log-series
+    bound of _truncation_bound, which holds on the whole disk and so sits
+    at or above any sampling of the circle |z| = r. A radius B <= r is
+    outside the bound and is never certified. Candidate radii stop at half
+    the window so the dropped set is never trivially empty. The dominant
+    error is the one block pair the cut |node| > B splits, roughly
+    r*l*rho/B, so certifying small eps takes a window of order r*l*rho/eps
+    blocks. Raises ValueError unless r is finite and >= 0, eps finite and
+    > 0, family_size >= 1 and window_blocks >= 2.
     """
-    _check_certificate_args(r, eps, family_size)
+    _check_certificate_args(r, eps, family_size, window_blocks, params)
     rng = np.random.default_rng(seed)
     win = (-window_blocks, window_blocks)
-    family = [saturate(random_admissible_multiset(params, win, rng))
-              for _ in range(family_size)]
-    if r > 0:
-        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        zs = r * np.exp(1j * angles)
-    else:
-        zs = np.array([0.0 + 0.0j])
-    max_radius = window_blocks * params.l / 2
-    radii = []
-    b = float(params.l)
-    while b <= max_radius:
-        radii.append(b)
-        b *= 2
-    worst = np.zeros(len(radii))
-    for mset in family:
-        pos = np.repeat(mset.positions(), mset.multiplicities())
-        absk = np.abs(pos)
-        order = np.argsort(absk)
-        asc = absk[order]
-        # prefix products over nodes sorted outside-in: the tail beyond any
-        # cut radius is a prefix of this cumulative product
-        factors = 1.0 - zs[:, None] / pos[order[::-1]][None, :]
-        tails = np.cumprod(factors, axis=1)
-        for j, bj in enumerate(radii):
-            k = pos.size - int(np.searchsorted(asc, bj, side="right"))
-            err = 0.0 if k == 0 else float(np.max(np.abs(1.0 - tails[:, k - 1])))
-            worst[j] = max(worst[j], err)
+    radii = _candidate_radii(params, window_blocks)
+    cuts = np.array(radii)
+    worst = np.zeros(cuts.size)
+    for _ in range(family_size):
+        mset = saturate(random_admissible_multiset(params, win, rng))
+        np.maximum(worst, _truncation_bound(mset, r, cuts), out=worst)
     for j, bj in enumerate(radii):
         if worst[j] < eps:
             return RadiusCertificate(bj, True, eps, float(worst[j]),
                                      family_size, tuple(radii[:j + 1]))
-    last = float(worst[-1]) if radii else math.inf
-    return RadiusCertificate(None, False, eps, last, family_size, tuple(radii))
+    return RadiusCertificate(None, False, eps, float(worst[-1]), family_size,
+                             tuple(radii))
 
 
 def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
@@ -593,17 +681,15 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     real interval |x| <= r, over a randomized family of agreeing pairs.
     The kernels are compared at 65 equally spaced points of the interval,
     with block radius window_blocks - 8. Raises ValueError on the arguments
-    truncation_radius rejects."""
-    _check_certificate_args(r, eps, family_size)
+    truncation_radius rejects, and when that block radius leaves |x| <= r
+    outside the lattice tail's reach."""
+    _check_certificate_args(r, eps, family_size, window_blocks, params,
+                            kernel_margin=8)
     a = window_blocks - 8
     xs = np.linspace(-r, r, 65).astype(complex)
     factors = _kernel_factors(params, xs, a)
-    radii = []
-    b = float(params.l)
-    max_radius = window_blocks * params.l / 2
-    worst_last = math.inf
-    while b <= max_radius:
-        radii.append(b)
+    radii = _candidate_radii(params, window_blocks)
+    for j, b in enumerate(radii):
         rng = np.random.default_rng((seed, int(b)))
         worst = 0.0
         for _ in range(family_size):
@@ -611,11 +697,10 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
             v1 = _kernel_with(m1, xs, a, factors)
             v2 = _kernel_with(m2, xs, a, factors)
             worst = max(worst, float(np.max(np.abs(v1 - v2))))
-        worst_last = worst
         if worst < eps:
-            return RadiusCertificate(b, True, eps, worst, family_size, tuple(radii))
-        b *= 2
-    return RadiusCertificate(None, False, eps, worst_last, family_size, tuple(radii))
+            return RadiusCertificate(b, True, eps, worst, family_size,
+                                     tuple(radii[:j + 1]))
+    return RadiusCertificate(None, False, eps, worst, family_size, tuple(radii))
 
 
 def _extreme_multisets(params: GridParams, window) -> list[NodeMultiset]:
