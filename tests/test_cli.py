@@ -126,7 +126,7 @@ def test_suites_green_and_deterministic(tmp_path, args):
     (["interp", "oracle-sinc", "--seed", "9"],
      "c8326b8e62c7ac16db20bfec19288d7d74cc397f54944af1b75217963d32c15b"),
     (["interp", "radii", "--seed", "3"],
-     "2cfcced8b7b65eb0e6905c17799834a07e55e449b0177aab622e70f03bfb1488"),
+     "fb27f56ae8a4b323c04ee266e6cd79ab1d72d33769c3ee80fc14c9fe4772d251"),
     (["simplicial", "check", "--seed", "7"],
      "1a964cef733c9926da7d2c8e88669d890f351d70231534d074d811cd175eb073"),
     (["simplicial", "perturb", "--seed", "7"],
