@@ -1,6 +1,13 @@
-"""Shared numeric helpers: exact trig at lattice points, composite Gauss rules."""
+"""Shared numeric helpers: exact trig at lattice points, composite Gauss
+rules, and the integer rule for validated fields."""
 
 import numpy as np
+
+
+def is_integer(x) -> bool:
+    """True for a Python int or a NumPy integer, and False for a bool, so
+    a validated field rejects True, 2.0 and "2" instead of coercing them."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def sinpi(x):

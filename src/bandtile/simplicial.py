@@ -211,11 +211,13 @@ class SimplicialMap:
 
 @dataclass(frozen=True, eq=False)
 class MetricSample:
-    """Finite metric space: labels and a copy of their distance matrix, a
-    read-only float64 (n, n) array with row i for labels[i]. Checks raise at
-    the first failure: the shape; row by row a diagonal entry other than 0,
-    then an entry negative or asymmetric (NaN fails both); the first
-    triple in C order breaking the triangle inequality by over 1e-12."""
+    """Finite metric space: distinct labels and a copy of their distance
+    matrix, a read-only float64 (n, n) array with row i for labels[i];
+    distances are read from dist by row. Checks raise at the first
+    failure: a repeated label; the shape; row by row a diagonal entry
+    other than 0, then an entry negative or asymmetric (NaN fails both);
+    the first triple in C order breaking the triangle inequality by over
+    1e-12."""
 
     labels: tuple
     dist: np.ndarray
@@ -224,8 +226,7 @@ class MetricSample:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         n = len(labels)
-        object.__setattr__(self, "_row", {p: i for i, p in enumerate(labels)})
-        if len(self._row) != n:
+        if len(set(labels)) != n:
             raise ValueError("duplicate labels")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix shape mismatch")
@@ -245,12 +246,6 @@ class MetricSample:
             raise ValueError(
                 f"triangle inequality fails at "
                 f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
-
-    def index(self, label) -> int:
-        return self._row[label]
-
-    def d(self, a, b) -> float:
-        return float(self.dist[self.index(a), self.index(b)])
 
 
 def _forward(rows, through_gaps=True):

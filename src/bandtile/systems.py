@@ -27,7 +27,8 @@ import numpy as np
 
 from .bandlimited import Band, BandSignal, BumpKernel
 from .interpolation import _bump_profile
-from .numutil import cispi, circle_dist, composite_gauss, cospi, frac
+from .numutil import (cispi, circle_dist, composite_gauss, cospi, frac,
+                      is_integer)
 from .tiling import MARKER_DTYPE, MarkerSeq
 
 
@@ -48,8 +49,9 @@ class Rotation:
     def __post_init__(self):
         if not math.isfinite(self.alpha) or not math.isfinite(self.x0):
             raise ValueError("alpha and x0 must be finite")
-        if not isinstance(self.step, int) or isinstance(self.step, bool):
+        if not is_integer(self.step):
             raise ValueError("step must be an integer")
+        object.__setattr__(self, "step", int(self.step))
         object.__setattr__(self, "x0", frac(float(self.x0)))
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -148,7 +150,7 @@ def embedding_gap(alpha: float, window, phases, pairs):
     pairs = [tuple(pair) for pair in pairs]
     # rejected, not truncated by the int64 conversion, as MarkerSeq does
     for i in (i for pair in pairs for i in pair):
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        if not is_integer(i):
             raise ValueError(f"pair index {i!r} is not an integer")
     ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     outside = (ij < 0) | (ij >= len(x0))
@@ -329,15 +331,14 @@ def marker_encode(r: Rotation, h, band: Band, window) -> BandSignal:
 
 @dataclass(frozen=True, eq=False)
 class SubshiftWindow:
-    """A binary word observed over an integer window: one read-only uint8
-    array with one letter per window site, balanced (two factors of equal
-    length never differ by more than one in their count of ones). Equal
-    when the windows and the letters are equal.
+    """A binary word observed over an integer window: a read-only uint8
+    copy of the letters, one per window site. Equal when the windows and
+    the letters are equal.
 
-    The public constructor validates the letters and runs the O(n^2)
-    balance check. The private _trusted classmethod skips both; it is only
-    for words balanced by construction (an exact mechanical word, or the
-    letters of a window already built)."""
+    The constructor checks the window, the length and that every letter is
+    0 or 1, in O(n). It does not check balance: any binary word builds.
+    The words the package makes, exact mechanical words from
+    sturmian_window and their shifts, are balanced by construction."""
 
     word: np.ndarray
     window: range
@@ -347,39 +348,18 @@ class SubshiftWindow:
         raw = np.asarray(self.word)
         if raw.shape != (len(self.window),):
             raise ValueError("one letter per window site required")
-        if not ((raw == 0) | (raw == 1)).all():
+        # a set of Python letters costs less than numpy's elementwise
+        # tests at codec word lengths
+        if not set(raw.tolist()) <= {0, 1}:
             raise ValueError("letters must be 0 or 1")
         word = raw.astype(np.uint8)
-        # per-size prefix-sum loop: faster than numpy at codec word lengths
-        prefix = [0]
-        for b in word.tolist():
-            prefix.append(prefix[-1] + b)
-        n = len(word)
-        for size in range(1, n):
-            counts = [prefix[i + size] - prefix[i]
-                      for i in range(n - size + 1)]
-            if max(counts) - min(counts) > 1:
-                raise ValueError(
-                    f"word is not balanced at factor length {size}")
         word.flags.writeable = False
         object.__setattr__(self, "word", word)
-
-    @classmethod
-    def _trusted(cls, word: np.ndarray, window: range) -> "SubshiftWindow":
-        """Wrap a read-only uint8 word, balanced by construction and with
-        one letter per site of the step-1 window, without checking it."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "word", word)
-        object.__setattr__(x, "window", window)
-        return x
 
     def __eq__(self, other):
         return (isinstance(other, SubshiftWindow)
                 and self.window == other.window
                 and np.array_equal(self.word, other.word))
-
-    def __getitem__(self, n: int) -> int:
-        return int(self.word[self.window.index(n)])
 
     def letters(self, lo: int, hi: int) -> np.ndarray:
         """Letters at sites lo..hi inclusive (a read-only slice)."""
@@ -390,7 +370,7 @@ class SubshiftWindow:
         """The k-step shifted word: site n reads the original site n + k.
         Letters are untouched."""
         k = int(k)
-        return SubshiftWindow._trusted(
+        return SubshiftWindow(
             self.word, range(self.window.start - k, self.window.stop - k))
 
 
@@ -404,7 +384,8 @@ def sturmian_window(slope: float, intercept: float,
     Irrational slopes give Sturmian words; rational slopes give periodic
     balanced words; slope 0 is the all-zero word and slope 1 the all-one
     word. Exact mechanical words are balanced (Lothaire, Algebraic
-    Combinatorics on Words, ch. 2), so the balance check is skipped."""
+    Combinatorics on Words, ch. 2), which is why SubshiftWindow need not
+    check balance."""
     window = _check_window(window)
     slope, intercept = float(slope), float(intercept)
     if not 0.0 <= slope <= 1.0:  # NaN fails this too
@@ -416,10 +397,8 @@ def sturmian_window(slope: float, intercept: float,
     ad, cb, bd = a * d, c * b, b * d
     floors = [(n * ad + cb) // bd
               for n in range(window.start, window.stop + 1)]
-    word = np.array([q - p for p, q in zip(floors, floors[1:])],
-                    dtype=np.uint8)
-    word.flags.writeable = False
-    return SubshiftWindow._trusted(word, window)
+    return SubshiftWindow([q - p for p, q in zip(floors, floors[1:])],
+                          window)
 
 
 def _check_markers(markers, window: range) -> tuple:
@@ -430,7 +409,7 @@ def _check_markers(markers, window: range) -> tuple:
                          f"got {markers!r}") from None
     # rejected, not truncated by int(), as MarkerSeq does
     for m in markers:
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        if not is_integer(m):
             raise ValueError(f"markers must be integers, got {m!r}")
     mk = tuple(sorted(int(m) for m in markers))
     if not mk:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interpolation import GridParams, NodeMultiset, node_records
+from .numutil import is_integer
 
 SNAP = 1e-9
 
@@ -50,7 +51,7 @@ class MarkerSeq:
 
     def __post_init__(self):
         for val in (self.L, self.M):
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+            if not is_integer(val):
                 raise ValueError(f"L and M must be integers, got {val!r}")
         if self.L < 1 or self.M <= self.L:
             raise ValueError("need M > L >= 1")
@@ -81,9 +82,6 @@ class MarkerSeq:
                              f"farther than M={self.M}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    def positions(self) -> np.ndarray:
-        return self.entries["n"]
 
     def to_json(self) -> dict:
         return {"L": self.L, "M": self.M, "entries": self.entries.tolist()}
@@ -154,7 +152,7 @@ class Tiling:
         # integers pass through unconverted, so a fractional or boolean
         # value is rejected instead of truncated
         for val in (d["L"], d["M"], *(row["n"] for row in d["tiles"])):
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+            if not is_integer(val):
                 raise ValueError(f"L, M and tile indices must be integers, "
                                  f"got {val!r}")
         tiles = tuple((row["n"], None if row["interval"] is None

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numutil import is_integer
 from .tiling import Tile, Tiling, boundary_points
 
 SLACK = 1e-9
@@ -60,7 +61,7 @@ class WeightParams:
         object.__setattr__(self, "cost_ratio", float(ratio))
         for name in ("care_range", "tax_threshold", "L", "M", "reach"):
             val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+            if not is_integer(val):
                 raise ValueError(f"{name} must be an integer")
         if self.care_range < 0 or self.tax_threshold < 0:
             raise ValueError("care_range and tax_threshold must be >= 0")

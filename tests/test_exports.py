@@ -1,5 +1,6 @@
 """Every name the package root exports has a caller in the library or the
-benchmark, not only in the tests."""
+benchmark, not only in the tests, and no module builds an object around
+its validating constructor."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,21 @@ def test_every_export_has_a_caller():
     assert uncalled == [], f"exports without a caller: {uncalled}"
     # a name leaves the allowlist once it is called or deleted
     assert WAITING <= set(exported) and not WAITING & referenced
+
+
+def _calls_object_new(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object")
+
+
+def test_no_module_bypasses_a_constructor():
+    """object.__new__ would build an instance without __post_init__'s
+    checks, a second construction path beside the validated one."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _calls_object_new(node)]
+    assert found == [], f"object.__new__ calls in src: {found}"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandtile import bandlimited, systems
@@ -41,6 +41,21 @@ def test_rotation_points_and_exact_relabeling():
     assert r.point(1) == ALPHA
     r5 = r.shifted(5)
     assert all(r5.point(n) == r.point(n + 5) for n in range(-10, 10))
+
+
+@pytest.mark.parametrize("step", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_rotation_takes_a_numpy_integer_step(step):
+    r = Rotation(0.3, 0.0, step)
+    assert r == Rotation(0.3, 0.0, 2) and type(r.step) is int
+    r3 = r.shifted(np.int64(3))
+    assert r3 == Rotation(0.3, 0.0, 5) and type(r3.step) is int
+    assert all(r3.point(n) == r.point(n + 3) for n in range(-10, 10))
+
+
+@pytest.mark.parametrize("step", [2.0, np.float64(2.0), True, "2"])
+def test_rotation_rejects_a_non_integer_step(step):
+    with pytest.raises(ValueError, match="^step must be an integer$"):
+        Rotation(0.3, 0.0, step)
 
 
 def test_rotation_embed_exact_endpoints():
@@ -128,7 +143,7 @@ def test_marker_function_orbit_gaps_exceed_L():
     assert min(gaps) > 4
     assert max(gaps) < scheme.M
     mseq = orbit_markers(r, scheme.h, range(-1000, 1001), L=4, M=scheme.M)
-    assert mseq.positions().tolist() == hits
+    assert mseq.entries["n"].tolist() == hits
 
 
 def test_marker_function_bounds_the_unseen_third_gap():
@@ -374,34 +389,11 @@ def test_rational_sturmian_windows_pass_the_public_check():
                 x = sturmian_window(p / q, c / 10, window)
                 assert x.word.tolist() == reference_mechanical(p / q, c / 10,
                                                                window)
+                assert reference_balanced(x.word.tolist())
                 assert SubshiftWindow(x.word, window) == x
                 for k in (1, -3, 7):
                     assert x.shifted(k) == SubshiftWindow(
                         x.word, range(window.start - k, window.stop - k))
-
-
-def test_trusted_windows_match_public_construction():
-    """sturmian_window and shifted skip the public constructor's checks;
-    on the acceptance-7 parameter stream they build the same windows."""
-    rng = np.random.default_rng(42)
-    window = range(-15, 16)
-    for _ in range(150):
-        slope = 0.2 + 0.6 * rng.random()
-        for _ in range(2):
-            x = sturmian_window(slope, rng.random(), window)
-            for k in (0, 1, -3, 7):
-                y = x.shifted(k) if k else x
-                public = SubshiftWindow(
-                    x.word.tolist(), range(window.start - k, window.stop - k))
-                assert y == public
-                assert y.word.dtype == public.word.dtype == np.uint8
-                assert not y.word.flags.writeable
-
-
-def test_subshift_balance_validation():
-    with pytest.raises(ValueError):
-        SubshiftWindow((1, 1, 0, 0, 1, 1), range(0, 6))
-    SubshiftWindow((0, 1, 0, 1, 0), range(0, 5))
 
 
 def test_voronoi_tiles_left_tie_break():
@@ -551,7 +543,10 @@ def reference_gap(alpha, window, phases, pairs):
 
 
 def reference_balanced(word):
-    """The per-size prefix-sum balance test on a tuple of letters."""
+    """The per-size prefix-sum balance test on a sequence of letters: two
+    factors of equal length differ by at most one in their count of ones.
+    SubshiftWindow does not check balance; sturmian_window words are held
+    to this reference."""
     prefix = [0]
     for b in word:
         prefix.append(prefix[-1] + b)
@@ -669,16 +664,49 @@ def test_embedding_gap_matches_per_phase_signals(alpha, window, phases,
     assert got == reference_gap(alpha, window, phases, pairs)
 
 
+BINARY_WORDS = st.lists(st.integers(0, 1), min_size=1, max_size=31)
+# the forms a word arrives in: Python letters or an integer or float array
+WORD_FORMS = st.sampled_from([
+    list, tuple, lambda w: np.array(w, dtype=np.uint8),
+    lambda w: np.array(w, dtype=np.int64), lambda w: np.array(w, dtype=float),
+])
+
+
 @settings(PROPERTY, max_examples=300)
-@given(st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=31),
-                 mechanical_words().map(lambda w: w.word.tolist())))
-def test_balance_check_matches_per_size_loop(word):
-    got = _outcome(lambda: SubshiftWindow(word, range(-3, len(word) - 3)))
-    if reference_balanced(word):
-        assert got.word.tolist() == word
-        assert not got.word.flags.writeable
-    else:
-        assert got.startswith("word is not balanced")
+@given(st.one_of(BINARY_WORDS,
+                 mechanical_words().map(lambda w: w.word.tolist())),
+       WORD_FORMS, st.integers(-50, 50), st.integers(-40, 40))
+@example([1, 1, 0, 0, 1, 1], list, 0, 3)  # not balanced at length 2
+def test_subshift_window_builds_every_binary_word(word, form, lo, k):
+    window = range(lo, lo + len(word))
+    given_word = form(word)
+    x = SubshiftWindow(given_word, window)
+    assert x.window == window and x.word.tolist() == word
+    assert x.word.dtype == np.uint8 and not x.word.flags.writeable
+    if isinstance(given_word, np.ndarray):
+        given_word[:] = 1 - given_word  # the window holds a copy
+        assert x.word.tolist() == word
+    moved = range(lo - k, lo - k + len(word))
+    y = x.shifted(k)
+    assert y == SubshiftWindow(word, moved) and y.window == moved
+    assert y.word.dtype == np.uint8 and not y.word.flags.writeable
+
+
+@settings(PROPERTY, max_examples=200)
+@given(BINARY_WORDS, WORD_FORMS, st.integers(-50, 50), st.data())
+def test_subshift_window_rejects_a_wrong_length_or_a_non_binary_letter(
+        word, form, lo, data):
+    window = range(lo, lo + len(word))
+    for bad in (word[:-1], word + [data.draw(st.integers(0, 1))]):
+        with pytest.raises(ValueError,
+                           match="^one letter per window site required$"):
+            SubshiftWindow(form(bad), window)
+    i = data.draw(st.integers(0, len(word) - 1))
+    letter = data.draw(st.sampled_from([2, -1, 0.5]))
+    bad = word[:i] + [letter] + word[i + 1:]
+    for given_word in (bad, np.array(bad)):
+        with pytest.raises(ValueError, match="^letters must be 0 or 1$"):
+            SubshiftWindow(given_word, window)
 
 
 @settings(PROPERTY, max_examples=300)

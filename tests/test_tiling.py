@@ -73,7 +73,7 @@ def test_shift_zero_is_identity():
 
 def test_shift_reindexes_the_frozen_bisector():
     m = shift_markers(two_markers(h1=0.5), 1)
-    assert m.positions().tolist() == [-1, 9]
+    assert m.entries["n"].tolist() == [-1, 9]
     t = compute_tiles(m, (-6.0, 14.0))
     assert t.tile(-1).hi == 4.15
 
@@ -258,9 +258,9 @@ def test_marker_seq_holds_a_read_only_record_copy():
     pairs["n"][0] = -99
     assert m.entries.tolist() == [(0, 1.0), (10, 0.5), (14, 1.0)]
     assert not m.entries.flags.writeable
-    assert m.positions().tolist() == [0, 10, 14]
+    assert m.entries["n"].tolist() == [0, 10, 14]
     mixed = MarkerSeq(((np.int64(0), 1.0), (10, 0.5)), L=3, M=12)
-    assert mixed.positions().dtype == np.int64
+    assert mixed.entries["n"].dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
