@@ -3,10 +3,10 @@ of the line, greedy tax/weight allocation, exact simplicial embedding
 checks, and sampling codecs for concrete minimal systems."""
 
 from .bandlimited import (Band, BandSignal, BumpKernel, SincKernel,
-                          ToneKernel, band_check, sample,
+                          ToneKernel, band_check, bump_transform, sample,
                           sampling_injectivity_stress, tone_signal)
 from .interpolation import (BlockOverflowError, GridParams, NodeMultiset,
-                            agreeing_pair, bump_transform, cardinal_kernel,
+                            agreeing_pair, cardinal_kernel,
                             check_conditions, decay_constant,
                             locality_radius, random_admissible_multiset,
                             saturate, truncation_radius,

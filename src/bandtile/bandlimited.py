@@ -1,4 +1,5 @@
-"""Band-limited signals: representation, sampling, spectral checks.
+"""Band-limited signals and the bump window: representation, sampling,
+spectral checks.
 
 A signal is a finite node/coefficient expansion against a shift-invariant
 kernel, optionally modulated by a global carrier: the value at t is
@@ -8,34 +9,117 @@ kernel, optionally modulated by a global carrier: the value at t is
 The kernel descriptor fixes the nominal band: a kernel of spectral
 halfwidth h under carrier c gives content inside [c - h, c + h].
 
-Bump-kernel expansions are evaluated through their spectrum. The bump
-transform is a quadrature sum_j gw_j cos(a_j u) over nodes a_j inside the
-band, so the series factors through the nodes: per-node spectral sums over
-the K coefficients, then one pass over them per point, O((T + K) U) for T
-points and a U-node rule instead of O(T K U) (interpolation.bump_series).
-The other kernels are evaluated on the T x K matrix of offsets t - n_k.
+The smooth bump window lives here, for bump kernels and for the cardinal
+kernels of interpolation alike: its profile, its Gauss rule,
+bump_transform, and the quadratic decay guard that marker encoding puts
+bump kernels through. Every kernel states its spectrum as a finite sum of
+lines in angular frequency, kernel(u) = sum_j g_j e^(i w_j u)
+(kernel.spectrum): a quadrature of the bump profile, a flat Gauss rule
+for sinc, and two exact lines for a tone. One routine (_node_sums) sums
+the coefficients against the lines, per line.
+
+Bump-kernel expansions are evaluated through their lines. The bump is
+real and even, so the series is sum_j g_j sum_k c_k cos(w_j (t - n_k)),
+which factors through the lines: per-line sums over the K coefficients,
+then one pass over them per point, O((T + K) U) for T points and a
+U-line rule instead of O(T K U). The other kernels are evaluated on the
+T x K matrix of offsets t - n_k.
 
 Band membership is certified numerically (band_check), by the leakage of
-the Hann-tapered spectrum at probe frequencies outside the band. Every
-kernel states its spectrum as a finite sum of lines (kernel.spectrum): a
-quadrature of the bump profile, a flat Gauss rule for sinc, and two exact
-lines for a tone. The tapered transform of one line has a closed form
-(hann_transform), so the leakage of any signal is a sum over its lines,
-with no time samples. The window-edge diagnostic reads |s| on a Gauss grid
-resolved for the baseband alone. Nothing here does symbolic complex
-analysis.
+the Hann-tapered spectrum at probe frequencies outside the band. The
+tapered transform of one line has a closed form (hann_transform), so the
+leakage of any signal is a sum over its lines, with no time samples. The
+window-edge diagnostic reads |s| on a Gauss grid resolved for the
+baseband alone. Nothing here does symbolic complex analysis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .interpolation import (_bump_rule, _rule_panels, bump_series,
-                            bump_transform)
 from .numutil import cispi, composite_gauss, sinpi
+
+
+def _bump_profile(u: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return out
+
+
+def _rule_panels(tau: float, tmax: float) -> int:
+    """Panels of 24 Gauss nodes on [-1, 1] for at least 16 nodes per period
+    of cos(pi tau tmax u)."""
+    return max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
+
+
+def _bump_rule(tau: float, tmax: float):
+    """Nodes u on [-1, 1] and weights gw of the bump quadrature for
+    |t| <= tmax: a composite Gauss rule of at least 16 nodes per period of
+    cos(pi tau tmax u), weighted by the bump profile and normalised by its
+    own integral of the bump, so that t = 0 gives exactly 1."""
+    u, w = composite_gauss(-1.0, 1.0, _rule_panels(tau, tmax))
+    gw = w * _bump_profile(u)
+    gw /= gw.sum()
+    return u, gw
+
+
+def _chunk_rows(size: int) -> int:
+    """Rows per block, keeping a (rows x size) matrix under 4e6 entries."""
+    return max(1, int(4e6) // max(1, size))
+
+
+def bump_transform(tau: float, t):
+    """Fourier transform of the normalized smooth bump supported on
+    [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing on
+    the real line; complex t gives the entire continuation.
+
+    Evaluated by a composite Gauss rule sized to the fastest oscillation, at
+    least 16 nodes per period of max |t|. Real input, and complex input on
+    the real axis, is reduced to |t| and returns real values.
+    """
+    t_arr = np.asarray(t)
+    scalar = t_arr.ndim == 0
+    flat = np.atleast_1d(t_arr).ravel()
+    if np.iscomplexobj(flat) and np.any(flat.imag != 0.0):
+        ta = flat
+    else:
+        ta = np.abs(np.asarray(flat.real, dtype=float))
+    tmax = float(np.max(np.abs(ta))) if ta.size else 0.0
+    u, gw = _bump_rule(tau, tmax)
+    out = np.empty_like(ta)
+    chunk = _chunk_rows(u.size)
+    for i in range(0, ta.size, chunk):
+        block = ta[i:i + chunk]
+        out[i:i + chunk] = np.cos(np.pi * tau * block[:, None] * u[None, :]) @ gw
+    if scalar:
+        return out[0].item()
+    return out.reshape(t_arr.shape)
+
+
+def _bump_curvature_ratio() -> float:
+    """N2 = ||beta''||_1 / ||beta||_1 for the bump profile
+    beta(u) = exp(-1/(1-u^2)) on [-1, 1] (_bump_profile), where
+    beta'' = beta (6u^4 - 2) / (1-u^2)^4. beta'' changes sign at
+    u^4 = 1/3, so each piece between the sign changes is integrated on its
+    own composite Gauss rule and taken in absolute value."""
+    a = 3.0 ** -0.25
+    curvature = 0.0
+    for lo, hi in ((-1.0, -a), (-a, a), (a, 1.0)):
+        u, w = composite_gauss(lo, hi, 64)
+        curvature += abs(float(w @ (_bump_profile(u) * (6.0 * u ** 4 - 2.0)
+                                    / (1.0 - u * u) ** 4)))
+    u, w = composite_gauss(-1.0, 1.0, 64)
+    return curvature / float(w @ _bump_profile(u))
+
+
+# tau^2 (1+t^2)|bump_transform(tau, t)| <= _FAR_FIELD_BOUND for all t >= 8
+_FAR_FIELD_BOUND = (65.0 / 64.0) * _bump_curvature_ratio() / math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -82,11 +166,12 @@ class ToneKernel:
         return sinpi(2.0 * self.freq * np.asarray(u, dtype=float))
 
     def spectrum(self, tmax: float):
-        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u): here
-        exactly, for every u, sin(2 pi f u) = (e^(2 pi i f u) -
-        e^(-2 pi i f u)) / 2i, so nu = (f, -f) and g = (-i/2, i/2). tmax
-        is not needed."""
-        return np.array([self.freq, -self.freq]), np.array([-0.5j, 0.5j])
+        """Lines (w, g) in angular frequency, kernel(u) =
+        sum_j g_j e^(i w_j u): here exactly, for every u, sin(2 pi f u) =
+        (e^(2 pi i f u) - e^(-2 pi i f u)) / 2i, so w = (2 pi f, -2 pi f)
+        and g = (-i/2, i/2). tmax is not needed."""
+        w = 2.0 * np.pi * self.freq
+        return np.array([w, -w]), np.array([-0.5j, 0.5j])
 
 
 @dataclass(frozen=True)
@@ -104,13 +189,14 @@ class SincKernel:
         return np.sinc(2.0 * self.halfwidth * np.asarray(u, dtype=float))
 
     def spectrum(self, tmax: float):
-        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u) for
-        |u| <= tmax: sinc(2 c u) is the mean of e^(2 pi i c x u) over x in
-        [-1, 1], taken by a flat composite Gauss rule (x_j, w_j) with the
-        bump rule's panels for tau = 2 c, so nu = c x and g = w / 2."""
+        """Lines (w, g) in angular frequency, kernel(u) =
+        sum_j g_j e^(i w_j u) for |u| <= tmax: sinc(2 c u) is the mean of
+        e^(2 pi i c x u) over x in [-1, 1], taken by a flat composite Gauss
+        rule (x_j, q_j) with the bump rule's panels for tau = 2 c, so
+        w = 2 pi c x and g = q / 2."""
         c = self.halfwidth
-        x, w = composite_gauss(-1.0, 1.0, _rule_panels(2.0 * c, tmax))
-        return c * x, 0.5 * w
+        x, q = composite_gauss(-1.0, 1.0, _rule_panels(2.0 * c, tmax))
+        return 2.0 * np.pi * (c * x), 0.5 * q
 
 
 @dataclass(frozen=True)
@@ -133,11 +219,58 @@ class BumpKernel:
         return bump_transform(self.tau, np.asarray(u, dtype=float))
 
     def spectrum(self, tmax: float):
-        """Lines (nu, g) with kernel(u) = sum_j g_j e^(2 pi i nu_j u) for
-        |u| <= tmax, to the accuracy of bump_transform: the bump rule
-        (u_j, gw_j) for tmax, with nu = tau u / 2 and g = gw."""
+        """Lines (w, g) in angular frequency, kernel(u) =
+        sum_j g_j e^(i w_j u) for |u| <= tmax, to the accuracy of
+        bump_transform: the bump rule (u_j, gw_j) for tmax, with
+        w = pi tau u and g = gw. The rule is symmetric about 0, so the
+        kernel is also sum_j g_j cos(w_j u)."""
         u, gw = _bump_rule(self.tau, tmax)
-        return 0.5 * self.tau * u, gw
+        return np.pi * self.tau * u, gw
+
+
+@lru_cache(maxsize=1)
+def quadratic_decay_guard(kernel: BumpKernel) -> float:
+    """Checks the envelope |phi(t)| <= K/(1+t^2) of a bump kernel: the
+    far-field envelope constant, on t >= 8, must not exceed twice the
+    near-field one, K = max (1+t^2)|phi(t)| over 257 points of [0, 8].
+    Returns K.
+
+    The far field is certified in closed form. phi(t) is the integral of
+    beta(u) cos(pi tau t u) over [-1, 1] divided by that of beta, and beta
+    and beta' vanish at +-1, so integrating by parts twice gives
+    |phi(t)| <= N2 / (pi tau t)^2 with N2 = ||beta''||_1 / ||beta||_1.
+    For every t >= 8, (1+t^2)/t^2 <= 65/64, hence
+    (1+t^2)|phi(t)| <= (65/64) N2 / (pi tau)^2. If that is at most 2K the
+    kernel passes. Otherwise, which happens only for tau below about 0.098,
+    the guard falls back to scanning 449 points of [8, 64] and rejects if
+    their constant exceeds 2K; the bump of a narrow band, spread wide in
+    time, fails there.
+
+    Remembers the last kernel it passed (kernels are frozen and hashable),
+    so an encoder rebuilt with the same kernel, as for a shift check, is
+    guarded once; a rejection is not cached and raises again on every
+    call."""
+    tn = np.linspace(0.0, 8.0, 257)
+    k_near = float(np.max(np.abs(kernel.eval(tn)) * (1.0 + tn ** 2)))
+    if _FAR_FIELD_BOUND / kernel.tau ** 2 <= 2.0 * k_near:
+        return k_near
+    tf = np.linspace(8.0, 64.0, 449)
+    k_far = float(np.max(np.abs(kernel.eval(tf)) * (1.0 + tf ** 2)))
+    if k_far > 2.0 * k_near:
+        raise ValueError(
+            f"kernel lacks a quadratic decay envelope: far-field constant "
+            f"{k_far:.3g} exceeds twice the near-field {k_near:.3g}")
+    return k_near
+
+
+def _node_sums(s: BandSignal, w: np.ndarray):
+    """Per-line sums of the coefficients of s against the lines w:
+    (C, S) with C[:, j] = sum_k c_k cos(w_j n_k) and
+    S[:, j] = sum_k c_k sin(w_j n_k), row 0 the real and row 1 the
+    imaginary part, so every product stays real."""
+    parts = np.stack([s.coeffs.real, s.coeffs.imag])
+    phase = np.multiply.outer(s.nodes, w)
+    return parts @ np.cos(phase), parts @ np.sin(phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,20 +306,33 @@ class BandSignal:
     def eval(self, t):
         """Value at t (scalar or array of any shape), complex-typed.
 
-        A bump kernel goes through its spectrum: the coefficients are summed
-        into per-quadrature-node spectral sums once per call, at O(K U) for
-        K nodes and a U-node rule, and the points are evaluated against them
-        at O(T U). The rule is the one bump_transform picks for the largest
-        offset |t - n_k| of the call. Other kernels evaluate the T x K
-        offset matrix directly.
+        A bump kernel goes through its lines, read for the largest offset
+        |t - n_k| of the call, so the rule is the one bump_transform picks
+        for these offsets. With cos(w (t - n)) = cos(w t) cos(w n) +
+        sin(w t) sin(w n), the coefficients are summed per line once per
+        call (_node_sums), at O(K U) for K nodes and U lines, and each point
+        is evaluated against the sums at O(U). Other kernels evaluate the
+        T x K offset matrix directly.
         """
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         ts = np.atleast_1d(t_arr).ravel()
-        if self.nodes.size == 0:
+        if self.nodes.size == 0 or ts.size == 0:
             vals = np.zeros(ts.size, dtype=complex)
         elif isinstance(self.kernel, BumpKernel):
-            vals = bump_series(self.kernel.tau, ts, self.nodes, self.coeffs)
+            # largest |t - n_k| over all pairs, rounded as the offsets would be
+            tmax = max(float(ts.max() - self.nodes[0]),
+                       float(self.nodes[-1] - ts.min()))
+            w, g = self.kernel.spectrum(tmax)
+            cs, sn = _node_sums(self, w)
+            # (U, 2) arrays whose columns are the real and imaginary parts
+            spec_cos, spec_sin = (cs * g).T, (sn * g).T
+            vals = np.empty(ts.size, dtype=complex)
+            chunk = _chunk_rows(w.size)
+            for i in range(0, ts.size, chunk):
+                phase = np.multiply.outer(ts[i:i + chunk], w)
+                val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
+                vals[i:i + chunk] = val[:, 0] + 1j * val[:, 1]
         else:
             offs = ts[:, None] - self.nodes
             vals = self.kernel.eval(offs).astype(complex) @ self.coeffs
@@ -217,11 +363,12 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     """Estimate spectral leakage at probe frequencies outside the band.
 
     The leakage at f is |F(s * taper)(f)| / integral(taper), with a Hann
-    taper on [-T, T]. With the kernel's lines (nu_j, g_j) for offsets up to
-    tmax = T + max |n_k|, the signal on the window is the sum of lines
-    A_j e^(2 pi i (carrier + nu_j) t), A_j = g_j sum_k c_k e^(-2 pi i nu_j
-    n_k), and a line contributes A_j H(carrier + nu_j - f) in closed form
-    (hann_transform); so the leakage needs no time samples, for any kernel.
+    taper on [-T, T]. With the kernel's lines (w_j, g_j) for offsets up to
+    tmax = T + max |n_k|, in cycles nu_j = w_j / 2 pi, the signal on the
+    window is the sum of lines A_j e^(2 pi i (carrier + nu_j) t),
+    A_j = g_j sum_k c_k e^(-i w_j n_k) (from _node_sums), and a line
+    contributes A_j H(carrier + nu_j - f) in closed form (hann_transform);
+    so the leakage needs no time samples, for any kernel.
     At least one probe is required: with none, nothing would be checked.
 
     A slowly decaying signal still large near the window edge degrades the
@@ -247,14 +394,10 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     cut = 0.8 * T
     at = np.append(ts, [-cut, cut])
     mag = np.abs(s.eval(at))
-    nu, g = s.kernel.spectrum(T + float(np.max(np.abs(s.nodes), initial=0.0)))
-    # sum_k c_k e^(-i phase_jk) from real cosine and sine matrices, with
-    # the coefficients' real and imaginary parts as rows
-    parts = np.stack([s.coeffs.real, s.coeffs.imag])
-    phase = np.multiply.outer(s.nodes, 2.0 * np.pi * nu)
-    cs, sn = parts @ np.cos(phase), parts @ np.sin(phase)
+    w, g = s.kernel.spectrum(T + float(np.max(np.abs(s.nodes), initial=0.0)))
+    cs, sn = _node_sums(s, w)
     amps = g * ((cs[0] + sn[1]) + 1j * (cs[1] - sn[0]))
-    freqs = s.carrier_freq + nu
+    freqs = s.carrier_freq + w / (2.0 * np.pi)
     est = hann_transform(freqs[None, :] - np.array(probes)[:, None], T) @ amps
     leakage = tuple((f, float(abs(e))) for f, e in zip(probes, est))
     # edge diagnostic: the outer fifth's share of the peak |s|

@@ -11,7 +11,10 @@ From a saturated multiset the conditionally convergent product
 f(z) = prod (1 - z/lambda), taken over symmetric block pairs, defines an
 entire function with f(0) = 1 and zeros exactly at the nodes. Multiplying by
 the Fourier transform of a smooth bump window gives a rapidly decreasing
-cardinal kernel: value 1 at the origin, 0 at every other node.
+cardinal kernel: value 1 at the origin, 0 at every other node. The bump
+window, its quadrature rule and bump_transform live in bandlimited, beside
+the bump kernel of band-limited signals; this module imports
+bump_transform for the window factor.
 
 Products are evaluated over a finite block radius A. The plain mode is a
 bare partial product; the `lattice_tail` mode completes blocks beyond A with
@@ -31,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .numutil import composite_gauss
+from .bandlimited import bump_transform
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
@@ -255,17 +258,13 @@ def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
 def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
                     block_radius: int) -> np.ndarray:
     """prod (1 - z/node)^mult over the nonzero nodes in blocks
-    |n| <= block_radius, at each point of the flat complex array z_flat."""
+    |n| <= block_radius, at each point of the flat complex array z_flat;
+    a node of multiplicity m is repeated m times in one product."""
     pos = mset.positions()
     keep = ((np.abs(pos) > POSITION_ZERO_TOL)
             & (np.abs(mset.block_index()) <= block_radius))
-    pos, mult = pos[keep], mset.multiplicities()[keep]
-    if not pos.size:
-        return np.ones_like(z_flat)
-    factors = 1.0 - z_flat[:, None] / pos[None, :]
-    if np.all(mult == 1):
-        return np.prod(factors, axis=1)
-    return np.prod(factors ** mult[None, :], axis=1)
+    nodes = np.repeat(pos[keep], mset.multiplicities()[keep])
+    return np.prod(1.0 - z_flat[:, None] / nodes[None, :], axis=1)
 
 
 def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
@@ -287,102 +286,6 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     if scalar:
         return complex(out[0])
     return out.reshape(z_arr.shape)
-
-
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
-
-
-def _rule_panels(tau: float, tmax: float) -> int:
-    """Panels of 24 Gauss nodes on [-1, 1] for at least 16 nodes per period
-    of cos(pi tau tmax u)."""
-    return max(4, int(math.ceil(tau * tmax / 1.5)) + 1)
-
-
-def _bump_rule(tau: float, tmax: float):
-    """Nodes u on [-1, 1] and weights gw of the bump quadrature for
-    |t| <= tmax: a composite Gauss rule of at least 16 nodes per period of
-    cos(pi tau tmax u), weighted by the bump profile and normalised by its
-    own integral of the bump, so that t = 0 gives exactly 1."""
-    u, w = composite_gauss(-1.0, 1.0, _rule_panels(tau, tmax))
-    gw = w * _bump_profile(u)
-    gw /= gw.sum()
-    return u, gw
-
-
-def _chunk_rows(size: int) -> int:
-    """Rows per block, keeping a (rows x size) matrix under 4e6 entries."""
-    return max(1, int(4e6) // max(1, size))
-
-
-def bump_transform(tau: float, t):
-    """Fourier transform of the normalized smooth bump supported on
-    [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing on
-    the real line; complex t gives the entire continuation.
-
-    Evaluated by a composite Gauss rule sized to the fastest oscillation, at
-    least 16 nodes per period of max |t|. Real input, and complex input on
-    the real axis, is reduced to |t| and returns real values.
-    """
-    t_arr = np.asarray(t)
-    scalar = t_arr.ndim == 0
-    flat = np.atleast_1d(t_arr).ravel()
-    if np.iscomplexobj(flat) and np.any(flat.imag != 0.0):
-        ta = flat
-    else:
-        ta = np.abs(np.asarray(flat.real, dtype=float))
-    tmax = float(np.max(np.abs(ta))) if ta.size else 0.0
-    u, gw = _bump_rule(tau, tmax)
-    out = np.empty_like(ta)
-    chunk = _chunk_rows(u.size)
-    for i in range(0, ta.size, chunk):
-        block = ta[i:i + chunk]
-        out[i:i + chunk] = np.cos(np.pi * tau * block[:, None] * u[None, :]) @ gw
-    if scalar:
-        return out[0].item()
-    return out.reshape(t_arr.shape)
-
-
-def bump_series(tau: float, t, nodes, coeffs) -> np.ndarray:
-    """sum_k coeffs[k] * bump_transform(tau, t - nodes[k]) for real t,
-    through the quadrature nodes instead of per (point, node) pair.
-
-    With a_j = pi tau u_j, the identity cos(a (t - n)) = cos(a t) cos(a n)
-    + sin(a t) sin(a n) splits the sum into per-node spectral sums
-    C_j = gw_j sum_k c_k cos(a_j n_k) and S_j = gw_j sum_k c_k sin(a_j n_k),
-    formed once, and the value
-    sum_j cos(a_j t) C_j + sin(a_j t) S_j at each point: O((T + K) U)
-    cos/sin evaluations against O(T K U) for the direct sum. The rule is
-    the one bump_transform would pick for the offsets t - nodes, sized by
-    max |t - n_k| over the call. Returns a complex array shaped like t.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    ts = t_arr.ravel()
-    nodes = np.asarray(nodes, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(ts.size, dtype=complex)
-    if ts.size == 0 or nodes.size == 0:
-        return out.reshape(t_arr.shape)
-    # largest |t - n_k| over all pairs, rounded as the offsets would be
-    tmax = max(float(ts.max() - nodes.min()), float(nodes.max() - ts.min()))
-    u, gw = _bump_rule(tau, tmax)
-    a = np.pi * tau * u
-    # real and imaginary parts as rows, so every product stays real; the
-    # sums are (U, 2) arrays whose columns are the real and imaginary parts
-    parts = np.stack([coeffs.real, coeffs.imag])
-    node_phase = np.multiply.outer(nodes, a)
-    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
-    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
-    chunk = _chunk_rows(u.size)
-    for i in range(0, ts.size, chunk):
-        phase = np.multiply.outer(ts[i:i + chunk], a)
-        val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
-        out[i:i + chunk] = val[:, 0] + 1j * val[:, 1]
-    return out.reshape(t_arr.shape)
 
 
 def _kernel_factors(params: GridParams, z_flat: np.ndarray,

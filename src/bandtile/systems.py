@@ -5,10 +5,11 @@ Sturmian binary subshift. The rotation gets a coordinate embedding into
 discrete [0,1]-valued signals, a trapezoidal marker bump whose orbit
 samples satisfy the marker-sequence invariants, and a band-limited encoder
 that plants one kernel copy per time step with the orbit height as
-coefficient. The subshift gets a toy codec: a nearest-marker partition of
-the integer window with the identity block map on every tile, and a
-verifier for the resulting delta-embedding property under the word
-metric.
+coefficient; its bump kernel and the quadratic decay guard it must pass
+come from bandlimited, where the bump window lives. The subshift gets a
+toy codec: a nearest-marker partition of the integer window with the
+identity block map on every tile, and a verifier for the resulting
+delta-embedding property under the word metric.
 
 Time shifts are handled exactly. A Rotation carries an integer step count
 so that advancing the orbit relabels time instead of re-rounding the
@@ -20,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .bandlimited import Band, BandSignal, BumpKernel
-from .interpolation import _bump_profile
-from .numutil import (cispi, circle_dist, composite_gauss, cospi, frac,
-                      is_integer)
+from .bandlimited import Band, BandSignal, BumpKernel, quadratic_decay_guard
+from .numutil import cispi, circle_dist, cospi, frac, is_integer
 from .tiling import MARKER_DTYPE, MarkerSeq
 
 
@@ -252,61 +250,6 @@ def orbit_markers(r: Rotation, h, window, L: int, M: int) -> MarkerSeq:
                                        dtype=MARKER_DTYPE), L=L, M=M)
 
 
-def _bump_curvature_ratio() -> float:
-    """N2 = ||beta''||_1 / ||beta||_1 for the bump profile
-    beta(u) = exp(-1/(1-u^2)) on [-1, 1] (interpolation._bump_profile),
-    where beta'' = beta (6u^4 - 2) / (1-u^2)^4. beta'' changes sign at
-    u^4 = 1/3, so each piece between the sign changes is integrated on its
-    own composite Gauss rule and taken in absolute value."""
-    a = 3.0 ** -0.25
-    curvature = 0.0
-    for lo, hi in ((-1.0, -a), (-a, a), (a, 1.0)):
-        u, w = composite_gauss(lo, hi, 64)
-        curvature += abs(float(w @ (_bump_profile(u) * (6.0 * u ** 4 - 2.0)
-                                    / (1.0 - u * u) ** 4)))
-    u, w = composite_gauss(-1.0, 1.0, 64)
-    return curvature / float(w @ _bump_profile(u))
-
-
-# tau^2 (1+t^2)|bump_transform(tau, t)| <= _FAR_FIELD_BOUND for all t >= 8
-_FAR_FIELD_BOUND = (65.0 / 64.0) * _bump_curvature_ratio() / math.pi ** 2
-
-
-@lru_cache(maxsize=1)
-def _quadratic_decay_guard(kernel: BumpKernel) -> float:
-    """Checks the envelope |phi(t)| <= K/(1+t^2) of a bump kernel: the
-    far-field envelope constant, on t >= 8, must not exceed twice the
-    near-field one, K = max (1+t^2)|phi(t)| over 257 points of [0, 8].
-    Returns K.
-
-    The far field is certified in closed form. phi(t) is the integral of
-    beta(u) cos(pi tau t u) over [-1, 1] divided by that of beta, and beta
-    and beta' vanish at +-1, so integrating by parts twice gives
-    |phi(t)| <= N2 / (pi tau t)^2 with N2 = ||beta''||_1 / ||beta||_1.
-    For every t >= 8, (1+t^2)/t^2 <= 65/64, hence
-    (1+t^2)|phi(t)| <= (65/64) N2 / (pi tau)^2. If that is at most 2K the
-    kernel passes. Otherwise, which happens only for tau below about 0.098,
-    the guard falls back to scanning 449 points of [8, 64] and rejects if
-    their constant exceeds 2K; the bump of a narrow band, spread wide in
-    time, fails there.
-
-    Remembers the last kernel it passed (kernels are frozen and hashable),
-    so an encoder rebuilt with the same kernel, as for a shift check, is
-    guarded once; a rejection is not cached and raises again on every
-    call."""
-    tn = np.linspace(0.0, 8.0, 257)
-    k_near = float(np.max(np.abs(kernel.eval(tn)) * (1.0 + tn ** 2)))
-    if _FAR_FIELD_BOUND / kernel.tau ** 2 <= 2.0 * k_near:
-        return k_near
-    tf = np.linspace(8.0, 64.0, 449)
-    k_far = float(np.max(np.abs(kernel.eval(tf)) * (1.0 + tf ** 2)))
-    if k_far > 2.0 * k_near:
-        raise ValueError(
-            f"kernel lacks a quadratic decay envelope: far-field constant "
-            f"{k_far:.3g} exceeds twice the near-field {k_near:.3g}")
-    return k_near
-
-
 def marker_encode(r: Rotation, h, band: Band, window) -> BandSignal:
     """Band-limited orbit encoding: one kernel copy per integer time k
     with coefficient h(x_k), modulated to the band center. The nodes are
@@ -321,7 +264,7 @@ def marker_encode(r: Rotation, h, band: Band, window) -> BandSignal:
     guard, which the bump of a narrow band, spread wide in time, fails."""
     window = _check_window(window)
     kernel = BumpKernel(0.9 * (band.hi - band.lo))
-    _quadratic_decay_guard(kernel)
+    quadratic_decay_guard(kernel)
     c = band.carrier()
     ns = np.arange(window.start, window.stop)
     coeffs = h(r.point(ns)) * cispi(-2.0 * c * ns)

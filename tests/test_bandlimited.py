@@ -11,12 +11,14 @@ from bandtile.bandlimited import (
     BumpKernel,
     SincKernel,
     ToneKernel,
+    _bump_rule,
+    _chunk_rows,
     band_check,
+    bump_transform,
     sample,
     sampling_injectivity_stress,
     tone_signal,
 )
-from bandtile.interpolation import bump_transform
 from bandtile.numutil import cispi, composite_gauss
 
 
@@ -371,3 +373,73 @@ def test_leakage_matches_time_quadrature_reference(s, T):
     bound = 1e-13 * (1.0 + float(np.abs(s.coeffs).sum()))
     for (f, got), ref in zip(rep.leakage, want):
         assert abs(got - ref) <= bound
+
+
+# ---------------------------------------------------------------------------
+# bump-kernel eval against the standalone series evaluator it replaced
+
+
+def reference_bump_series(tau, t, nodes, coeffs):
+    """sum_k coeffs[k] * bump_transform(tau, t - nodes[k]) for real t,
+    through the quadrature nodes instead of per (point, node) pair.
+
+    With a_j = pi tau u_j, the identity cos(a (t - n)) = cos(a t) cos(a n)
+    + sin(a t) sin(a n) splits the sum into per-node spectral sums
+    C_j = gw_j sum_k c_k cos(a_j n_k) and S_j = gw_j sum_k c_k sin(a_j n_k),
+    formed once, and the value sum_j cos(a_j t) C_j + sin(a_j t) S_j at
+    each point. The rule is the one bump_transform would pick for the
+    offsets t - nodes, sized by max |t - n_k| over the call. Returns a
+    complex array shaped like t."""
+    t_arr = np.asarray(t, dtype=float)
+    ts = t_arr.ravel()
+    nodes = np.asarray(nodes, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(ts.size, dtype=complex)
+    if ts.size == 0 or nodes.size == 0:
+        return out.reshape(t_arr.shape)
+    # largest |t - n_k| over all pairs, rounded as the offsets would be
+    tmax = max(float(ts.max() - nodes.min()), float(nodes.max() - ts.min()))
+    u, gw = _bump_rule(tau, tmax)
+    a = np.pi * tau * u
+    # real and imaginary parts as rows, so every product stays real; the
+    # sums are (U, 2) arrays whose columns are the real and imaginary parts
+    parts = np.stack([coeffs.real, coeffs.imag])
+    node_phase = np.multiply.outer(nodes, a)
+    spec_cos = ((parts @ np.cos(node_phase)) * gw).T
+    spec_sin = ((parts @ np.sin(node_phase)) * gw).T
+    chunk = _chunk_rows(u.size)
+    for i in range(0, ts.size, chunk):
+        phase = np.multiply.outer(ts[i:i + chunk], a)
+        val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
+        out[i:i + chunk] = val[:, 0] + 1j * val[:, 1]
+    return out.reshape(t_arr.shape)
+
+
+@st.composite
+def bump_series_signals(draw):
+    nodes = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=12,
+                          unique=True))
+    coeffs = [complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+              for _ in nodes]
+    carrier = draw(st.one_of(st.just(0.0), st.floats(-6.0, 6.0)))
+    return BandSignal(np.sort(nodes), coeffs,
+                      BumpKernel(draw(st.floats(0.05, 3.0))),
+                      carrier_freq=carrier)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(bump_series_signals(),
+       st.lists(st.floats(-150.0, 150.0), max_size=40),
+       st.floats(-150.0, 150.0))
+def test_bump_eval_equals_reference_series_bitwise(s, points, point):
+    def want(t):
+        vals = reference_bump_series(s.kernel.tau, t, s.nodes, s.coeffs)
+        if s.carrier_freq != 0.0:
+            vals = vals * cispi(2.0 * s.carrier_freq * t)
+        return vals
+
+    ts = np.array(points)
+    assert np.array_equal(s.eval(ts), want(ts))
+    got = s.eval(point)
+    assert isinstance(got, complex)
+    assert np.array_equal(np.array([got]), want(np.array([point])))

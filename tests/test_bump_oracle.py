@@ -7,9 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandtile import systems
-from bandtile.bandlimited import BandSignal, BumpKernel
-from bandtile.interpolation import bump_transform
+from bandtile import bandlimited
+from bandtile.bandlimited import BandSignal, BumpKernel, bump_transform
 
 
 def _bump(u):
@@ -118,4 +117,5 @@ def test_far_field_bound_constant():
                + abs(mpmath.quad(curvature, [a, 1])))
               / _bump_mass())
         want = float(mpmath.mpf(65) / 64 * n2 / mpmath.pi ** 2)
-    assert systems._FAR_FIELD_BOUND == pytest.approx(want, rel=1e-12, abs=0)
+    assert bandlimited._FAR_FIELD_BOUND == pytest.approx(want, rel=1e-12,
+                                                         abs=0)

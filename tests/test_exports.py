@@ -1,6 +1,7 @@
 """Every name the package root exports has a caller in the library or the
-benchmark, not only in the tests, and no module builds an object around
-its validating constructor."""
+benchmark, not only in the tests, no module builds an object around its
+validating constructor, and no module reaches for another's private
+names."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,30 @@ def test_no_module_bypasses_a_constructor():
              for node in ast.walk(ast.parse(path.read_text()))
              if _calls_object_new(node)]
     assert found == [], f"object.__new__ calls in src: {found}"
+
+
+def _is_private(name):
+    # a dunder such as __version__ is public
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(path):
+    """module:line of each underscore name that `path` imports from
+    another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("bandtile"):
+            continue
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for alias in node.names if _is_private(alias.name)]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    """A private name belongs to its module; a second module that needs
+    it means the code behind it lives in the wrong place."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _private_imports(path)]
+    assert found == [], f"private names imported across modules: {found}"

@@ -1,5 +1,5 @@
-"""Weierstrass products, cardinal kernels and the truncation bound against
-30-digit products over the saturated nodes."""
+"""Weierstrass products, cardinal kernels, the decay constant and the
+truncation bound against 30-digit products over the saturated nodes."""
 
 from fractions import Fraction
 
@@ -7,18 +7,24 @@ import mpmath
 import numpy as np
 import pytest
 
+from test_bump_oracle import reference as bump_reference
+
 from bandtile import interpolation
 from bandtile.interpolation import (
     GridParams,
     NodeMultiset,
+    _extreme_multisets,
     bump_transform,
     cardinal_kernel,
+    decay_constant,
     random_admissible_multiset,
     saturate,
     weierstrass_product,
 )
 
 PARAMS = GridParams(l=1, rho=Fraction(1), tau=0.5)
+GRIDS = [PARAMS, GridParams(l=2, rho=Fraction(3, 2), tau=0.5),
+         GridParams(l=3, rho=Fraction(2, 3), tau=0.9)]
 
 
 def saturated_nodes(mset, block_radius):
@@ -66,9 +72,7 @@ def _points(params, block_radius, seed):
     return np.concatenate([real.astype(complex), cplx])
 
 
-@pytest.mark.parametrize("params", [
-    PARAMS, GridParams(l=2, rho=Fraction(3, 2), tau=0.5),
-    GridParams(l=3, rho=Fraction(2, 3), tau=0.9)])
+@pytest.mark.parametrize("params", GRIDS)
 def test_product_and_kernel_match_30_digit_products(params):
     block_radius = 24
     mset = random_admissible_multiset(params, (-32, 32),
@@ -93,6 +97,34 @@ def test_product_and_kernel_match_30_digit_products(params):
         # measured worst: 8.0e-14 (l = 2, l rho = 3), 6.3e-14 on the unit
         # grid; products of 50 to 150 factors, each rounded to 2**-53
         assert np.max(rel) <= 1e-12
+
+
+@pytest.mark.parametrize("params", GRIDS)
+def test_decay_constant_patterns_match_30_digit_kernels(params):
+    """decay_constant's bare lattice and five extreme patterns (blocks
+    -48..48, block radius 40), each at the arg-max of |kernel(x)| (1 + x^2)
+    on its 513-point grid of [-32, 32]: the window from the 30-digit bump
+    reference, times the 30-digit product over the saturated nodes with
+    the lattice tail in Gamma form. The patterns pin K on these grids."""
+    win, block_radius = (-48, 48), 40
+    xs = np.linspace(-32.0, 32.0, 513)
+    weight = 1.0 + xs * xs
+    msets = ([saturate(NodeMultiset((), params, win))]
+             + _extreme_multisets(params, win))
+    peaks = []
+    for mset in msets:
+        env = np.abs(cardinal_kernel(mset, xs.astype(complex),
+                                     block_radius)) * weight
+        i = int(np.argmax(env))
+        want = (abs(bump_reference(params.tau, xs[i])
+                    * product_reference(saturated_nodes(mset, block_radius),
+                                        xs[i], block_radius, params, True))
+                * weight[i])
+        # measured worst: 1.8e-14 (l = 2, l rho = 3, right-edge pattern at
+        # x = 1.625); 7.4e-15 on the unit grid
+        assert abs(env[i] - want) <= 1e-12 * want
+        peaks.append(env[i])
+    assert decay_constant(params) == max(peaks)
 
 
 # fixed-point fraction bits of the circle products: about 48 digits

@@ -301,13 +301,13 @@ def reference_decay_guard(kernel):
 
 
 def _bound_decides(tau, k_near):
-    return systems._FAR_FIELD_BOUND / tau ** 2 <= 2.0 * k_near
+    return bandlimited._FAR_FIELD_BOUND / tau ** 2 <= 2.0 * k_near
 
 
 def test_decay_guard_matches_two_scan_reference():
     """Same verdicts and the same K as the two-scan guard, across the
     scan's threshold (tau near 0.066) and the bound's (near 0.0976)."""
-    guard = systems._quadratic_decay_guard.__wrapped__
+    guard = bandlimited.quadratic_decay_guard.__wrapped__
     taus = np.concatenate([np.geomspace(0.04, 3.0, 200),
                            [0.0659, 0.0661, 0.0976, 0.0977]])
     regimes = set()
@@ -345,7 +345,7 @@ def test_decay_guard_scans_only_the_near_field(monkeypatch):
         return real(tau, t)
 
     monkeypatch.setattr(bandlimited, "bump_transform", counting)
-    k_near = systems._quadratic_decay_guard.__wrapped__(BumpKernel(0.9))
+    k_near = bandlimited.quadratic_decay_guard.__wrapped__(BumpKernel(0.9))
     assert calls == [257]
     assert k_near == reference_decay_guard(BumpKernel(0.9))
 
@@ -354,7 +354,7 @@ def test_decay_guard_scans_only_the_near_field(monkeypatch):
 def test_far_field_bound_holds(tau):
     t = np.linspace(8.0, 256.0, 2001)
     env = (1.0 + t ** 2) * np.abs(bump_transform(tau, t))
-    assert np.max(env) <= systems._FAR_FIELD_BOUND / tau ** 2
+    assert np.max(env) <= bandlimited._FAR_FIELD_BOUND / tau ** 2
 
 
 def test_sturmian_frozen_prefix():
