@@ -444,14 +444,6 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def run(cfg: RunConfig):
     """Dispatch one suite. Returns (artifact text, passed)."""
     report, passed, csv_rows = _SUITES[cfg.subcommand](cfg)
@@ -463,8 +455,8 @@ def run(cfg: RunConfig):
     document = {"provenance": cfg.provenance(), "report": report,
                 "passed": passed}
     # a NaN or an infinity never reaches a report: dumping raises instead
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default) + "\n", passed
+    return json.dumps(document, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n", passed
 
 
 def main(argv=None) -> int:

@@ -389,10 +389,8 @@ def random_admissible_multiset(params: GridParams, window, rng,
         pos_parts.append(near)
         mult_parts.append(m)
     rec = node_records(np.concatenate(pos_parts), np.concatenate(mult_parts))
-    rec = rec[np.argsort(rec["pos"], kind="stable")]
-    # a repeated draw keeps the multiplicity drawn last
-    last = np.diff(rec["pos"], append=np.inf) > 0.0
-    return NodeMultiset(rec[last], params, (int(lo), int(hi)))
+    rec = rec[np.argsort(rec["pos"])]
+    return NodeMultiset(rec, params, (int(lo), int(hi)))
 
 
 def agreeing_pair(params: GridParams, window, inside_radius: float, rng):

@@ -10,9 +10,11 @@ from bandtile.bandlimited import (
     BandSignal,
     BumpKernel,
     SincKernel,
+    StressReport,
     ToneKernel,
     _bump_rule,
     _chunk_rows,
+    _random_lowpass_signal,
     band_check,
     bump_transform,
     sample,
@@ -443,3 +445,76 @@ def test_bump_eval_equals_reference_series_bitwise(s, points, point):
     got = s.eval(point)
     assert isinstance(got, complex)
     assert np.array_equal(np.array([got]), want(np.array([point])))
+
+
+# ---------------------------------------------------------------------------
+# the injectivity stress test against its per-trial resample loop
+
+
+def reference_sampling_stress(halfwidth, denominator, trials, seed=0):
+    """sampling_injectivity_stress as a loop that redraws a pair up to 20
+    times while the two signals agree to 1e-12 on the grid, and evaluates
+    each signal on the grid and on the samples apart."""
+    step = 1.0 / denominator
+    rng = np.random.default_rng(seed)
+    k_max = int(round(32.0 * denominator))
+    ks = np.arange(-k_max, k_max + 1)
+    grid = np.arange(-128, 129) * 0.25
+    violations = []
+    min_ratio = None
+    for trial in range(trials):
+        for _ in range(20):
+            s1 = _random_lowpass_signal(halfwidth, rng)
+            s2 = _random_lowpass_signal(halfwidth, rng)
+            cont = float(np.max(np.abs(s1.eval(grid) - s2.eval(grid))))
+            if cont > 1e-12:
+                break
+        sampled = float(np.max(np.abs(s1.eval(ks * step) - s2.eval(ks * step))))
+        ratio = sampled / cont
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio = ratio
+        if sampled < 1e-9 and cont > 1e-6:
+            violations.append(trial)
+    counterexample = None
+    if halfwidth >= denominator / 2.0:
+        tone = tone_signal(denominator / 2.0)
+        vals = sample(tone, step, (-k_max, k_max))
+        counterexample = {
+            "tone_freq": denominator / 2.0,
+            "sampled_sup": float(np.max(np.abs(vals))),
+            "continuous_sup": float(np.max(np.abs(tone.eval(grid)))),
+            "exact_zero": bool(np.all(vals == 0)),
+        }
+    return StressReport(halfwidth=halfwidth, step=step, trials=trials,
+                        violations=tuple(violations), min_ratio=min_ratio,
+                        counterexample=counterexample)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.floats(0.05, 2.0), st.integers(1, 4), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_stress_matches_resampling_reference(halfwidth, denominator, trials,
+                                             seed):
+    # frozen dataclasses: == compares every field, min_ratio included
+    assert (sampling_injectivity_stress(halfwidth, denominator, trials, seed)
+            == reference_sampling_stress(halfwidth, denominator, trials, seed))
+
+
+@pytest.mark.parametrize("halfwidth, denominator, trials, calls", [
+    # two per trial
+    (0.4, 1, 7, 14),
+    # two per trial, and the tone's sample and its grid evaluation
+    (1.0, 2, 3, 8),
+])
+def test_stress_evaluates_each_signal_once(monkeypatch, halfwidth,
+                                           denominator, trials, calls):
+    count = []
+    plain_eval = BandSignal.eval
+
+    def counting_eval(self, t):
+        count.append(1)
+        return plain_eval(self, t)
+
+    monkeypatch.setattr(BandSignal, "eval", counting_eval)
+    sampling_injectivity_stress(halfwidth, denominator, trials)
+    assert len(count) == calls
