@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numutil import cispi, composite_gauss, sinpi
+from .numutil import cispi, composite_gauss, is_integer, sinpi
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
@@ -369,7 +369,9 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     A_j = g_j sum_k c_k e^(-i w_j n_k) (from _node_sums), and a line
     contributes A_j H(carrier + nu_j - f) in closed form (hann_transform);
     so the leakage needs no time samples, for any kernel.
-    At least one probe is required: with none, nothing would be checked.
+    Raises ValueError on an empty probe list (nothing would be checked), on
+    a probe that is not finite or lies inside the band, and on a
+    half_window or a tol that is not finite and positive.
 
     A slowly decaying signal still large near the window edge degrades the
     estimate; that is reported as window_short rather than silently passed.
@@ -383,9 +385,16 @@ def band_check(s: BandSignal, band: Band, probe_freqs, tol: float = 1e-3,
     if not probes:
         raise ValueError("band_check needs at least one probe frequency")
     for f in probes:
+        if not math.isfinite(f):
+            raise ValueError(f"probe_freqs must be finite, got {f}")
         if band.contains(f):
             raise ValueError(f"probe frequency {f} lies inside the band")
     T = float(half_window)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(
+            f"half_window must be finite and positive, got {half_window}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     fmax = max(s.kernel.halfwidth, 1.0)
     # composite panels: 24-node Gauss resolves ~7 periods comfortably; use
     # panel width <= 3 / fmax for >= 8 nodes per period
@@ -474,10 +483,11 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"band halfwidth must be finite and positive, "
                          f"got {halfwidth}")
-    if denominator < 1:
-        raise ValueError("sampling denominator must be a positive integer")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (is_integer(denominator) and denominator >= 1):
+        raise ValueError(f"sampling denominator must be a positive integer, "
+                         f"got {denominator!r}")
+    if not (is_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be >= 1 and an integer, got {trials!r}")
     step = 1.0 / denominator
     rng = np.random.default_rng(seed)
     k_max = int(round(32.0 * denominator))

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .bandlimited import bump_transform
+from .numutil import is_integer
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
@@ -59,6 +60,7 @@ class BlockOverflowError(ValueError):
 class GridParams:
     """Block length l, density rho (rational), window support tau.
 
+    l must be a positive integer (a bool is not one), stored as an int;
     l*rho must be a positive integer: it is the per-block node capacity.
     """
 
@@ -67,8 +69,9 @@ class GridParams:
     tau: float
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("l must be positive")
+        if not (is_integer(self.l) and self.l > 0):
+            raise ValueError(f"l must be a positive integer, got {self.l!r}")
+        object.__setattr__(self, "l", int(self.l))
         rho = Fraction(self.rho)
         object.__setattr__(self, "rho", rho)
         if rho <= 0:
@@ -109,7 +112,8 @@ class NodeMultiset:
     """Point masses on the line with integer multiplicities.
 
     entries: read-only structured array of NODE_DTYPE records (pos: float64,
-    mult: int64), positions strictly increasing. The constructor takes such
+    mult: int64), positions finite and strictly increasing, multiplicities
+    positive; the constructor raises ValueError otherwise. It takes such
     an array (copied, never iterated in Python) or any sequence of
     (position, multiplicity) pairs. window: inclusive block index range
     (lo, hi); conditions and saturation are evaluated relative to it.
@@ -125,6 +129,8 @@ class NodeMultiset:
             entries = [tuple(e) for e in entries]
         entries = np.array(entries, dtype=NODE_DTYPE)
         pos = entries["pos"]
+        if not np.isfinite(pos).all():
+            raise ValueError("entry positions must be finite")
         if np.any(pos[1:] <= pos[:-1]):
             raise ValueError("entry positions must be strictly increasing")
         if np.any(entries["mult"] <= 0):
@@ -434,28 +440,21 @@ class RadiusCertificate:
 
 
 def _check_certificate_args(r: float, eps: float, family_size: int,
-                            window_blocks: int, params: GridParams,
-                            kernel_margin: int | None = None):
+                            window_blocks: int):
     """A radius certificate needs a finite r >= 0, a finite eps > 0, at
     least one family member and window_blocks >= 2, so that half the window
     holds the first candidate radius l; otherwise nothing would be checked.
-    Kernels with block radius window_blocks - kernel_margin must also keep
-    |z|/l = r/l inside the lattice tail's reach."""
-    if family_size < 1:
-        raise ValueError(f"family_size must be at least 1, got {family_size}")
+    family_size and window_blocks must be integers (a bool is not one)."""
+    if not (is_integer(family_size) and family_size >= 1):
+        raise ValueError(
+            f"family_size must be an integer of at least 1, got {family_size!r}")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and >= 0, got {r}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if window_blocks < 2:
-        raise ValueError("window_blocks must be at least 2 to hold a "
-                         f"candidate radius, got {window_blocks}")
-    if kernel_margin is not None:
-        a = window_blocks - kernel_margin
-        if a < 0 or r / params.l >= TAIL_REACH * (a + 1):
-            raise ValueError(
-                f"window_blocks = {window_blocks} leaves the kernels block "
-                f"radius {a}, too small for r = {r}")
+    if not (is_integer(window_blocks) and window_blocks >= 2):
+        raise ValueError("window_blocks must be an integer of at least 2 to "
+                         f"hold a candidate radius, got {window_blocks!r}")
 
 
 def _candidate_radii(params: GridParams, window_blocks: int) -> list:
@@ -555,9 +554,9 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     error is the one block pair the cut |node| > B splits, roughly
     r*l*rho/B, so certifying small eps takes a window of order r*l*rho/eps
     blocks. Raises ValueError unless r is finite and >= 0, eps finite and
-    > 0, family_size >= 1 and window_blocks >= 2.
+    > 0, family_size an integer >= 1 and window_blocks an integer >= 2.
     """
-    _check_certificate_args(r, eps, family_size, window_blocks, params)
+    _check_certificate_args(r, eps, family_size, window_blocks)
     rng = np.random.default_rng(seed)
     win = (-window_blocks, window_blocks)
     radii = _candidate_radii(params, window_blocks)
@@ -584,9 +583,13 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     with block radius window_blocks - 8. Raises ValueError on the arguments
     truncation_radius rejects, and when that block radius leaves |x| <= r
     outside the lattice tail's reach."""
-    _check_certificate_args(r, eps, family_size, window_blocks, params,
-                            kernel_margin=8)
+    _check_certificate_args(r, eps, family_size, window_blocks)
     a = window_blocks - 8
+    # r >= 0, so this also rejects a negative block radius
+    if r / params.l >= TAIL_REACH * (a + 1):
+        raise ValueError(
+            f"window_blocks = {window_blocks} leaves the kernels block "
+            f"radius {a}, too small for r = {r}")
     xs = np.linspace(-r, r, 65).astype(complex)
     factors = _kernel_factors(params, xs, a)
     radii = _candidate_radii(params, window_blocks)

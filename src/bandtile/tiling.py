@@ -208,9 +208,10 @@ def boundary_points(t: Tiling) -> np.ndarray:
 def boundary_set(t: Tiling, r: float) -> tuple:
     """Union of the +-r collars of every nonempty tile endpoint, clipped to
     the window and merged into disjoint intervals. r = 0 gives the finite
-    endpoint set (degenerate intervals)."""
-    if r < 0:
-        raise ValueError("collar radius must be >= 0")
+    endpoint set (degenerate intervals). Raises ValueError unless r >= 0,
+    so a NaN radius is rejected."""
+    if not r >= 0:
+        raise ValueError(f"collar radius r must be >= 0, got {r}")
     win_lo, win_hi = t.window
     merged = []
     for p in boundary_points(t).tolist():
@@ -237,12 +238,15 @@ class DensityReport:
 def density_report(t: Tiling, r: float, R: float, a: float) -> DensityReport:
     """Integer-count and Lebesgue densities of the r-collar boundary set in
     [a, a+R], with the guaranteed bounds: asymptotically (4r+2)/L and
-    4r/L, and at finite R the proof's corrected forms."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    4r/L, and at finite R the proof's corrected forms. Raises ValueError
+    unless R > 0, [a, a+R] lies inside the tiling window and r >= 0 (as
+    boundary_set does), so a NaN R, a or r is rejected."""
+    if not R > 0:
+        raise ValueError(f"R must be positive, got {R}")
     win_lo, win_hi = t.window
-    if a < win_lo - SNAP or a + R > win_hi + SNAP:
-        raise ValueError("[a, a+R] must lie inside the tiling window")
+    if not (a >= win_lo - SNAP and a + R <= win_hi + SNAP):
+        raise ValueError(
+            f"[a, a+R] must lie inside the tiling window, got a = {a}, R = {R}")
     count = 0
     measure = 0.0
     for lo, hi in boundary_set(t, r):

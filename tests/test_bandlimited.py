@@ -112,6 +112,26 @@ def test_band_check_rejects_an_empty_probe_list():
         band_check(sig, BAND, [])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"probe_freqs": [math.nan]}, "probe_freqs must be finite"),
+    ({"probe_freqs": [math.inf]}, "probe_freqs must be finite"),
+    ({"probe_freqs": [1.3, -math.inf]}, "probe_freqs must be finite"),
+    ({"half_window": math.nan}, "half_window must be finite and positive"),
+    ({"half_window": math.inf}, "half_window must be finite and positive"),
+    ({"half_window": -4.0}, "half_window must be finite and positive"),
+    ({"tol": math.nan}, "tol must be finite and positive"),
+    ({"tol": math.inf}, "tol must be finite and positive"),
+], ids=["probe-nan", "probe-inf", "probe-neg-inf", "window-nan",
+        "window-inf", "window-negative", "tol-nan", "tol-inf"])
+def test_band_check_rejects_arguments_that_are_not_finite(kwargs, message):
+    # a NaN probe or tol used to fail the check silently, with no error
+    sig = BandSignal(np.arange(-4.0, 5.0), np.ones(9), BumpKernel(0.9),
+                     carrier_freq=BAND.carrier())
+    args = {"probe_freqs": PROBES, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        band_check(sig, BAND, **args)
+
+
 def test_band_check_evaluates_the_signal_once(monkeypatch):
     sizes = []
     plain_eval = BandSignal.eval
@@ -234,6 +254,19 @@ def test_stress_rejects_zero_trials():
     for halfwidth in (0.4, 0.5):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             sampling_injectivity_stress(halfwidth, 1, 0)
+
+
+@pytest.mark.parametrize("denominator, trials, message", [
+    # a step of 0.4 used to run, and 1.5 trials raised TypeError
+    (2.5, 1, "denominator must be a positive integer"),
+    (True, 1, "denominator must be a positive integer"),
+    (1, 1.5, "trials must be >= 1"),
+    (1, True, "trials must be >= 1"),
+])
+def test_stress_rejects_arguments_that_are_not_integers(denominator, trials,
+                                                        message):
+    with pytest.raises(ValueError, match=message):
+        sampling_injectivity_stress(0.4, denominator, trials)
 
 
 def test_stress_subcritical_band_no_violations():

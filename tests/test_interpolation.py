@@ -194,6 +194,9 @@ CERTIFICATES = {
 @pytest.mark.parametrize("r, eps, family_size, message", [
     (1.0, 1e-2, 0, "family_size"),
     (1.0, 1e-2, -3, "family_size"),
+    # 2.5 used to raise TypeError from range, and True ran one member
+    (1.0, 1e-2, 2.5, "family_size"),
+    (1.0, 1e-2, True, "family_size"),
     (math.nan, 1e-2, 2, "r must"),
     (math.inf, 1e-2, 2, "r must"),
     (-1.0, 1e-2, 2, "r must"),
@@ -215,6 +218,31 @@ def test_grid_params_reject_a_window_support_that_is_not_finite_positive(tau):
     # NaN and +inf used to pass and fail late inside cardinal_kernel
     with pytest.raises(ValueError, match="tau must be finite and positive"):
         GridParams(l=1, rho=Fraction(1), tau=tau)
+
+
+@pytest.mark.parametrize("l", [0, -1, 1.5, 2.0, True, "2"])
+def test_grid_params_reject_an_l_that_is_not_a_positive_integer(l):
+    # 1.5 used to raise AttributeError on Fraction arithmetic, True built
+    with pytest.raises(ValueError, match="l must be a positive integer"):
+        GridParams(l=l, rho=Fraction(1), tau=0.5)
+
+
+def test_grid_params_store_a_numpy_integer_l_as_int():
+    p = GridParams(l=np.int64(2), rho=Fraction(1, 2), tau=0.5)
+    assert p == GridParams(l=2, rho=Fraction(1, 2), tau=0.5)
+    assert type(p.l) is int and type(p.to_json()["l"]) is int
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", ["pairs", "records"])
+def test_node_multiset_rejects_non_finite_positions(bad, form):
+    # a NaN position used to pass and become a second copy of an anchor
+    # in saturate
+    pairs = [(0.5, 1), (bad, 1)]
+    entries = interpolation.node_records(*zip(*pairs)) if form == "records" \
+        else pairs
+    with pytest.raises(ValueError, match="positions must be finite"):
+        NodeMultiset(entries, PARAMS, (-2, 2))
 
 
 def test_lattice_tail_reports_its_term_limit(monkeypatch):
@@ -564,6 +592,8 @@ def test_truncation_radius_never_certifies_a_radius_within_r():
     ("truncation", 1), ("truncation", 0),
     # block radius -4 and 3: |x| <= 4 lies beyond the lattice tail's reach
     ("locality", 4), ("locality", 11),
+    # 64.5 used to reach the family draw and overflow block -64
+    ("truncation", 64.5), ("locality", 64.5), ("truncation", True),
 ])
 def test_radius_certificates_reject_too_small_windows(cert, window_blocks):
     make = {"truncation": truncation_radius, "locality": locality_radius}

@@ -141,6 +141,25 @@ def test_boundary_set_empty_tiling():
     assert boundary_set(t, 1.0) == ()
 
 
+@pytest.mark.parametrize("r", [math.nan, -1.0])
+def test_boundary_set_rejects_a_radius_below_zero_or_nan(r):
+    t = compute_tiles(two_markers(), (-5.0, 15.0))
+    with pytest.raises(ValueError, match="collar radius r must be >= 0"):
+        boundary_set(t, r)
+
+
+@pytest.mark.parametrize("r, R, a, message", [
+    (1.0, math.nan, -5.0, "R must be positive"),
+    (1.0, 20.0, math.nan, r"\[a, a\+R\] must lie inside"),
+    (math.nan, 20.0, -5.0, "collar radius r"),
+], ids=["R-nan", "a-nan", "r-nan"])
+def test_density_report_rejects_nan_arguments(r, R, a, message):
+    # each used to return NaN densities
+    t = compute_tiles(two_markers(), (-5.0, 15.0))
+    with pytest.raises(ValueError, match=message):
+        density_report(t, r=r, R=R, a=a)
+
+
 def test_density_zero_radius_zero_measure():
     t = compute_tiles(two_markers(), (-5.0, 15.0))
     rep = density_report(t, r=0.0, R=20.0, a=-5.0)
