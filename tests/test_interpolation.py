@@ -238,9 +238,8 @@ def test_grid_params_store_a_numpy_integer_l_as_int():
 def test_node_multiset_rejects_non_finite_positions(bad, form):
     # a NaN position used to pass and become a second copy of an anchor
     # in saturate
-    pairs = [(0.5, 1), (bad, 1)]
-    entries = interpolation.node_records(*zip(*pairs)) if form == "records" \
-        else pairs
+    entries = (interpolation.node_records([0.5, bad], [1, 1])
+               if form == "records" else [(0.5, 1), (bad, 1)])
     with pytest.raises(ValueError, match="positions must be finite"):
         NodeMultiset(entries, PARAMS, (-2, 2))
 
