@@ -124,7 +124,6 @@ def test_band_check_rejects_an_empty_probe_list():
 ], ids=["probe-nan", "probe-inf", "probe-neg-inf", "window-nan",
         "window-inf", "window-negative", "tol-nan", "tol-inf"])
 def test_band_check_rejects_arguments_that_are_not_finite(kwargs, message):
-    # a NaN probe or tol used to fail the check silently, with no error
     sig = BandSignal(np.arange(-4.0, 5.0), np.ones(9), BumpKernel(0.9),
                      carrier_freq=BAND.carrier())
     args = {"probe_freqs": PROBES, **kwargs}
@@ -257,7 +256,7 @@ def test_stress_rejects_zero_trials():
 
 
 @pytest.mark.parametrize("denominator, trials, message", [
-    # a step of 0.4 used to run, and 1.5 trials raised TypeError
+    # a fractional or boolean count is not an integer
     (2.5, 1, "denominator must be a positive integer"),
     (True, 1, "denominator must be a positive integer"),
     (1, 1.5, "trials must be >= 1"),
@@ -524,8 +523,8 @@ def reference_sampling_stress(halfwidth, denominator, trials, seed=0):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(st.floats(0.05, 2.0), st.integers(1, 4), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1))
+@given(st.one_of(st.floats(0.05, 2.0), st.sampled_from([4.0, 8.0])),
+       st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_stress_matches_resampling_reference(halfwidth, denominator, trials,
                                              seed):
     # frozen dataclasses: == compares every field, min_ratio included
@@ -533,8 +532,23 @@ def test_stress_matches_resampling_reference(halfwidth, denominator, trials,
             == reference_sampling_stress(halfwidth, denominator, trials, seed))
 
 
+@pytest.mark.parametrize("halfwidth, denominator, trials, seed", [
+    # an even integer c >= 4 puts 2c(t - n) on the integers at every grid
+    # point, so a pair with every node off the grid vanishes there and is
+    # redrawn: at trial 2 here
+    (4.0, 9, 100, 3),
+    # and here a report that keeps such a pair differs from the reference
+    (8.0, 17, 3, 3),
+    (8.0, 17, 3, 9),
+])
+def test_stress_redraws_a_pair_the_grid_cannot_tell_apart(
+        halfwidth, denominator, trials, seed):
+    assert (sampling_injectivity_stress(halfwidth, denominator, trials, seed)
+            == reference_sampling_stress(halfwidth, denominator, trials, seed))
+
+
 @pytest.mark.parametrize("halfwidth, denominator, trials, calls", [
-    # two per trial
+    # two per drawn pair, and no pair is redrawn
     (0.4, 1, 7, 14),
     # two per trial, and the tone's sample and its grid evaluation
     (1.0, 2, 3, 8),

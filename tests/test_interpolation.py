@@ -194,7 +194,7 @@ CERTIFICATES = {
 @pytest.mark.parametrize("r, eps, family_size, message", [
     (1.0, 1e-2, 0, "family_size"),
     (1.0, 1e-2, -3, "family_size"),
-    # 2.5 used to raise TypeError from range, and True ran one member
+    # a fractional or boolean family size is not an integer
     (1.0, 1e-2, 2.5, "family_size"),
     (1.0, 1e-2, True, "family_size"),
     (math.nan, 1e-2, 2, "r must"),
@@ -222,7 +222,6 @@ def test_grid_params_reject_a_window_support_that_is_not_finite_positive(tau):
 
 @pytest.mark.parametrize("l", [0, -1, 1.5, 2.0, True, "2"])
 def test_grid_params_reject_an_l_that_is_not_a_positive_integer(l):
-    # 1.5 used to raise AttributeError on Fraction arithmetic, True built
     with pytest.raises(ValueError, match="l must be a positive integer"):
         GridParams(l=l, rho=Fraction(1), tau=0.5)
 
@@ -236,8 +235,6 @@ def test_grid_params_store_a_numpy_integer_l_as_int():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("form", ["pairs", "records"])
 def test_node_multiset_rejects_non_finite_positions(bad, form):
-    # a NaN position used to pass and become a second copy of an anchor
-    # in saturate
     entries = (interpolation.node_records([0.5, bad], [1, 1])
                if form == "records" else [(0.5, 1), (bad, 1)])
     with pytest.raises(ValueError, match="positions must be finite"):
@@ -591,7 +588,7 @@ def test_truncation_radius_never_certifies_a_radius_within_r():
     ("truncation", 1), ("truncation", 0),
     # block radius -4 and 3: |x| <= 4 lies beyond the lattice tail's reach
     ("locality", 4), ("locality", 11),
-    # 64.5 used to reach the family draw and overflow block -64
+    # a fractional or boolean window is not an integer
     ("truncation", 64.5), ("locality", 64.5), ("truncation", True),
 ])
 def test_radius_certificates_reject_too_small_windows(cert, window_blocks):

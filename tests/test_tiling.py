@@ -154,7 +154,6 @@ def test_boundary_set_rejects_a_radius_below_zero_or_nan(r):
     (math.nan, 20.0, -5.0, "collar radius r"),
 ], ids=["R-nan", "a-nan", "r-nan"])
 def test_density_report_rejects_nan_arguments(r, R, a, message):
-    # each used to return NaN densities
     t = compute_tiles(two_markers(), (-5.0, 15.0))
     with pytest.raises(ValueError, match=message):
         density_report(t, r=r, R=R, a=a)
