@@ -477,11 +477,12 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     the grid and the samples together. A pair whose continuous gap is at
     most 1e-12 is redrawn, up to 20 times: for an even integer c, 2c(t - n)
     is an integer at every grid point t and node n, so a pair whose nodes
-    all sit off the grid (c >= 4) vanishes there to rounding. A violation is a sampled gap below
-    1e-9 against a continuous gap above 1e-6; min_ratio is the smallest
-    sampled-to-continuous ratio over the trials. At or beyond the
-    boundary c >= N/2 the classical counterexample sin(2 pi (N/2) t), which
-    vanishes identically on (1/N)Z, is injected and witnessed exactly.
+    all sit off the grid (c >= 4) vanishes there to rounding. A violation
+    is a sampled gap below 1e-9 against a continuous gap above 1e-6;
+    min_ratio is the smallest sampled-to-continuous ratio over the trials.
+    At or beyond the boundary c >= N/2 the classical counterexample
+    sin(2 pi (N/2) t), which vanishes identically on (1/N)Z, is injected
+    and witnessed exactly.
     """
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"band halfwidth must be finite and positive, "
