@@ -390,35 +390,28 @@ def toy_encode(x: SubshiftWindow, markers) -> DiscreteSignal:
     return DiscreteSignal(x.window, x.word)
 
 
-def _local_word_distance(x: SubshiftWindow, y: SubshiftWindow, lo: int,
-                         hi: int) -> float:
-    """2^(-r) where r is the distance from the base points lo..hi to the
-    nearest visible disagreement, 0 when the words agree on the whole
-    window: the largest local word distance over those base points."""
-    sites = np.flatnonzero(x.word != y.word) + x.window.start
-    if sites.size == 0:
-        return 0.0
-    r = int(np.min(np.maximum(np.maximum(lo - sites, sites - hi), 0)))
-    return 2.0 ** (-r)
-
-
 def word_metric(x: SubshiftWindow, y: SubshiftWindow) -> float:
     """Distance 2^(-|k|) for the disagreement site k nearest the origin,
     0 when the words agree on their (shared) window."""
-    if x.window != y.window:
-        raise ValueError("words live on different windows")
-    return _local_word_distance(x, y, 0, 0)
+    return bowen_metric(x, y, 0, 1)
 
 
 def bowen_metric(x: SubshiftWindow, y: SubshiftWindow, start: int,
                  length: int) -> float:
     """max of the local word distance over base points start..start+
-    length-1: the length-step trajectory distance."""
+    length-1: the length-step trajectory distance. That is 2^(-r) where r
+    is the distance from those base points to the nearest visible
+    disagreement, 0 when the words agree on the whole window."""
     if x.window != y.window:
         raise ValueError("words live on different windows")
     if length < 1:
         raise ValueError("length must be >= 1")
-    return _local_word_distance(x, y, start, start + length - 1)
+    sites = np.flatnonzero(x.word != y.word) + x.window.start
+    if sites.size == 0:
+        return 0.0
+    hi = start + length - 1
+    r = int(np.min(np.maximum(np.maximum(start - sites, sites - hi), 0)))
+    return 2.0 ** (-r)
 
 
 def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
