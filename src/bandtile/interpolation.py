@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -648,14 +649,10 @@ def decay_constant(params: GridParams, seed: int = 0) -> float:
     xs = np.linspace(-32.0, 32.0, 513).astype(complex)
     weight = 1.0 + (xs.real * xs.real)
     factors = _kernel_factors(params, xs, a)
-    lattice = saturate(NodeMultiset((), params, win))
-    best = float(np.max(np.abs(_kernel_with(lattice, xs, a, factors)) * weight))
-    for mset in _extreme_multisets(params, win):
-        vals = _kernel_with(mset, xs, a, factors)
-        best = max(best, float(np.max(np.abs(vals) * weight)))
-    for i in range(64):
-        rng = np.random.default_rng((seed, i))
-        mset = random_admissible_multiset(params, win, rng)
-        vals = _kernel_with(mset, xs, a, factors)
-        best = max(best, float(np.max(np.abs(vals) * weight)))
-    return best
+    family = (random_admissible_multiset(params, win,
+                                         np.random.default_rng((seed, i)))
+              for i in range(64))
+    msets = chain([saturate(NodeMultiset((), params, win))],
+                  _extreme_multisets(params, win), family)
+    return max(float(np.max(np.abs(_kernel_with(mset, xs, a, factors)) * weight))
+               for mset in msets)
