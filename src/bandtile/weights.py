@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,18 +69,13 @@ class WeightParams:
             raise ValueError("L, M, reach must be >= 1")
 
     def to_json(self) -> dict:
-        return {"cost_ratio": self.cost_ratio, "care_range": self.care_range,
-                "tax_threshold": self.tax_threshold, "L": self.L,
-                "M": self.M, "reach": self.reach}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "WeightParams":
         # fields pass through unconverted, so __post_init__ rejects a
         # string, boolean or fractional value instead of coercing it
-        return cls(cost_ratio=d["cost_ratio"],
-                   care_range=d["care_range"],
-                   tax_threshold=d["tax_threshold"],
-                   L=d["L"], M=d["M"], reach=d["reach"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def validate_params(p: WeightParams) -> bool:
