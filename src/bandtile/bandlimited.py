@@ -441,15 +441,29 @@ def sample(s: BandSignal, step: float, window) -> np.ndarray:
     return vals
 
 
+_SLOTS = np.arange(-16, 17)
+
+
 def _random_lowpass_signal(halfwidth: float, rng) -> BandSignal:
     """Random expansion against the ideal low-pass kernel for [-c, c]:
     2 to 8 nodes on the (1/(2c)) grid, at most 16 grid steps from the
     origin, complex normal coefficients."""
     count = int(rng.integers(2, 9))
-    slots = rng.choice(np.arange(-16, 17), size=count, replace=False)
+    slots = rng.choice(_SLOTS, size=count, replace=False)
     nodes = np.sort(slots) / (2.0 * halfwidth)
     coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
     return BandSignal(nodes, coeffs, SincKernel(halfwidth))
+
+
+def _continuous_grid(halfwidth: float) -> np.ndarray:
+    """The nodes' lattice (1/(2c))Z refined m-fold, m = max(2, ceil(2/c)),
+    on [-32, 32] (pitch at most 1/4 and below 1/(2c)), with every slot a
+    random low-pass node can take; sorted. At c = 0.4, 0.5 and 1 this is
+    the quarter grid on [-32, 32]."""
+    m = max(2, math.ceil(2.0 / halfwidth))
+    k_max = math.ceil(64.0 * halfwidth * m)
+    fine = np.arange(-k_max, k_max + 1) / (2.0 * halfwidth * m)
+    return np.union1d(fine, _SLOTS / (2.0 * halfwidth))
 
 
 @dataclass(frozen=True)
@@ -473,13 +487,13 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
 
     Each trial draws a pair of random low-pass signals and compares the
     sup gap of their samples on [-32, 32] to the continuous gap, a sup over
-    the grid of pitch 1/4 on [-32, 32]. Each signal is evaluated once, on
-    the grid and the samples together. A pair whose continuous gap is at
-    most 1e-12 is redrawn, up to 20 times: for an even integer c, 2c(t - n)
-    is an integer at every grid point t and node n, so a pair whose nodes
-    all sit off the grid (c >= 4) vanishes there to rounding. A violation
-    is a sampled gap below 1e-9 against a continuous gap above 1e-6;
-    min_ratio is the smallest sampled-to-continuous ratio over the trials.
+    the nodes' lattice refined to pitch at most 1/4 on [-32, 32] and every
+    node (_continuous_grid); each signal is evaluated once on both. The
+    sinc kernel is 1 at its own node and 0 at the others, so the continuous
+    gap is at least the pair's largest coefficient difference and no pair
+    is drawn twice. A violation is a sampled gap below 1e-9 against a
+    continuous gap above 1e-6; min_ratio is the smallest sampled-to-
+    continuous ratio over the trials.
     At or beyond the boundary c >= N/2 the classical counterexample
     sin(2 pi (N/2) t), which vanishes identically on (1/N)Z, is injected
     and witnessed exactly.
@@ -496,18 +510,15 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     rng = np.random.default_rng(seed)
     k_max = int(round(32.0 * denominator))
     ks = np.arange(-k_max, k_max + 1)
-    grid = np.arange(-128, 129) * 0.25
+    grid = _continuous_grid(halfwidth)
     at = np.concatenate([grid, ks * step])
     violations = []
     ratios = []
     for trial in range(trials):
-        for _ in range(20):
-            s1 = _random_lowpass_signal(halfwidth, rng)
-            s2 = _random_lowpass_signal(halfwidth, rng)
-            gap = np.abs(s1.eval(at) - s2.eval(at))
-            cont = float(np.max(gap[:grid.size]))
-            if cont > 1e-12:
-                break
+        s1 = _random_lowpass_signal(halfwidth, rng)
+        s2 = _random_lowpass_signal(halfwidth, rng)
+        gap = np.abs(s1.eval(at) - s2.eval(at))
+        cont = float(np.max(gap[:grid.size]))
         sampled = float(np.max(gap[grid.size:]))
         ratios.append(sampled / cont)
         if sampled < 1e-9 and cont > 1e-6:

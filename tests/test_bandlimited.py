@@ -14,6 +14,7 @@ from bandtile.bandlimited import (
     ToneKernel,
     _bump_rule,
     _chunk_rows,
+    _continuous_grid,
     _random_lowpass_signal,
     band_check,
     bump_transform,
@@ -480,7 +481,28 @@ def test_bump_eval_equals_reference_series_bitwise(s, points, point):
 
 
 # ---------------------------------------------------------------------------
-# the injectivity stress test against its per-trial resample loop
+# the injectivity stress test: its grid, and a per-trial resample loop
+
+
+@pytest.mark.parametrize("halfwidth",
+                         [0.05, 0.3, 0.4, 0.5, 1.0, 1.5, 2.0, 4.0, 6.0, 8.0])
+def test_continuous_grid_refines_the_node_lattice(halfwidth):
+    grid = _continuous_grid(halfwidth)
+    density = 2.0 * halfwidth * max(2, math.ceil(2.0 / halfwidth))
+    rng = np.random.default_rng(0)
+    nodes = np.concatenate([_random_lowpass_signal(halfwidth, rng).nodes
+                            for _ in range(200)])
+    assert np.all(np.isin(nodes, grid))
+    assert np.all(np.abs(density * nodes - np.round(density * nodes)) <= 1e-9)
+    # the points that cover [-32, 32], with one neighbour past each end
+    cover = grid[np.abs(grid) <= 32.25]
+    pitch = float(np.max(np.diff(cover)))
+    assert pitch <= 0.25 and pitch < 1.0 / (2.0 * halfwidth)
+    assert cover[0] <= -32.0 and cover[-1] >= 32.0
+    assert np.all(np.diff(grid) > 0)
+    if halfwidth in (0.4, 0.5, 1.0):
+        quarter = np.arange(-128, 129) * 0.25
+        assert grid.tobytes() == quarter.tobytes()
 
 
 def reference_sampling_stress(halfwidth, denominator, trials, seed=0):
@@ -491,7 +513,7 @@ def reference_sampling_stress(halfwidth, denominator, trials, seed=0):
     rng = np.random.default_rng(seed)
     k_max = int(round(32.0 * denominator))
     ks = np.arange(-k_max, k_max + 1)
-    grid = np.arange(-128, 129) * 0.25
+    grid = _continuous_grid(halfwidth)
     violations = []
     min_ratio = None
     for trial in range(trials):
@@ -532,19 +554,13 @@ def test_stress_matches_resampling_reference(halfwidth, denominator, trials,
             == reference_sampling_stress(halfwidth, denominator, trials, seed))
 
 
-@pytest.mark.parametrize("halfwidth, denominator, trials, seed", [
-    # an even integer c >= 4 puts 2c(t - n) on the integers at every grid
-    # point, so a pair with every node off the grid vanishes there and is
-    # redrawn: at trial 2 here
-    (4.0, 9, 100, 3),
-    # and here a report that keeps such a pair differs from the reference
-    (8.0, 17, 3, 3),
-    (8.0, 17, 3, 9),
-])
-def test_stress_redraws_a_pair_the_grid_cannot_tell_apart(
-        halfwidth, denominator, trials, seed):
-    assert (sampling_injectivity_stress(halfwidth, denominator, trials, seed)
-            == reference_sampling_stress(halfwidth, denominator, trials, seed))
+@pytest.mark.parametrize("halfwidth, denominator", [(2.0, 4), (4.0, 8)])
+def test_stress_grid_resolves_the_nyquist_tone(halfwidth, denominator):
+    # the grid's pitch 1/(4c) puts a crest of sin(2 pi (N/2) t) on it, and
+    # some pair's samples on (1/N)Z see less than its continuous gap
+    rep = sampling_injectivity_stress(halfwidth, denominator, 20, seed=0)
+    assert rep.counterexample["continuous_sup"] == 1.0
+    assert rep.min_ratio < 1.0
 
 
 @pytest.mark.parametrize("halfwidth, denominator, trials, calls", [
