@@ -208,10 +208,10 @@ def boundary_points(t: Tiling) -> np.ndarray:
 def boundary_set(t: Tiling, r: float) -> tuple:
     """Union of the +-r collars of every nonempty tile endpoint, clipped to
     the window and merged into disjoint intervals. r = 0 gives the finite
-    endpoint set (degenerate intervals). Raises ValueError unless r >= 0,
-    so a NaN radius is rejected."""
-    if not r >= 0:
-        raise ValueError(f"collar radius r must be >= 0, got {r}")
+    endpoint set (degenerate intervals). Raises ValueError unless r >= 0
+    is finite, so a NaN or infinite radius is rejected."""
+    if not 0 <= r < math.inf:
+        raise ValueError(f"collar radius r must be >= 0 and finite, got {r}")
     win_lo, win_hi = t.window
     merged = []
     for p in boundary_points(t).tolist():
@@ -239,8 +239,9 @@ def density_report(t: Tiling, r: float, R: float, a: float) -> DensityReport:
     """Integer-count and Lebesgue densities of the r-collar boundary set in
     [a, a+R], with the guaranteed bounds: asymptotically (4r+2)/L and
     4r/L, and at finite R the proof's corrected forms. Raises ValueError
-    unless R > 0, [a, a+R] lies inside the tiling window and r >= 0 (as
-    boundary_set does), so a NaN R, a or r is rejected."""
+    unless R > 0, [a, a+R] lies inside the tiling window and r >= 0 is
+    finite (as boundary_set does), so a NaN R, a or r and an infinite r
+    are rejected."""
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
     win_lo, win_hi = t.window

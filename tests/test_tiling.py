@@ -141,7 +141,7 @@ def test_boundary_set_empty_tiling():
     assert boundary_set(t, 1.0) == ()
 
 
-@pytest.mark.parametrize("r", [math.nan, -1.0])
+@pytest.mark.parametrize("r", [math.nan, -1.0, math.inf, -math.inf])
 def test_boundary_set_rejects_a_radius_below_zero_or_nan(r):
     t = compute_tiles(two_markers(), (-5.0, 15.0))
     with pytest.raises(ValueError, match="collar radius r must be >= 0"):
@@ -152,7 +152,9 @@ def test_boundary_set_rejects_a_radius_below_zero_or_nan(r):
     (1.0, math.nan, -5.0, "R must be positive"),
     (1.0, 20.0, math.nan, r"\[a, a\+R\] must lie inside"),
     (math.nan, 20.0, -5.0, "collar radius r"),
-], ids=["R-nan", "a-nan", "r-nan"])
+    (math.inf, 20.0, -5.0, "collar radius r"),
+    (-math.inf, 20.0, -5.0, "collar radius r"),
+], ids=["R-nan", "a-nan", "r-nan", "r-inf", "r-minus-inf"])
 def test_density_report_rejects_nan_arguments(r, R, a, message):
     t = compute_tiles(two_markers(), (-5.0, 15.0))
     with pytest.raises(ValueError, match=message):
