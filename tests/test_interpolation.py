@@ -215,7 +215,7 @@ def test_radius_certificates_reject_unchecked_arguments(cert, r, eps,
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.5])
 def test_grid_params_reject_a_window_support_that_is_not_finite_positive(tau):
-    # NaN and +inf used to pass and fail late inside cardinal_kernel
+    # rejected at construction, not late inside cardinal_kernel
     with pytest.raises(ValueError, match="tau must be finite and positive"):
         GridParams(l=1, rho=Fraction(1), tau=tau)
 
