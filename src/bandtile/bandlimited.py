@@ -442,6 +442,7 @@ def sample(s: BandSignal, step: float, window) -> np.ndarray:
 
 
 _SLOTS = np.arange(-16, 17)
+_SLOTS.flags.writeable = False
 
 
 def _random_lowpass_signal(halfwidth: float, rng) -> BandSignal:
@@ -498,9 +499,10 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     sin(2 pi (N/2) t), which vanishes identically on (1/N)Z, is injected
     and witnessed exactly.
     """
-    if not (math.isfinite(halfwidth) and halfwidth > 0):
-        raise ValueError(f"band halfwidth must be finite and positive, "
-                         f"got {halfwidth}")
+    if not (halfwidth > 0 and math.isfinite(halfwidth)
+            and math.isfinite(8.0 / halfwidth)):
+        raise ValueError(f"band halfwidth c must be finite and positive, with "
+                         f"the nodes' reach 8/c finite, got {halfwidth}")
     if not (is_integer(denominator) and denominator >= 1):
         raise ValueError(f"sampling denominator must be a positive integer, "
                          f"got {denominator!r}")

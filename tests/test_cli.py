@@ -245,6 +245,8 @@ def test_tolerance_override_recorded(tmp_path):
     ["weights", "run", "--span", "500"],
     # no trial: nothing would be checked, the counterexample included
     ["sampling", "--trials", "0"],
+    # a halfwidth so small that the nodes at 8/c overflow
+    ["sampling", "--halfwidth", "1e-309"],
 ])
 def test_invalid_parameters_exit_2(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
