@@ -23,7 +23,7 @@ real and even, so the series is sum_j g_j sum_k c_k cos(w_j (t - n_k)),
 which factors through the lines: per-line sums over the K coefficients,
 then one pass over them per point, O((T + K) U) for T points and a
 U-line rule instead of O(T K U). The other kernels are evaluated on the
-T x K matrix of offsets t - n_k.
+offsets t - n_k. Both take the points in row blocks (numutil.row_blocks).
 
 Band membership is certified numerically (band_check), by the leakage of
 the Hann-tapered spectrum at probe frequencies outside the band. The
@@ -41,7 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numutil import cispi, composite_gauss, is_integer, sinpi
+from .numutil import (cispi, composite_gauss, is_integer, pointwise,
+                      row_blocks, sinpi)
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
@@ -69,11 +70,7 @@ def _bump_rule(tau: float, tmax: float):
     return u, gw
 
 
-def _chunk_rows(size: int) -> int:
-    """Rows per block, keeping a (rows x size) matrix under 4e6 entries."""
-    return max(1, int(4e6) // max(1, size))
-
-
+@pointwise()
 def bump_transform(tau: float, t):
     """Fourier transform of the normalized smooth bump supported on
     [-tau/2, tau/2]. Real, even, equals 1 at t = 0, rapidly decreasing on
@@ -83,23 +80,11 @@ def bump_transform(tau: float, t):
     least 16 nodes per period of max |t|. Real input, and complex input on
     the real axis, is reduced to |t| and returns real values.
     """
-    t_arr = np.asarray(t)
-    scalar = t_arr.ndim == 0
-    flat = np.atleast_1d(t_arr).ravel()
-    if np.iscomplexobj(flat) and np.any(flat.imag != 0.0):
-        ta = flat
-    else:
-        ta = np.abs(np.asarray(flat.real, dtype=float))
-    tmax = float(np.max(np.abs(ta))) if ta.size else 0.0
-    u, gw = _bump_rule(tau, tmax)
-    out = np.empty_like(ta)
-    chunk = _chunk_rows(u.size)
-    for i in range(0, ta.size, chunk):
-        block = ta[i:i + chunk]
-        out[i:i + chunk] = np.cos(np.pi * tau * block[:, None] * u[None, :]) @ gw
-    if scalar:
-        return out[0].item()
-    return out.reshape(t_arr.shape)
+    if not (np.iscomplexobj(t) and np.any(t.imag != 0.0)):
+        t = np.abs(np.asarray(t.real, dtype=float))
+    u, gw = _bump_rule(tau, float(np.max(np.abs(t), initial=0.0)))
+    return row_blocks(lambda b: np.cos(np.pi * tau * b[:, None] * u) @ gw,
+                      t, u.size)
 
 
 def _bump_curvature_ratio() -> float:
@@ -303,6 +288,7 @@ class BandSignal:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @pointwise(float)
     def eval(self, t):
         """Value at t (scalar or array of any shape), complex-typed.
 
@@ -312,35 +298,28 @@ class BandSignal:
         sin(w t) sin(w n), the coefficients are summed per line once per
         call (_node_sums), at O(K U) for K nodes and U lines, and each point
         is evaluated against the sums at O(U). Other kernels evaluate the
-        T x K offset matrix directly.
+        offsets t - n_k. Both take the points in bounded row blocks.
         """
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        ts = np.atleast_1d(t_arr).ravel()
-        if self.nodes.size == 0 or ts.size == 0:
-            vals = np.zeros(ts.size, dtype=complex)
-        elif isinstance(self.kernel, BumpKernel):
+        if isinstance(self.kernel, BumpKernel) and self.nodes.size and t.size:
             # largest |t - n_k| over all pairs, rounded as the offsets would be
-            tmax = max(float(ts.max() - self.nodes[0]),
-                       float(self.nodes[-1] - ts.min()))
+            tmax = max(float(t.max() - self.nodes[0]),
+                       float(self.nodes[-1] - t.min()))
             w, g = self.kernel.spectrum(tmax)
             cs, sn = _node_sums(self, w)
             # (U, 2) arrays whose columns are the real and imaginary parts
             spec_cos, spec_sin = (cs * g).T, (sn * g).T
-            vals = np.empty(ts.size, dtype=complex)
-            chunk = _chunk_rows(w.size)
-            for i in range(0, ts.size, chunk):
-                phase = np.multiply.outer(ts[i:i + chunk], w)
+            def lines(block):
+                phase = np.multiply.outer(block, w)
                 val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
-                vals[i:i + chunk] = val[:, 0] + 1j * val[:, 1]
+                return val[:, 0] + 1j * val[:, 1]
+            vals = row_blocks(lines, t, w.size)
         else:
-            offs = ts[:, None] - self.nodes
-            vals = self.kernel.eval(offs).astype(complex) @ self.coeffs
+            vals = row_blocks(
+                lambda b: (self.kernel.eval(b[:, None] - self.nodes)
+                           .astype(complex) @ self.coeffs), t, self.nodes.size)
         if self.carrier_freq != 0.0:
-            vals = vals * cispi(2.0 * self.carrier_freq * ts)
-        if scalar:
-            return complex(vals[0])
-        return vals.reshape(t_arr.shape)
+            vals = vals * cispi(2.0 * self.carrier_freq * t)
+        return vals
 
 
 def tone_signal(freq: float) -> BandSignal:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .bandlimited import bump_transform
-from .numutil import is_integer
+from .numutil import is_integer, pointwise, row_blocks
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
@@ -271,28 +271,25 @@ def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
     keep = ((np.abs(pos) > POSITION_ZERO_TOL)
             & (np.abs(mset.block_index()) <= block_radius))
     nodes = np.repeat(pos[keep], mset.multiplicities()[keep])
-    return np.prod(1.0 - z_flat[:, None] / nodes[None, :], axis=1)
+    return row_blocks(lambda z: np.prod(1.0 - z[:, None] / nodes, axis=1),
+                      z_flat, nodes.size)
 
 
+@pointwise(complex)
 def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
                         lattice_tail: bool = False):
     """Partial product prod (1 - z/node) over nonzero nodes in blocks
-    |n| <= block_radius, symmetric in the block index.
+    |n| <= block_radius, symmetric in the block index, over row blocks of z.
 
     With lattice_tail=True the blocks beyond the radius are completed with
     the idealized saturated lattice (closed form; near machine precision for
     |z| well inside the radius, exact limit for the unit lattice).
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    out = _finite_product(mset, z_flat, block_radius)
+    out = _finite_product(mset, z, block_radius)
     if lattice_tail:
         p = mset.params
-        out = out * _lattice_tail(z_flat / p.l, block_radius, p.lrho)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+        out = out * _lattice_tail(z / p.l, block_radius, p.lrho)
+    return out
 
 
 def _kernel_factors(params: GridParams, z_flat: np.ndarray,
@@ -320,26 +317,21 @@ def _kernel_with(mset: NodeMultiset, z_flat: np.ndarray, block_radius: int,
     return bump * (finite * tail)
 
 
+@pointwise(complex)
 def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     """Kernel equal to 1 at the origin and 0 at every other node of the
     saturated `mset`: bump * (finite * tail), where bump is the bump window
     transform, finite the Weierstrass product over the saturated nodes in
     blocks |n| <= block_radius, and tail the idealized lattice beyond them.
     Only `finite` depends on the nodes; the certificates compute the other
-    two once per probe grid.
+    two once per probe grid. bump and finite take z in row blocks.
 
     The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,
     matching the idealized tail beyond the radius.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    factors = _kernel_factors(mset.params, z_flat, block_radius)
-    out = _kernel_with(mset, z_flat, block_radius, factors)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    return _kernel_with(mset, z, block_radius,
+                        _kernel_factors(mset.params, z, block_radius))
 
 
 # ---------------------------------------------------------------------------

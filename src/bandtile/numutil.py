@@ -1,13 +1,43 @@
-"""Shared numeric helpers: exact trig at lattice points, composite Gauss
-rules, and the integer rule for validated fields."""
+"""Shared numeric helpers: exact lattice trig, composite Gauss rules, the
+integer rule for validated fields, and the pointwise evaluator contract."""
+
+import functools
+import inspect
 
 import numpy as np
+
+ROW_BLOCK_ENTRIES = 4_000_000
 
 
 def is_integer(x) -> bool:
     """True for a Python int or a NumPy integer, and False for a bool, so
     a validated field rejects True, 2.0 and "2" instead of coercing them."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def pointwise(dtype=None):
+    """Decorator for f(head, points, *rest): the body gets the points flat,
+    of dtype (None keeps theirs); the caller gets their shape, or a scalar."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def evaluator(*args, **kwargs):
+            if len(args) < 2:
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                args, kwargs = bound.args, bound.kwargs
+            arr = np.asarray(args[1], dtype=dtype)
+            out = fn(args[0], np.atleast_1d(arr).ravel(), *args[2:], **kwargs)
+            return out.reshape(arr.shape) if arr.ndim else out[0].item()
+        return evaluator
+    return decorate
+
+
+def row_blocks(fn, points, width: int):
+    """fn on the points, ROW_BLOCK_ENTRIES // width rows at a time, joined."""
+    rows = max(1, ROW_BLOCK_ENTRIES // max(1, width))
+    if points.size <= rows:
+        return fn(points)
+    return np.concatenate([fn(points[i:i + rows])
+                           for i in range(0, points.size, rows)])
 
 
 def sinpi(x):

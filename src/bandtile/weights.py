@@ -115,6 +115,13 @@ def receiver_core(t: Tiling, p: WeightParams) -> range:
     return range(lo, hi + 1)
 
 
+def _donor_tiles(t: Tiling, p: WeightParams):
+    """The nonempty (n, tile) with marker n at least M inside the window."""
+    win_lo, win_hi = t.window
+    return [(n, tile) for n, tile in t.nonempty()
+            if win_lo + p.M - SLACK <= n <= win_hi - p.M + SLACK]
+
+
 def bases(t: Tiling, p: WeightParams) -> tuple:
     """Initial tax capacity per donor tile and care need per receiver
     integer: a0[n] = (|tile n| - tax_threshold)+ / cost_ratio for markers
@@ -124,11 +131,8 @@ def bases(t: Tiling, p: WeightParams) -> tuple:
         raise ValueError(
             f"tiling gap bounds {(t.L, t.M)} do not match params "
             f"{(p.L, p.M)}")
-    win_lo, win_hi = t.window
     a0 = {}
-    for n, tile in t.nonempty():
-        if not win_lo + p.M - SLACK <= n <= win_hi - p.M + SLACK:
-            continue
+    for n, tile in _donor_tiles(t, p):
         if tile.clipped_lo or tile.clipped_hi:
             raise ValueError(f"tile {n} is clipped inside the donor zone")
         tax = max(tile.length - p.tax_threshold, 0.0) / p.cost_ratio
@@ -317,14 +321,9 @@ def verify_conditions(t: Tiling, p: WeightParams) -> WeightReport:
     e = w.entries
     donors, counts = np.unique(e["n"][e["weight"] > 0.0], return_counts=True)
     positives = dict(zip(donors.tolist(), counts.tolist()))
-    win_lo, win_hi = t.window
-    short_rows_zero = True
-    support_capped = True
-    rows_checked = 0
-    for n, tile in t.nonempty():
-        if not win_lo + p.M - SLACK <= n <= win_hi - p.M + SLACK:
-            continue
-        rows_checked += 1
+    short_rows_zero = support_capped = True
+    zone = _donor_tiles(t, p)
+    for n, tile in zone:
         positive = positives.get(int(n), 0)
         if tile.length <= p.tax_threshold and positive > 0:
             short_rows_zero = False
@@ -348,7 +347,7 @@ def verify_conditions(t: Tiling, p: WeightParams) -> WeightReport:
                         short_rows_zero=short_rows_zero,
                         support_capped=support_capped,
                         wild_served=wild_served,
-                        rows_checked=rows_checked,
+                        rows_checked=len(zone),
                         wild_points=len(wild),
                         witnesses=tuple(witnesses), matrix=w)
 

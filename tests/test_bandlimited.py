@@ -13,7 +13,6 @@ from bandtile.bandlimited import (
     StressReport,
     ToneKernel,
     _bump_rule,
-    _chunk_rows,
     _continuous_grid,
     _random_lowpass_signal,
     band_check,
@@ -22,6 +21,7 @@ from bandtile.bandlimited import (
     sampling_injectivity_stress,
     tone_signal,
 )
+from bandtile import numutil
 from bandtile.numutil import cispi, composite_gauss
 
 
@@ -442,7 +442,7 @@ def reference_bump_series(tau, t, nodes, coeffs):
     node_phase = np.multiply.outer(nodes, a)
     spec_cos = ((parts @ np.cos(node_phase)) * gw).T
     spec_sin = ((parts @ np.sin(node_phase)) * gw).T
-    chunk = _chunk_rows(u.size)
+    chunk = max(1, numutil.ROW_BLOCK_ENTRIES // u.size)
     for i in range(0, ts.size, chunk):
         phase = np.multiply.outer(ts[i:i + chunk], a)
         val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
