@@ -17,9 +17,14 @@ that cannot give a witness before the costlier ones run:
 1. a strict bounding-box test drops pairs whose image boxes are apart;
 2. the union test drops pairs whose union of vertices has affinely
    independent images: the map is then injective on the simplex they
-   span, so equal images mean the same point of the shared face. It is a
-   rank test by the forward elimination pass, and covers the self pair of
-   every simplex in general position;
+   span, so equal images mean the same point of the shared face. It
+   covers the self pair of every simplex in general position. All pairs
+   whose union has at most D + 1 vertices are first certified at once, by
+   one vectorized rank test on the images mod a fixed prime p < 2^30:
+   full rank mod p is full rank over the integers, since a minor that is
+   nonzero mod p is a nonzero integer. A union that test leaves open (a
+   dependent one, or one whose minors all happen to be multiples of p)
+   goes to the exact rank test by the forward elimination pass;
 3. the forward pass on the pair system ends the pair when a pivot lands
    in the right-hand-side column (an inconsistent system), before the
    back pass;
@@ -39,6 +44,9 @@ from fractions import Fraction
 import numpy as np
 
 SNAP = 1e-9
+# A prime below 2^30 for the residue test of is_embedding: a product of two
+# residues stays below 2^60, inside int64.
+RESIDUE_PRIME = 1_000_000_007
 
 
 def _freeze(v):
@@ -426,6 +434,59 @@ def _affinely_independent(verts, cols) -> bool:
     return len(pivots) == len(verts)
 
 
+def _full_rank_mod_p(cols, counts) -> np.ndarray:
+    """Whether the first counts[n] columns of each matrix cols[n] of
+    residues mod RESIDUE_PRIME are independent mod the prime; the columns
+    after them must be zero. One vectorized elimination: each step takes
+    the row with the largest entry in the leading column as pivot row,
+    replaces every row by (piv*row - f*pivrow) % p, which zeroes that
+    column (the pivot row too), and drops the column. A zero leading
+    column gives no pivot and zeroes the rest, so the pivots found reach
+    counts[n] only at full rank. Residues are below 2^30, so no product
+    reaches 2^60 and int64 never wraps."""
+    stack = np.arange(len(cols))
+    pivots = []
+    for _ in range(cols.shape[2]):
+        lead = cols[:, :, 0]
+        pivrow = cols[stack, lead.argmax(axis=1)]
+        piv = pivrow[:, :1]
+        pivots.append(piv[:, 0])
+        cols = (piv[:, :, None] * cols[:, :, 1:]
+                - lead[:, :, None] * pivrow[:, None, 1:]) % RESIDUE_PRIME
+    return np.count_nonzero(pivots, axis=0) == counts
+
+
+def _certified_pairs(maxs, pairs, cols) -> list:
+    """For each pair (i, j) of maximal simplices, whether the residue test
+    certifies the union of their vertices affinely independent: True
+    proves that the columns (1, image) of cols are independent, and False
+    leaves it open. Full rank mod a prime is full rank over the integers,
+    since a minor that is nonzero mod the prime is a nonzero integer. A
+    union of more than D + 1 vertices is never independent and stays
+    uncertified. All other unions go through one elimination, each as its
+    vertex columns in index order, padded with zero columns."""
+    size = len(next(iter(cols.values())))  # D + 1
+    index = {v: n for n, v in enumerate(cols)}
+    pad = len(index)  # sorts after every vertex index
+    widest = max(map(len, maxs))
+    simplices = np.array([[index[v] for v in s] + [pad] * (widest - len(s))
+                          for s in maxs])
+    a, b = simplices[pairs[:, 0]], simplices[pairs[:, 1]]
+    b = np.where((b[:, :, None] == a[:, None, :]).any(axis=2), pad, b)
+    at = np.sort(np.concatenate([a, b], axis=1), axis=1)
+    counts = (at < pad).sum(axis=1)
+    eligible = counts <= size
+    certified = np.zeros(len(pairs), dtype=bool)
+    if eligible.any():
+        residues = np.array([[c % RESIDUE_PRIME for c in col]
+                             for col in cols.values()] + [[0] * size],
+                            dtype=np.int64)
+        at, counts = at[eligible, :counts[eligible].max()], counts[eligible]
+        certified[eligible] = _full_rank_mod_p(
+            residues[at].transpose(0, 2, 1), counts)
+    return certified.tolist()
+
+
 def is_embedding(m: SimplicialMap) -> tuple:
     """Decide exactly whether the affine extension of m is injective on
     the geometric realization. Returns (True, None) or (False, witness)
@@ -440,10 +501,14 @@ def is_embedding(m: SimplicialMap) -> tuple:
     lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
     below = (hi[:, None] < lo[None]).any(axis=2)  # an axis has i below j
     # argwhere walks the upper triangle in C order: i, then j >= i
-    for i, j in np.argwhere(np.triu(~(below | below.T))).tolist():
+    pairs = np.argwhere(np.triu(~(below | below.T)))
+    certified = _certified_pairs(maxs, pairs, cols)
+    for (i, j), sure in zip(pairs.tolist(), certified):
+        if sure:
+            continue  # the map is injective on the simplex of the union
         union = maxs[i] + tuple(v for v in maxs[j] if v not in maxs[i])
         if _affinely_independent(union, cols):
-            continue  # the map is injective on the simplex of the union
+            continue
         hit = _pair_witness(maxs[i], maxs[j], ints, D)
         if hit is None:
             continue

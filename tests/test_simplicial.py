@@ -822,3 +822,165 @@ def test_union_filter_falls_through_on_dependent_unions():
     assert not simplicial._affinely_independent((0, 1, 4, 5), cols)
     assert simplicial._affinely_independent((0, 1, 4), cols)
     assert simplicial._affinely_independent((1, 4), cols)
+
+
+def _all_pairs(maxs):
+    pairs = list(itertools.combinations_with_replacement(range(len(maxs)), 2))
+    return np.array(pairs), [maxs[i] + tuple(v for v in maxs[j]
+                                            if v not in maxs[i])
+                             for i, j in pairs]
+
+
+@st.composite
+def full_rank_maps(draw):
+    """Edges, triangles, tetrahedra or a strip, with images on the dyadic
+    2^-20 grid in R^5 or R^6: almost every union of at most D + 1
+    vertices is affinely independent."""
+    kind = draw(st.sampled_from(["simplices", "strip"]))
+    if kind == "strip":
+        comp = triangulated_strip(draw(st.integers(1, 8)))
+    else:
+        size = draw(st.integers(2, 4))
+        nv = draw(st.integers(size, 8))
+        tops = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=size,
+                                     max_size=size), min_size=1, max_size=6))
+        comp = Complex.from_maximal(tops)
+    D = draw(st.sampled_from([5, 6]))
+    return SimplicialMap(comp, {v: tuple(draw(DYADIC) for _ in range(D))
+                                for v in comp.vertices})
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(degenerate_maps(), full_rank_maps()))
+def test_residue_test_certifies_only_independent_unions(m):
+    """A union the residue test certifies has full Fraction rank, so the
+    certificate never skips a pair the exact union test would keep."""
+    ints, _ = simplicial._scaled_images(m)
+    cols = {v: (1,) + img for v, img in ints.items()}
+    exact = _exact_images(m)
+    maxs = m.complex.maximal_simplices()
+    pairs, unions = _all_pairs(maxs)
+    for sure, union in zip(simplicial._certified_pairs(maxs, pairs, cols),
+                           unions):
+        if sure:
+            assert _affine_rank_ref(union, exact) == len(union)
+    assert_matches_reference(m)
+
+
+def _exact_union_calls(monkeypatch):
+    """Record (union size, verdict) for every union that reaches the exact
+    union test."""
+    calls = []
+    exact = simplicial._affinely_independent
+
+    def counted(verts, cols):
+        calls.append((len(verts), exact(verts, cols)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simplicial, "_affinely_independent", counted)
+    return calls
+
+
+def test_a_minor_divisible_by_the_prime_falls_back_to_the_exact_test(
+        monkeypatch):
+    """The edge 0 -> p has the single 2 x 2 minor p: zero mod p, so the
+    residue test leaves the union open and the exact test decides it."""
+    p = simplicial.RESIDUE_PRIME
+    m = SimplicialMap(Complex.from_maximal([(0, 1)]),
+                      {0: (0.0,), 1: (float(p),)})
+    ints, _ = simplicial._scaled_images(m)
+    cols = {v: (1,) + img for v, img in ints.items()}
+    maxs = m.complex.maximal_simplices()
+    assert simplicial._certified_pairs(maxs, np.array([[0, 0]]),
+                                       cols) == [False]
+    calls = _exact_union_calls(monkeypatch)
+    assert is_embedding(m) == (True, None)
+    assert calls == [(2, True)]
+
+
+def _rank_mod_p_ref(rows, p):
+    """Rank mod p by Gauss-Jordan elimination on Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p
+                           for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def residue_stacks(draw):
+    """Stacks of (rows, k) residue matrices, k <= rows, with their first
+    counts[n] columns set and the rest zero; entries from {0, 1, p - 2,
+    p - 1}, where the products come closest to 2^60."""
+    p = simplicial.RESIDUE_PRIME
+    nrows, k = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = min(k, nrows)
+    entry = st.sampled_from([0, 1, p - 2, p - 1, p - 1, p - 1])
+    mats, counts = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        count = draw(st.integers(1, k))
+        mats.append([[draw(entry) for _ in range(count)] + [0] * (k - count)
+                     for _ in range(nrows)])
+        counts.append(count)
+    return mats, counts
+
+
+@settings(PROPERTY, max_examples=300)
+@given(residue_stacks())
+def test_residue_elimination_matches_a_python_int_rank_mod_p(stack):
+    """int64 arithmetic wraps without a warning, so the vectorized
+    elimination is checked against Python ints mod p, on residues next to
+    p where the products are largest."""
+    mats, counts = stack
+    p = simplicial.RESIDUE_PRIME
+    got = simplicial._full_rank_mod_p(np.array(mats, dtype=np.int64),
+                                      np.array(counts))
+    want = [_rank_mod_p_ref([row[:c] for row in mat], p) == c
+            for mat, c in zip(mats, counts)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_residues_of_p_minus_one_everywhere(k):
+    """All entries p - 1: rank 1 mod p, full only for one column. Each
+    product (p - 1)^2 is within a factor 10 of the int64 limit."""
+    p = simplicial.RESIDUE_PRIME
+    mat = [[p - 1] * k for _ in range(7)]
+    got = simplicial._full_rank_mod_p(np.array([mat], dtype=np.int64),
+                                      np.array([k]))
+    assert _rank_mod_p_ref(mat, p) == 1
+    assert got.tolist() == [k == 1]
+
+
+def test_full_rank_strips_never_reach_the_exact_union_test(monkeypatch):
+    """On 24-triangle dyadic strips into R^6 every union has at most
+    D + 1 = 7 vertices and the residue test certifies each one."""
+    calls = _exact_union_calls(monkeypatch)
+    rng = np.random.default_rng(13)
+    strip = triangulated_strip(24)
+    for _ in range(10):
+        assert is_embedding(random_map(strip, 6, rng)) == (True, None)
+    assert calls == []
+
+
+def test_low_dimensional_maps_send_only_overfull_unions_to_the_exact_test(
+        monkeypatch):
+    """Into R^3, a union of more than D + 1 = 4 vertices is dependent and
+    goes on to the solver; every smaller union is certified."""
+    calls = _exact_union_calls(monkeypatch)
+    rng = np.random.default_rng(13)
+    for n in range(8, 28):
+        is_embedding(random_map(triangulated_strip(n), 3, rng))
+    assert calls and min(size for size, _ in calls) > 4
