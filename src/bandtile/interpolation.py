@@ -22,6 +22,14 @@ the idealized saturated lattice (l*rho nodes at each anchor), summed in
 closed form through the Hurwitz zeta function. The idealized tail is exact
 for the unit lattice, which is what makes desk-scale evaluations match the
 sin(pi z)/(pi z) limit to near machine precision.
+
+Like bump_transform, the finite product reduces points on the real axis.
+When every point is real it is a float64 product over the reciprocal
+nodes, node by node, whose real parts are those of the complex product bit
+for bit; a point on a node, whose zero takes its sign from the complex
+product, is recomputed that way. Otherwise the whole call takes the complex
+product. On the real axis only the sign of a zero imaginary part may
+differ from the complex product's.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -82,11 +90,14 @@ class GridParams:
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
 
-    @property
+    # computed once per instance: saturate, check_conditions and the
+    # random families read them on every call, and each read was a
+    # Fraction product or quotient
+    @cached_property
     def lrho(self) -> int:
         return int(self.l * self.rho)
 
-    @property
+    @cached_property
     def min_gap(self) -> float:
         return float(1 / self.rho)
 
@@ -266,13 +277,31 @@ def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
                     block_radius: int) -> np.ndarray:
     """prod (1 - z/node)^mult over the nonzero nodes in blocks
     |n| <= block_radius, at each point of the flat complex array z_flat;
-    a node of multiplicity m is repeated m times in one product."""
+    a node of multiplicity m is repeated m times in one product. z/node is
+    taken as z * (1/node): for a real node, numpy's complex division
+    multiplies by 1/node too, and the factors 1 - z/node agree bit for
+    bit. Real points take a float64 product (module docstring)."""
     pos = mset.positions()
     keep = ((np.abs(pos) > POSITION_ZERO_TOL)
             & (np.abs(mset.block_index()) <= block_radius))
-    nodes = np.repeat(pos[keep], mset.multiplicities()[keep])
-    return row_blocks(lambda z: np.prod(1.0 - z[:, None] / nodes, axis=1),
-                      z_flat, nodes.size)
+    inv = 1.0 / np.repeat(pos[keep], mset.multiplicities()[keep])
+
+    def complex_rows(z):
+        return np.prod(1.0 - z[:, None] * inv, axis=1)
+
+    def real_columns(x):
+        f = inv[:, None] * x
+        return np.prod(np.subtract(1.0, f, out=f), axis=0)
+
+    if z_flat.imag.any():
+        return row_blocks(complex_rows, z_flat, inv.size)
+    out = row_blocks(real_columns, z_flat.real, inv.size).astype(complex)
+    # a point on a node gets a zero whose sign the complex product sets by
+    # its own rule; those points take the complex product
+    zero = out.real == 0.0
+    if zero.any():
+        out[zero] = row_blocks(complex_rows, z_flat[zero], inv.size)
+    return out
 
 
 @pointwise(complex)
@@ -284,6 +313,10 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     With lattice_tail=True the blocks beyond the radius are completed with
     the idealized saturated lattice (closed form; near machine precision for
     |z| well inside the radius, exact limit for the unit lattice).
+
+    Points all on the real axis take a float64 product with the real parts
+    of the complex one, bit for bit; only the sign of a zero imaginary part
+    may differ. Points that are not finite raise ValueError.
     """
     out = _finite_product(mset, z, block_radius)
     if lattice_tail:
@@ -324,7 +357,10 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     transform, finite the Weierstrass product over the saturated nodes in
     blocks |n| <= block_radius, and tail the idealized lattice beyond them.
     Only `finite` depends on the nodes; the certificates compute the other
-    two once per probe grid. bump and finite take z in row blocks.
+    two once per probe grid. bump and finite take z in row blocks. When
+    every point is real, bump is real and finite is a float64 product with
+    the complex product's real parts, bit for bit; only the sign of a zero
+    imaginary part may differ. Points that are not finite raise ValueError.
 
     The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,

@@ -17,14 +17,23 @@ def is_integer(x) -> bool:
 
 def pointwise(dtype=None):
     """Decorator for f(head, points, *rest): the body gets the points flat,
-    of dtype (None keeps theirs); the caller gets their shape, or a scalar."""
+    of dtype (None keeps theirs); the caller gets their shape, or a scalar.
+    A point that is not finite raises ValueError, naming the points."""
     def decorate(fn):
         @functools.wraps(fn)
         def evaluator(*args, **kwargs):
             if len(args) < 2:
                 bound = inspect.signature(fn).bind(*args, **kwargs)
                 args, kwargs = bound.args, bound.kwargs
-            arr = np.asarray(args[1], dtype=dtype)
+            raw = np.asarray(args[1])
+            # checked before the cast, which may drop an imaginary part
+            finite = np.isfinite(raw) if raw.dtype.kind in "fc" else True
+            if not np.all(finite):
+                bad = raw[~finite]
+                raise ValueError(f"points must be finite, got "
+                                 f"{bad[:8].tolist()} ({bad.size} of "
+                                 f"{raw.size} points)")
+            arr = np.asarray(raw, dtype=dtype)
             out = fn(args[0], np.atleast_1d(arr).ravel(), *args[2:], **kwargs)
             return out.reshape(arr.shape) if arr.ndim else out[0].item()
         return evaluator

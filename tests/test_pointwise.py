@@ -2,6 +2,8 @@
 evaluators that share it: the shapes and types they give back, several row
 blocks against one, and the memory of one large evaluation."""
 
+import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -69,6 +71,23 @@ def test_points_can_be_passed_by_name():
         cardinal_kernel(MSET, 0.5, 12)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(math.inf, 0.0),
+              complex(0.0, -math.inf), complex(math.nan, 1.0)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE,
+                         ids=["nan", "inf", "-inf", "inf+0j", "-infj",
+                              "nan+1j"])
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_points_that_are_not_finite_are_rejected(name, bad):
+    f = EVALUATORS[name][0]
+    # a complex point is refused before a real evaluator casts it
+    for pts in (bad, [0.5, bad], np.array([[0.25, 1.0], [bad, -2.0]])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points must be finite, got {[bad]} (1 of")):
+            f(pts)
+
+
 def _in_blocks(cap, fn):
     """fn() with the row-block cap set to cap entries."""
     with pytest.MonkeyPatch.context() as mp:
@@ -134,7 +153,10 @@ def test_bump_transform_in_blocks_matches_one_block(tau, points, cap):
     assert np.max(np.abs(got - bump_transform(tau, ts))) <= 2e-15
 
 
-# np.prod reduces each row on its own, so the product is split-exact
+# Off the real axis, np.prod reduces each complex row on its own; on it,
+# the float64 product multiplies whole node rows into the points, one
+# node at a time. Either way a point's product is the same sequence of
+# multiplications in every block, so the product is split-exact.
 @settings(PROPERTY, max_examples=100)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 16),
        st.lists(st.complex_numbers(max_magnitude=12.0), min_size=1,
@@ -148,11 +170,29 @@ def test_finite_product_in_blocks_equals_one_block_bitwise(seed, radius, zs,
     assert np.array_equal(got, _finite_product(mset, z, radius))
 
 
+# st.complex_numbers almost never lands on the real axis, which takes the
+# float64 path; this draws real points, some of them on nodes
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 16),
+       st.lists(st.one_of(st.floats(-12.0, 12.0),
+                          st.integers(-12, 12).map(float)),
+                min_size=1, max_size=60), st.integers(1, 400))
+def test_finite_product_of_real_points_in_blocks_equals_one_block_bitwise(
+        seed, radius, xs, cap):
+    mset = saturate(random_admissible_multiset(
+        PARAMS, (-radius, radius), np.random.default_rng(seed)))
+    z = np.array(xs, dtype=complex)
+    got = _in_blocks(cap, lambda: _finite_product(mset, z, radius))
+    want = _finite_product(mset, z, radius)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 MIB = 2 ** 20
 # One evaluation at T points and K = 1000 nodes, T * K = 1.6e7. Built in
 # one piece, its (T x K) matrices peaked at 610 MiB for the sinc eval and
 # 487 MiB for the product (tracemalloc); in row blocks of 4e6 entries they
-# peak near 153 and 122 MiB whatever T.
+# peak near 153 MiB for the sinc eval, 122 MiB for the complex product off
+# the real axis and 31 MiB for the float64 product on it, whatever T.
 PEAK_BOUND_MIB = 256
 NODES = 1000
 POINTS_T = 16_000
@@ -176,14 +216,18 @@ def _sinc_eval(T):
     return lambda: s.eval(ts)
 
 
-def _product(T):
+def _product(T, imag=0.0):
     half = NODES // 2
     lattice = saturate(NodeMultiset((), PARAMS, (-half, half)))
-    z = np.linspace(-2.0, 2.0, T).astype(complex)
+    z = np.linspace(-2.0, 2.0, T) + 1j * imag
     return lambda: weierstrass_product(lattice, z, half)
 
 
-@pytest.mark.parametrize("case", [_sinc_eval, _product])
+def _product_off_axis(T):
+    return _product(T, imag=0.5)
+
+
+@pytest.mark.parametrize("case", [_sinc_eval, _product, _product_off_axis])
 def test_large_evaluation_memory_is_bounded(case):
     small = _peak_mib(case(POINTS_T))
     assert small < PEAK_BOUND_MIB
