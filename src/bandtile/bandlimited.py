@@ -409,8 +409,12 @@ def hann_transform(nu, T: float):
 
 def sample(s: BandSignal, step: float, window) -> np.ndarray:
     """Read-only complex array of s(k*step) for k in the inclusive integer
-    window (k_lo, k_hi): element i holds k = k_lo + i."""
-    k_lo, k_hi = int(window[0]), int(window[1])
+    window (k_lo, k_hi): element i holds k = k_lo + i. The ends must be
+    integers, rejected rather than truncated."""
+    k_lo, k_hi = window
+    if not (is_integer(k_lo) and is_integer(k_hi)):
+        raise ValueError(
+            f"sample window ends must be integers, got {window!r}")
     if k_hi < k_lo:
         raise ValueError("empty sample window")
     if not step > 0:

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .bandlimited import bump_transform
-from .numutil import is_integer, pointwise, row_blocks
+from .numutil import is_finite_real, is_integer, pointwise, row_blocks
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
@@ -70,7 +70,9 @@ class GridParams:
     """Block length l, density rho (rational), window support tau.
 
     l must be a positive integer (a bool is not one), stored as an int;
-    l*rho must be a positive integer: it is the per-block node capacity.
+    rho a finite real number, stored as a Fraction, with l*rho a positive
+    integer: it is the per-block node capacity; tau a finite positive
+    real number, stored as a float. A bool is a number for none of them.
     """
 
     l: int
@@ -81,14 +83,22 @@ class GridParams:
         if not (is_integer(self.l) and self.l > 0):
             raise ValueError(f"l must be a positive integer, got {self.l!r}")
         object.__setattr__(self, "l", int(self.l))
+        if not is_finite_real(self.rho):
+            raise ValueError(
+                f"rho must be a finite real number, got {self.rho!r}")
         rho = Fraction(self.rho)
+        # a NumPy integer would stay one inside the Fraction, and to_json
+        # could not write it
+        rho = Fraction(int(rho.numerator), int(rho.denominator))
         object.__setattr__(self, "rho", rho)
         if rho <= 0:
             raise ValueError("rho must be positive")
         if (self.l * rho).denominator != 1:
             raise ValueError("l*rho must be an integer")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and positive")
+        if not (is_finite_real(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got "
+                             f"{self.tau!r}")
+        object.__setattr__(self, "tau", float(self.tau))
 
     # computed once per instance: saturate, check_conditions and the
     # random families read them on every call, and each read was a

@@ -1,8 +1,11 @@
 """Shared numeric helpers: exact lattice trig, composite Gauss rules, the
-integer rule for validated fields, and the pointwise evaluator contract."""
+integer and real-number rules for validated fields, and the pointwise
+evaluator contract."""
 
 import functools
 import inspect
+import math
+import numbers
 
 import numpy as np
 
@@ -13,6 +16,14 @@ def is_integer(x) -> bool:
     """True for a Python int or a NumPy integer, and False for a bool, so
     a validated field rejects True, 2.0 and "2" instead of coercing them."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """True for a finite real number, and False for a bool, a string, NaN
+    or an infinity, so a validated field rejects True and "0.5" instead of
+    coercing them. A rational is finite however large it is."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and (isinstance(x, numbers.Rational) or math.isfinite(x)))
 
 
 def pointwise(dtype=None):

@@ -18,13 +18,14 @@ that cannot give a witness before the costlier ones run:
 2. the union test drops pairs whose union of vertices has affinely
    independent images: the map is then injective on the simplex they
    span, so equal images mean the same point of the shared face. It
-   covers the self pair of every simplex in general position. All pairs
-   whose union has at most D + 1 vertices are first certified at once, by
-   one vectorized rank test on the images mod a fixed prime p < 2^30:
-   full rank mod p is full rank over the integers, since a minor that is
-   nonzero mod p is a nonzero integer. A union that test leaves open (a
-   dependent one, or one whose minors all happen to be multiples of p)
-   goes to the exact rank test by the forward elimination pass;
+   covers the self pair of every simplex in general position. It runs
+   once for all pairs whose union has at most D + 1 vertices, as one
+   vectorized rank test on the images mod a fixed prime p < 2^30: full
+   rank mod p is full rank over the integers, since a minor that is
+   nonzero mod p is a nonzero integer. A union it leaves open (a
+   dependent one, one of more than D + 1 vertices, or one whose minors
+   all happen to be multiples of p) goes on to steps 3 and 4, which are
+   exact on their own;
 3. the forward pass on the pair system ends the pair when a pivot lands
    in the right-hand-side column (an inconsistent system), before the
    back pass;
@@ -42,6 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .numutil import is_integer
 
 SNAP = 1e-9
 # A prime below 2^30 for the residue test of is_embedding: a product of two
@@ -263,7 +266,7 @@ def _forward(rows, through_gaps=True):
     come first in echelon form, and the rows after them are zero in every
     column passed. Returns (pivot columns, det), det being the last pivot
     (1 with no pivot). With through_gaps false the pass stops at the first
-    column that has no pivot, which is all a rank or square solve needs."""
+    column that has no pivot, which is all a square solve needs."""
     pivots = []
     prev = 1
     r = 0
@@ -423,17 +426,6 @@ def _pair_witness(va, vb, ints, D):
     return None
 
 
-def _affinely_independent(verts, cols) -> bool:
-    """Whether the integer images of verts are affinely independent: the
-    columns (1, image) have full rank, which the forward pass decides at
-    the first column without a pivot. More than D + 1 points never are."""
-    if len(verts) > len(cols[verts[0]]):
-        return False
-    rows = [list(r) for r in zip(*(cols[v] for v in verts))]
-    pivots, _ = _forward(rows, through_gaps=False)
-    return len(pivots) == len(verts)
-
-
 def _full_rank_mod_p(cols, counts) -> np.ndarray:
     """Whether the first counts[n] columns of each matrix cols[n] of
     residues mod RESIDUE_PRIME are independent mod the prime; the columns
@@ -506,9 +498,6 @@ def is_embedding(m: SimplicialMap) -> tuple:
     for (i, j), sure in zip(pairs.tolist(), certified):
         if sure:
             continue  # the map is injective on the simplex of the union
-        union = maxs[i] + tuple(v for v in maxs[j] if v not in maxs[i])
-        if _affinely_independent(union, cols):
-            continue
         hit = _pair_witness(maxs[i], maxs[j], ints, D)
         if hit is None:
             continue
@@ -551,9 +540,9 @@ def verify_witness(m: SimplicialMap, w: CollisionWitness) -> bool:
 def perturb_to_embedding(m: SimplicialMap, magnitude: float,
                          rng_seed: int) -> SimplicialMap:
     """Nudge vertex images (each coordinate by at most magnitude) until
-    is_embedding passes; the unperturbed map is tried first, then up to
-    32 perturbations. Requires target dimension >= 2 dim + 1, where
-    random maps embed generically."""
+    is_embedding passes; the unperturbed map is tried first and returned
+    itself when it embeds, then up to 32 perturbations. Requires target
+    dimension >= 2 dim + 1, where random maps embed generically."""
     if m.dim_target < 2 * m.complex.dim + 1:
         raise ValueError(
             f"target dimension {m.dim_target} below 2*dim+1 = "
@@ -679,8 +668,9 @@ def approx_map(c: Complex, sample: MetricSample, pi: dict, f: dict,
 def triangulated_strip(n: int) -> Complex:
     """A strip of n triangles on two vertex rows (the usual ladder
     triangulation); a handy dimension-2 example complex."""
-    if n < 1:
-        raise ValueError("need at least one triangle")
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"need an integer number of triangles >= 1, "
+                         f"got {n!r}")
     cols = n // 2 + 1
     tris = []
     for i in range(cols):
@@ -695,8 +685,8 @@ def random_map(c: Complex, D: int, rng) -> SimplicialMap:
     """Vertex images uniform on the dyadic grid {0, 1/2^20, ..., 1}^D; on
     a power-of-two grid the scaled integer images stay short, which keeps
     the exact solver fast."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    if not (is_integer(D) and D >= 1):
+        raise ValueError(f"D must be an integer >= 1, got {D!r}")
     grid = 2 ** 20
     images = {}
     for v in c.vertices:
@@ -709,8 +699,8 @@ def crossing_pair(D: int) -> SimplicialMap:
     """Two disjoint triangles in R^D sharing their barycenter (1,1,0,...):
     a constructed embedding failure for any D, with witness barycentrics
     (1/3, 1/3, 1/3) on both sides."""
-    if D < 2:
-        raise ValueError("D must be >= 2")
+    if not (is_integer(D) and D >= 2):
+        raise ValueError(f"D must be an integer >= 2, got {D!r}")
     pad = (0.0,) * (D - 2)
     images = {0: (0.0, 0.0) + pad, 1: (3.0, 0.0) + pad,
               2: (0.0, 3.0) + pad,

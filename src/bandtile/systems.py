@@ -209,8 +209,8 @@ def marker_function(r: Rotation, L: int) -> MarkerScheme:
     three-gap theorem), so a scan can miss the rare largest one. M is one
     above the larger of the largest observed gap and the sum of the two
     smallest distinct ones, and at least L + 2."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    if not (is_integer(L) and L >= 1):
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
     gap = min(circle_dist(k * r.alpha, 0.0) for k in range(1, L + 1))
     if gap <= 0.0:
         raise ValueError(
@@ -404,8 +404,10 @@ def bowen_metric(x: SubshiftWindow, y: SubshiftWindow, start: int,
     disagreement, 0 when the words agree on the whole window."""
     if x.window != y.window:
         raise ValueError("words live on different windows")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if not is_integer(start):
+        raise ValueError(f"start must be an integer, got {start!r}")
+    if not (is_integer(length) and length >= 1):
+        raise ValueError(f"length must be an integer >= 1, got {length!r}")
     sites = np.flatnonzero(x.word != y.word) + x.window.start
     if sites.size == 0:
         return 0.0
@@ -424,8 +426,8 @@ def marker_cylinder(x: SubshiftWindow, N: int) -> tuple:
     grow by one letter. An N-separated block beats all its extensions,
     which occur at a subset of its sites and are longer. Always succeeds:
     the whole window is a factor with a single occurrence."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not (is_integer(N) and N >= 1):
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     # byte slices order like letter blocks and key dicts faster than numpy
     word, start = x.word.tobytes(), x.window.start
     n = len(word)

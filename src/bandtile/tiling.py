@@ -167,6 +167,8 @@ def _bisector(m: int, hm: float, n: int, hn: float) -> float:
 
 def compute_tiles(markers: MarkerSeq, window) -> Tiling:
     win_lo, win_hi = float(window[0]), float(window[1])
+    if not (math.isfinite(win_lo) and math.isfinite(win_hi)):
+        raise ValueError(f"window ends must be finite, got {window!r}")
     if win_hi <= win_lo:
         raise ValueError("window must have positive width")
     M = markers.M

@@ -19,13 +19,12 @@ edge and ``2 M`` off the right. See ``bases`` for the exact margins.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .numutil import is_integer
+from .numutil import is_finite_real, is_integer
 from .tiling import Tile, Tiling, boundary_points
 
 SLACK = 1e-9
@@ -54,8 +53,7 @@ class WeightParams:
 
     def __post_init__(self):
         ratio = self.cost_ratio
-        if (isinstance(ratio, bool) or not isinstance(ratio, numbers.Real)
-                or not (math.isfinite(ratio) and ratio > 0)):
+        if not (is_finite_real(ratio) and ratio > 0):
             raise ValueError(
                 f"cost_ratio must be a finite number above 0, got {ratio!r}")
         object.__setattr__(self, "cost_ratio", float(ratio))

@@ -249,6 +249,21 @@ def test_sample_cosine_frozen_values():
     assert vals[3] == pytest.approx(math.cos(0.75 * math.pi), abs=1e-15)
 
 
+@pytest.mark.parametrize("window", [(0.7, 2.9), (0, 2.0), (True, 2),
+                                    (np.float64(0.0), 2)])
+def test_sample_rejects_window_ends_that_are_not_integers(window):
+    # int() truncated (0.7, 2.9) to the three samples k = 0, 1, 2
+    s = BandSignal((-1.0,), (1.0,), ToneKernel(0.25))
+    with pytest.raises(ValueError, match="window ends must be integers"):
+        sample(s, 1.0, window)
+
+
+def test_sample_takes_numpy_integer_window_ends():
+    s = BandSignal((-1.0,), (1.0,), ToneKernel(0.25))
+    assert sample(s, 4.0, (np.int64(0), np.int64(7))).tolist() == (
+        sample(s, 4.0, (0, 7)).tolist())
+
+
 def test_stress_rejects_zero_trials():
     # with no trial nothing is checked, not even the injected counterexample
     for halfwidth in (0.4, 0.5):

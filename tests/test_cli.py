@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import bandtile
-from bandtile import cli
+from bandtile import cli, simplicial
 from bandtile.cli import main, parse_config
 
 
@@ -146,6 +146,50 @@ def test_dynamics_report_bytes_pinned(tmp_path, args, digest):
     code, payload = run_to(tmp_path, "r.out", args)
     assert code == (1 if args == NYQUIST else 0)
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+EMBEDDED_PATH = {"vertices": [0, 1, 2],
+                 "simplices": [[0], [1], [2], [0, 1], [1, 2]],
+                 "images": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}
+
+
+def test_perturb_without_room_reports_the_map_as_not_embedded(tmp_path):
+    """Magnitude 0 leaves the crossing pair as it is: no perturbation
+    embeds it, so the report says it did not embed before."""
+    code, payload = run_to(tmp_path, "r.json", ["simplicial", "perturb",
+                                                "--seed", "7",
+                                                "--magnitude", "0"])
+    assert code == 1
+    assert json.loads(payload)["report"]["embedding_before"] is False
+    assert hashlib.sha256(payload).hexdigest() == (
+        "5092d983449f83e96b432d30d2a04b60b5be68a723cf2ccb614582884b63efb8")
+
+
+def test_perturb_keeps_a_map_that_already_embeds(tmp_path, monkeypatch):
+    """The map is decided once: perturb_to_embedding tries it first and
+    returns it as it is, which is what embedding_before reports."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(EMBEDDED_PATH))
+    calls = []
+    real = simplicial.is_embedding
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(simplicial, "is_embedding", counted)
+    monkeypatch.setattr(cli, "is_embedding", counted)
+    code, payload = run_to(tmp_path, "r.json", ["simplicial", "perturb",
+                                                "--seed", "7",
+                                                "--map", str(path)])
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(payload)["report"]
+    assert report["embedding_before"] is True
+    assert report["max_drift"] == 0.0
+    assert report["map"]["images"] == EMBEDDED_PATH["images"]
+    assert hashlib.sha256(payload).hexdigest() == (
+        "99fa0410c394177a4b752220d911b9ff07366cda4d176db5dae97d6e48265071")
 
 
 def test_csv_format(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -213,9 +214,11 @@ def test_radius_certificates_reject_unchecked_arguments(cert, r, eps,
         CERTIFICATES[cert](r, eps, family_size)
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.5,
+                                 True, False, 1j, "0.5", None])
 def test_grid_params_reject_a_window_support_that_is_not_finite_positive(tau):
-    # rejected at construction, not late inside cardinal_kernel
+    # rejected at construction, not late inside cardinal_kernel; True is
+    # not a number here, and was written to JSON as true
     with pytest.raises(ValueError, match="tau must be finite and positive"):
         GridParams(l=1, rho=Fraction(1), tau=tau)
 
@@ -230,6 +233,22 @@ def test_grid_params_store_a_numpy_integer_l_as_int():
     p = GridParams(l=np.int64(2), rho=Fraction(1, 2), tau=0.5)
     assert p == GridParams(l=2, rho=Fraction(1, 2), tau=0.5)
     assert type(p.l) is int and type(p.to_json()["l"]) is int
+
+
+@pytest.mark.parametrize("rho", [True, False, math.inf, -math.inf, math.nan,
+                                 "1", 1j])
+def test_grid_params_reject_a_rho_that_is_not_a_finite_real_number(rho):
+    # a bool would become a density of 1 or 0, and an infinite float
+    # raised OverflowError from Fraction
+    with pytest.raises(ValueError, match="rho must be a finite real number"):
+        GridParams(l=1, rho=rho, tau=0.5)
+
+
+def test_grid_params_write_plain_json_from_numpy_numbers():
+    p = GridParams(l=np.int64(2), rho=np.int64(1), tau=np.float64(0.5))
+    assert p == GridParams(l=2, rho=Fraction(1), tau=0.5)
+    assert json.dumps(p.to_json()) == '{"l": 2, "rho": [1, 1], "tau": 0.5}'
+    assert type(p.tau) is float
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -120,6 +120,25 @@ def test_triangulated_strip_shape():
     assert len(strip.vertices) == 22
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, "3"])
+def test_triangulated_strip_rejects_a_non_integer_count(n):
+    # 2.5 used to raise TypeError from inside range()
+    with pytest.raises(ValueError, match="integer number of triangles"):
+        triangulated_strip(n)
+
+
+@pytest.mark.parametrize("D", [2.5, True, 0, "3"])
+def test_random_map_rejects_a_non_integer_dimension(D):
+    with pytest.raises(ValueError, match="D must be an integer >= 1"):
+        random_map(triangulated_strip(2), D, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("D", [2.5, True, 1, "3"])
+def test_crossing_pair_rejects_a_non_integer_dimension(D):
+    with pytest.raises(ValueError, match="D must be an integer >= 2"):
+        crossing_pair(D)
+
+
 def test_random_strip_maps_embed_generically():
     rng = np.random.default_rng(7)
     strip = triangulated_strip(20)
@@ -788,40 +807,16 @@ def _affine_rank_ref(verts, exact):
     return len(_rref_ref(rows))
 
 
-@settings(PROPERTY, max_examples=200)
-@given(degenerate_maps())
-def test_union_filter_skips_only_pairs_without_witness(m):
-    """The union test agrees with a Fraction rank, and every pair it skips
-    has no reference vertex off the shared-face diagonal."""
-    assert_matches_reference(m)
-    ints, _ = simplicial._scaled_images(m)
-    cols = {v: (1,) + img for v, img in ints.items()}
-    exact = _exact_images(m)
-    D = m.dim_target
-    maxs = m.complex.maximal_simplices()
-    for va, vb in itertools.combinations_with_replacement(maxs, 2):
-        union = va + tuple(v for v in vb if v not in va)
-        skip = simplicial._affinely_independent(union, cols)
-        assert skip == (_affine_rank_ref(union, exact) == len(union))
-        if skip:
-            shared = set(va) & set(vb)
-            for z in _polytope_vertices_ref(*_pair_system_ref(va, vb, exact,
-                                                              D)):
-                assert simplicial._same_point(va, vb, z[:len(va)],
-                                              z[len(va):], shared)
-
-
 def test_union_filter_falls_through_on_dependent_unions():
-    """Collinear images, a repeated image and more than D + 1 points go to
-    the solver; affinely independent images are skipped."""
+    """Collinear images, a repeated image and more than D + 1 points are
+    left open for the solver; affinely independent images are certified."""
     plane = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (0, 0), 4: (0, 1),
              5: (1, 1)}
     cols = {v: (1,) + img for v, img in plane.items()}
-    assert not simplicial._affinely_independent((0, 1, 2), cols)
-    assert not simplicial._affinely_independent((4, 0, 3), cols)
-    assert not simplicial._affinely_independent((0, 1, 4, 5), cols)
-    assert simplicial._affinely_independent((0, 1, 4), cols)
-    assert simplicial._affinely_independent((1, 4), cols)
+    maxs = ((0, 1, 2), (4, 0, 3), (0, 1, 4, 5), (0, 1, 4), (1, 4))
+    pairs = np.array([[i, i] for i in range(len(maxs))])
+    assert simplicial._certified_pairs(maxs, pairs, cols) == [
+        False, False, False, True, True]
 
 
 def _all_pairs(maxs):
@@ -853,38 +848,48 @@ def full_rank_maps(draw):
 @settings(PROPERTY, max_examples=200)
 @given(st.one_of(degenerate_maps(), full_rank_maps()))
 def test_residue_test_certifies_only_independent_unions(m):
-    """A union the residue test certifies has full Fraction rank, so the
-    certificate never skips a pair the exact union test would keep."""
+    """A union the residue test certifies has full Fraction rank, and the
+    pair it skips has no reference vertex off the shared-face diagonal:
+    the certificate never skips a pair with a witness."""
     ints, _ = simplicial._scaled_images(m)
     cols = {v: (1,) + img for v, img in ints.items()}
     exact = _exact_images(m)
     maxs = m.complex.maximal_simplices()
     pairs, unions = _all_pairs(maxs)
-    for sure, union in zip(simplicial._certified_pairs(maxs, pairs, cols),
-                           unions):
+    for (i, j), sure, union in zip(
+            pairs.tolist(), simplicial._certified_pairs(maxs, pairs, cols),
+            unions):
         if sure:
             assert _affine_rank_ref(union, exact) == len(union)
+            va, vb = maxs[i], maxs[j]
+            shared = set(va) & set(vb)
+            for z in _polytope_vertices_ref(*_pair_system_ref(
+                    va, vb, exact, m.dim_target)):
+                assert simplicial._same_point(va, vb, z[:len(va)],
+                                              z[len(va):], shared)
     assert_matches_reference(m)
 
 
-def _exact_union_calls(monkeypatch):
-    """Record (union size, verdict) for every union that reaches the exact
-    union test."""
+def _pair_solver_calls(monkeypatch):
+    """Record (union size, found a witness) for every pair that reaches
+    the pair solver."""
     calls = []
-    exact = simplicial._affinely_independent
+    solve = simplicial._pair_witness
 
-    def counted(verts, cols):
-        calls.append((len(verts), exact(verts, cols)))
-        return calls[-1][1]
+    def counted(va, vb, ints, D):
+        hit = solve(va, vb, ints, D)
+        calls.append((len(set(va) | set(vb)), hit is not None))
+        return hit
 
-    monkeypatch.setattr(simplicial, "_affinely_independent", counted)
+    monkeypatch.setattr(simplicial, "_pair_witness", counted)
     return calls
 
 
 def test_a_minor_divisible_by_the_prime_falls_back_to_the_exact_test(
         monkeypatch):
     """The edge 0 -> p has the single 2 x 2 minor p: zero mod p, so the
-    residue test leaves the union open and the exact test decides it."""
+    residue test leaves the union open and the exact pair solver decides
+    it, finding no vertex off the diagonal."""
     p = simplicial.RESIDUE_PRIME
     m = SimplicialMap(Complex.from_maximal([(0, 1)]),
                       {0: (0.0,), 1: (float(p),)})
@@ -893,9 +898,9 @@ def test_a_minor_divisible_by_the_prime_falls_back_to_the_exact_test(
     maxs = m.complex.maximal_simplices()
     assert simplicial._certified_pairs(maxs, np.array([[0, 0]]),
                                        cols) == [False]
-    calls = _exact_union_calls(monkeypatch)
+    calls = _pair_solver_calls(monkeypatch)
     assert is_embedding(m) == (True, None)
-    assert calls == [(2, True)]
+    assert calls == [(2, False)]
 
 
 def _rank_mod_p_ref(rows, p):
@@ -964,10 +969,10 @@ def test_residues_of_p_minus_one_everywhere(k):
     assert got.tolist() == [k == 1]
 
 
-def test_full_rank_strips_never_reach_the_exact_union_test(monkeypatch):
+def test_full_rank_strips_never_reach_the_pair_solver(monkeypatch):
     """On 24-triangle dyadic strips into R^6 every union has at most
     D + 1 = 7 vertices and the residue test certifies each one."""
-    calls = _exact_union_calls(monkeypatch)
+    calls = _pair_solver_calls(monkeypatch)
     rng = np.random.default_rng(13)
     strip = triangulated_strip(24)
     for _ in range(10):
@@ -979,7 +984,7 @@ def test_low_dimensional_maps_send_only_overfull_unions_to_the_exact_test(
         monkeypatch):
     """Into R^3, a union of more than D + 1 = 4 vertices is dependent and
     goes on to the solver; every smaller union is certified."""
-    calls = _exact_union_calls(monkeypatch)
+    calls = _pair_solver_calls(monkeypatch)
     rng = np.random.default_rng(13)
     for n in range(8, 28):
         is_embedding(random_map(triangulated_strip(n), 3, rng))

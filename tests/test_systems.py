@@ -239,6 +239,13 @@ def test_marker_scan_keeps_hit_count_and_scan_limit(monkeypatch, L, step,
     assert got == want
 
 
+@pytest.mark.parametrize("L", [2.5, True, 0, "3"])
+def test_marker_function_rejects_an_L_that_is_not_a_positive_integer(L):
+    # 2.5 used to raise TypeError from inside range()
+    with pytest.raises(ValueError, match="L must be an integer >= 1"):
+        marker_function(Rotation(ALPHA), L)
+
+
 def test_marker_function_rejects_rational_angle():
     with pytest.raises(ValueError):
         marker_function(Rotation(0.5), 2)
@@ -437,11 +444,33 @@ def test_word_and_bowen_metrics():
     assert bowen_metric(ya, yb, -2, 5) == 1.0
 
 
+@pytest.mark.parametrize("start, length, match", [
+    (0, 2.5, "length must be an integer"),
+    (0, True, "length must be an integer"),
+    (0, 0, "length must be an integer >= 1"),
+    (0.5, 2, "start must be an integer"),
+    (False, 2, "start must be an integer"),
+])
+def test_bowen_metric_rejects_a_non_integer_window(start, length, match):
+    # 2.5 steps used to run as a window of its own
+    ya = SubshiftWindow((0, 1, 0, 0, 1), range(-2, 3))
+    with pytest.raises(ValueError, match=match):
+        bowen_metric(ya, ya, start, length)
+
+
 def test_marker_cylinder_gaps():
     xx = sturmian_window(GOLD, 0.3, range(-20, 21))
     _, sites = marker_cylinder(xx, 3)
     assert all(q - p > 3 for p, q in zip(sites, sites[1:]))
     assert len(sites) >= 2
+
+
+@pytest.mark.parametrize("N", [2.5, True, 0, "3"])
+def test_marker_cylinder_rejects_a_separation_that_is_not_a_positive_integer(
+        N):
+    xx = sturmian_window(GOLD, 0.3, range(-20, 21))
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        marker_cylinder(xx, N)
 
 
 def test_toy_verify_identical_and_near_pairs():

@@ -48,6 +48,15 @@ def test_unequal_heights_frozen_bisector():
     assert t.tile(10).lo == 5.15
 
 
+@pytest.mark.parametrize("window", [(-3.0, math.inf), (-math.inf, 15.0),
+                                    (math.nan, 15.0), (-3.0, math.nan)])
+def test_compute_tiles_rejects_window_ends_that_are_not_finite(window):
+    # an infinite end gave a last tile running to inf, and a NaN end
+    # failed as "no markers inside the M-padded window"
+    with pytest.raises(ValueError, match="window ends must be finite"):
+        compute_tiles(two_markers(), window)
+
+
 def test_tile_lookup_by_index():
     t = Tiling(tiles=((0, Tile(-5.0, 5.0)), (10, None), (0, Tile(0.0, 1.0))),
                window=(-5.0, 15.0), L=3, M=12)
