@@ -845,29 +845,43 @@ def full_rank_maps(draw):
                                 for v in comp.vertices})
 
 
-@settings(PROPERTY, max_examples=200)
-@given(st.one_of(degenerate_maps(), full_rank_maps()))
-def test_residue_test_certifies_only_independent_unions(m):
-    """A union the residue test certifies has full Fraction rank, and the
-    pair it skips has no reference vertex off the shared-face diagonal:
-    the certificate never skips a pair with a witness."""
+def _certified_unions(m):
+    """Yield (va, vb, union) for every pair of maximal simplices whose
+    union the residue test certifies."""
     ints, _ = simplicial._scaled_images(m)
     cols = {v: (1,) + img for v, img in ints.items()}
-    exact = _exact_images(m)
     maxs = m.complex.maximal_simplices()
     pairs, unions = _all_pairs(maxs)
     for (i, j), sure, union in zip(
             pairs.tolist(), simplicial._certified_pairs(maxs, pairs, cols),
             unions):
         if sure:
-            assert _affine_rank_ref(union, exact) == len(union)
-            va, vb = maxs[i], maxs[j]
-            shared = set(va) & set(vb)
-            for z in _polytope_vertices_ref(*_pair_system_ref(
-                    va, vb, exact, m.dim_target)):
-                assert simplicial._same_point(va, vb, z[:len(va)],
-                                              z[len(va):], shared)
+            yield maxs[i], maxs[j], union
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(degenerate_maps(), full_rank_maps()))
+def test_residue_test_certifies_only_independent_unions(m):
+    """A union the residue test certifies has full Fraction rank."""
+    exact = _exact_images(m)
+    for _, _, union in _certified_unions(m):
+        assert _affine_rank_ref(union, exact) == len(union)
     assert_matches_reference(m)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(degenerate_maps(), full_rank_maps()))
+def test_union_filter_skips_only_pairs_without_witness(m):
+    """Every pair the residue test skips has no reference vertex off the
+    shared-face diagonal: the certificate never skips a pair with a
+    witness."""
+    exact = _exact_images(m)
+    for va, vb, _ in _certified_unions(m):
+        shared = set(va) & set(vb)
+        for z in _polytope_vertices_ref(*_pair_system_ref(
+                va, vb, exact, m.dim_target)):
+            assert simplicial._same_point(va, vb, z[:len(va)],
+                                          z[len(va):], shared)
 
 
 def _pair_solver_calls(monkeypatch):
