@@ -22,8 +22,12 @@ Bump-kernel expansions are evaluated through their lines. The bump is
 real and even, so the series is sum_j g_j sum_k c_k cos(w_j (t - n_k)),
 which factors through the lines: per-line sums over the K coefficients,
 then one pass over them per point, O((T + K) U) for T points and a
-U-line rule instead of O(T K U). The other kernels are evaluated on the
-offsets t - n_k. Both take the points in row blocks (numutil.row_blocks).
+U-line rule instead of O(T K U). Only the elementwise cosines of a block's
+phases leave the calling thread: one module-level helper thread takes
+them while the caller takes the sines, and both products with the sums
+stay on the caller, so the values are the serial ones bit for bit. The
+other kernels are evaluated on the offsets t - n_k. Both take the points
+in row blocks (numutil.row_blocks).
 
 Band membership is certified numerically (band_check), by the leakage of
 the Hann-tapered spectrum at probe frequencies outside the band. The
@@ -36,13 +40,16 @@ baseband alone. Nothing here does symbolic complex analysis.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numutil import (cispi, composite_gauss, is_integer, pointwise,
-                      row_blocks, sinpi)
+from . import numutil
+from .numutil import (cispi, composite_gauss, is_finite_real, is_integer,
+                      pointwise, row_blocks, sinpi)
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
@@ -115,9 +122,9 @@ class Band:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(
-                f"band edges must be finite, got [{self.lo}, {self.hi}]")
+        if not (is_finite_real(self.lo) and is_finite_real(self.hi)):
+            raise ValueError(f"band edges must be finite real numbers, got "
+                             f"[{self.lo!r}, {self.hi!r}]")
         if not self.lo < self.hi:
             raise ValueError(f"band needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -139,8 +146,9 @@ class ToneKernel:
     freq: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.freq) and self.freq > 0):
-            raise ValueError("tone frequency must be finite and positive")
+        if not (is_finite_real(self.freq) and self.freq > 0):
+            raise ValueError(f"tone frequency must be a finite positive real "
+                             f"number, got {self.freq!r}")
         object.__setattr__(self, "freq", float(self.freq))
 
     @property
@@ -166,8 +174,9 @@ class SincKernel:
     halfwidth: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
-            raise ValueError("sinc halfwidth must be finite and positive")
+        if not (is_finite_real(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError(f"sinc halfwidth must be a finite positive real "
+                             f"number, got {self.halfwidth!r}")
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def eval(self, u):
@@ -192,8 +201,9 @@ class BumpKernel:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("bump support must be finite and positive")
+        if not (is_finite_real(self.tau) and self.tau > 0):
+            raise ValueError(f"bump support must be a finite positive real "
+                             f"number, got {self.tau!r}")
         object.__setattr__(self, "tau", float(self.tau))
 
     @property
@@ -258,6 +268,22 @@ def _node_sums(s: BandSignal, w: np.ndarray):
     return parts @ np.cos(phase), parts @ np.sin(phase)
 
 
+# The one helper thread of BandSignal.eval's bump lines: it takes np.cos of
+# a block's phases while the caller takes np.sin, as numpy releases the GIL
+# inside a ufunc. The thread starts on the first submit, not on import. A
+# forked child has no copy of it, so the child gets an executor of its own.
+_COSINES = ThreadPoolExecutor(max_workers=1)
+
+
+def _renew_cosines():
+    global _COSINES
+    _COSINES = ThreadPoolExecutor(max_workers=1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_cosines)
+
+
 @dataclass(frozen=True, eq=False)
 class BandSignal:
     """Finite kernel expansion, optionally carrier-modulated.
@@ -281,8 +307,9 @@ class BandSignal:
             raise ValueError("nodes and coeffs must be finite")
         if np.any(nodes[1:] <= nodes[:-1]):
             raise ValueError("nodes must be strictly increasing")
-        if not math.isfinite(self.carrier_freq):
-            raise ValueError("carrier frequency must be finite")
+        if not is_finite_real(self.carrier_freq):
+            raise ValueError(f"carrier frequency must be a finite real "
+                             f"number, got {self.carrier_freq!r}")
         nodes.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -297,8 +324,12 @@ class BandSignal:
         for these offsets. With cos(w (t - n)) = cos(w t) cos(w n) +
         sin(w t) sin(w n), the coefficients are summed per line once per
         call (_node_sums), at O(K U) for K nodes and U lines, and each point
-        is evaluated against the sums at O(U). Other kernels evaluate the
-        offsets t - n_k. Both take the points in bounded row blocks.
+        is evaluated against the sums at O(U). Per row block, np.cos of the
+        phases runs on the helper thread (_COSINES) while this thread takes
+        np.sin; a ufunc is elementwise, so the split keeps every bit, and
+        the products cos @ spec_cos + sin @ spec_sin stay here, in that
+        order. Other kernels evaluate the offsets t - n_k. Both take the
+        points in bounded row blocks.
         """
         if isinstance(self.kernel, BumpKernel) and self.nodes.size and t.size:
             # largest |t - n_k| over all pairs, rounded as the offsets would be
@@ -310,7 +341,13 @@ class BandSignal:
             spec_cos, spec_sin = (cs * g).T, (sn * g).T
             def lines(block):
                 phase = np.multiply.outer(block, w)
-                val = np.cos(phase) @ spec_cos + np.sin(phase) @ spec_sin
+                cos = _COSINES.submit(np.cos, phase)
+                try:
+                    sin = np.sin(phase)
+                finally:
+                    # no cosine block outlives the call if np.sin raises
+                    cos = cos.result()
+                val = cos @ spec_cos + sin @ spec_sin
                 return val[:, 0] + 1j * val[:, 1]
             vals = row_blocks(lines, t, w.size)
         else:
@@ -428,15 +465,14 @@ _SLOTS = np.arange(-16, 17)
 _SLOTS.flags.writeable = False
 
 
-def _random_lowpass_signal(halfwidth: float, rng) -> BandSignal:
-    """Random expansion against the ideal low-pass kernel for [-c, c]:
-    2 to 8 nodes on the (1/(2c)) grid, at most 16 grid steps from the
-    origin, complex normal coefficients."""
+def _lowpass_draw(rng):
+    """Slots and coefficients of a random expansion against the ideal
+    low-pass kernel for [-c, c]: 2 to 8 distinct slots of _SLOTS, sorted
+    (node k sits at slots[k] / (2c), at most 16 grid steps from the
+    origin), and complex normal coefficients, one per node."""
     count = int(rng.integers(2, 9))
-    slots = rng.choice(_SLOTS, size=count, replace=False)
-    nodes = np.sort(slots) / (2.0 * halfwidth)
-    coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-    return BandSignal(nodes, coeffs, SincKernel(halfwidth))
+    slots = np.sort(rng.choice(_SLOTS, size=count, replace=False))
+    return slots, rng.normal(size=count) + 1j * rng.normal(size=count)
 
 
 def _continuous_grid(halfwidth: float) -> np.ndarray:
@@ -472,20 +508,29 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     Each trial draws a pair of random low-pass signals and compares the
     sup gap of their samples on [-32, 32] to the continuous gap, a sup over
     the nodes' lattice refined to pitch at most 1/4 on [-32, 32] and every
-    node (_continuous_grid); each signal is evaluated once on both. The
-    sinc kernel is 1 at its own node and 0 at the others, so the continuous
-    gap is at least the pair's largest coefficient difference and no pair
-    is drawn twice. A violation is a sampled gap below 1e-9 against a
-    continuous gap above 1e-6; min_ratio is the smallest sampled-to-
-    continuous ratio over the trials.
+    node (_continuous_grid). The sinc kernel is 1 at its own node and 0 at
+    the others, so the continuous gap is at least the pair's largest
+    coefficient difference and no pair is drawn twice. A violation is a
+    sampled gap below 1e-9 against a continuous gap above 1e-6; min_ratio
+    is the smallest sampled-to-continuous ratio over the trials.
+
+    Every node is one of the 33 slots _SLOTS / (2c), so all pairs are drawn
+    first and the kernel is evaluated once, as a table of
+    sinc(2c (t - slot / (2c))) over the points and the distinct slots the
+    draws use, in row blocks of numutil.ROW_BLOCK_ENTRIES entries. A
+    signal's values are its gathered columns, in C order, times its
+    coefficients: the same offsets, kernel values and complex dot products
+    per point as BandSignal.eval on its own nodes, so the same bits. Each
+    trial's two sups are kept as running maxima across the blocks, which
+    is exact in any order.
     At or beyond the boundary c >= N/2 the classical counterexample
     sin(2 pi (N/2) t), which vanishes identically on (1/N)Z, is injected
     and witnessed exactly.
     """
-    if not (halfwidth > 0 and math.isfinite(halfwidth)
+    if not (is_finite_real(halfwidth) and halfwidth > 0
             and math.isfinite(8.0 / halfwidth)):
         raise ValueError(f"band halfwidth c must be finite and positive, with "
-                         f"the nodes' reach 8/c finite, got {halfwidth}")
+                         f"the nodes' reach 8/c finite, got {halfwidth!r}")
     if not (is_integer(denominator) and denominator >= 1):
         raise ValueError(f"sampling denominator must be a positive integer, "
                          f"got {denominator!r}")
@@ -497,28 +542,40 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     ks = np.arange(-k_max, k_max + 1)
     grid = _continuous_grid(halfwidth)
     at = np.concatenate([grid, ks * step])
-    violations = []
-    ratios = []
-    for trial in range(trials):
-        s1 = _random_lowpass_signal(halfwidth, rng)
-        s2 = _random_lowpass_signal(halfwidth, rng)
-        gap = np.abs(s1.eval(at) - s2.eval(at))
-        cont = float(np.max(gap[:grid.size]))
-        sampled = float(np.max(gap[grid.size:]))
-        ratios.append(sampled / cont)
-        if sampled < 1e-9 and cont > 1e-6:
-            violations.append(trial)
+    draws = [_lowpass_draw(rng) for _ in range(2 * trials)]
+    used = np.unique(np.concatenate([slots for slots, _ in draws]))
+    signals = [(np.searchsorted(used, slots), coeffs)
+               for slots, coeffs in draws]
+    kernel = SincKernel(halfwidth)
+    slot_nodes = used / (2.0 * halfwidth)
+    # per trial, the sup of the pair's gap on the grid and on the samples
+    cont, sampled = np.zeros(trials), np.zeros(trials)
+    rows = max(1, numutil.ROW_BLOCK_ENTRIES // used.size)
+    for lo in range(0, at.size, rows):
+        table = kernel.eval(at[lo:lo + rows, None] - slot_nodes)
+        # the block's first `split` rows are grid points
+        split = min(max(grid.size - lo, 0), table.shape[0])
+        for trial in range(trials):
+            v1, v2 = (table[:, cols].astype(complex, order="C") @ coeffs
+                      for cols, coeffs in signals[2 * trial:2 * trial + 2])
+            gap = np.abs(v1 - v2)
+            if split > 0:
+                cont[trial] = max(cont[trial], np.max(gap[:split]))
+            if split < gap.size:
+                sampled[trial] = max(sampled[trial], np.max(gap[split:]))
+    ratios = sampled / cont
+    violations = np.flatnonzero((sampled < 1e-9) & (cont > 1e-6))
     counterexample = None
     if halfwidth >= denominator / 2.0:
         tone = tone_signal(denominator / 2.0)
         vals = sample(tone, step, (-k_max, k_max))
-        cont = float(np.max(np.abs(tone.eval(grid))))
         counterexample = {
             "tone_freq": denominator / 2.0,
             "sampled_sup": float(np.max(np.abs(vals))),
-            "continuous_sup": cont,
+            "continuous_sup": float(np.max(np.abs(tone.eval(grid)))),
             "exact_zero": bool(np.all(vals == 0)),
         }
     return StressReport(halfwidth=halfwidth, step=step, trials=trials,
-                        violations=tuple(violations), min_ratio=min(ratios),
+                        violations=tuple(violations.tolist()),
+                        min_ratio=float(np.min(ratios)),
                         counterexample=counterexample)

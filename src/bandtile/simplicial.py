@@ -541,8 +541,9 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
                          rng_seed: int) -> SimplicialMap:
     """Nudge vertex images (each coordinate by at most magnitude) until
     is_embedding passes; the unperturbed map is tried first and returned
-    itself when it embeds, then up to 32 perturbations. Requires target
-    dimension >= 2 dim + 1, where random maps embed generically."""
+    itself when it embeds, then up to 32 perturbations. At magnitude 0
+    every perturbation is the map itself, so none is tried. Requires
+    target dimension >= 2 dim + 1, where random maps embed generically."""
     if m.dim_target < 2 * m.complex.dim + 1:
         raise ValueError(
             f"target dimension {m.dim_target} below 2*dim+1 = "
@@ -555,7 +556,7 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
     rng = np.random.default_rng(rng_seed)
     verts = m.complex.vertices
     D = m.dim_target
-    for _ in range(32):
+    for _ in range(32 if magnitude > 0 else 0):
         # dyadic offsets keep the scaled integer images short
         grid = rng.integers(-(2 ** 20), 2 ** 20, size=(len(verts), D))
         images = {v: tuple(c + magnitude * g / 2.0 ** 20

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from bandtile.bandlimited import (
     ToneKernel,
     _bump_rule,
     _continuous_grid,
-    _random_lowpass_signal,
+    _lowpass_draw,
     band_check,
     bump_transform,
     sample,
@@ -336,6 +339,24 @@ def test_non_finite_parameters_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("value", [True, "0.4", None, 1j],
+                         ids=["bool", "str", "none", "complex"])
+@pytest.mark.parametrize("build", [
+    lambda x: Band(x, 2.0),
+    lambda x: Band(-1.0, x),
+    lambda x: BumpKernel(x),
+    lambda x: ToneKernel(x),
+    lambda x: SincKernel(x),
+    lambda x: BandSignal((0.0,), (1.0,), SincKernel(0.4), carrier_freq=x),
+    lambda x: sampling_injectivity_stress(x, 1, 2),
+], ids=["band-lo", "band-hi", "bump", "tone", "sinc", "carrier", "stress"])
+def test_parameters_that_are_not_real_numbers_are_rejected(build, value):
+    # a bool is not taken for 1.0, and a string, None or a complex number
+    # is refused by the validation, not by a failed comparison
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 def test_band_signal_holds_read_only_copies():
     nodes, coeffs = np.array([0.0, 1.5]), np.array([1.0, 2.0 - 1.0j])
     s = BandSignal(nodes, coeffs, SincKernel(0.4))
@@ -495,8 +516,71 @@ def test_bump_eval_equals_reference_series_bitwise(s, points, point):
     assert np.array_equal(np.array([got]), want(np.array([point])))
 
 
+def _bump_signals(count):
+    rng = np.random.default_rng(11)
+    return [BandSignal(np.sort(rng.uniform(-40.0, 40.0, 9)),
+                       rng.normal(size=9) + 1j * rng.normal(size=9),
+                       BumpKernel(float(tau)))
+            for tau in rng.uniform(0.2, 2.5, count)]
+
+
+def test_bump_eval_from_more_threads_than_cores_equals_serial_reference():
+    # every caller's cosines go to the one helper thread; row blocks of
+    # 50,000 entries make each call submit 19 to 154 blocks, interleaved
+    # across the callers
+    signals = _bump_signals(6)
+    ts = np.linspace(-60.0, 60.0, 2001)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "ROW_BLOCK_ENTRIES", 50_000)
+        want = [reference_bump_series(s.kernel.tau, ts, s.nodes, s.coeffs)
+                for s in signals]
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(s.eval, ts) for s in signals * 3]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    for g, w in zip(got, want * 3):
+        assert np.array_equal(g, w)
+
+
+def _bump_eval_in_child(conn, signal, ts):
+    conn.send(signal.eval(ts))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_bump_eval_runs_in_a_child_forked_after_the_helper_started():
+    (signal,) = _bump_signals(1)
+    ts = np.linspace(-30.0, 30.0, 501)
+    want = signal.eval(ts)  # the helper thread is running from here on
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_bump_eval_in_child, args=(send, signal, ts))
+    child.start()
+    try:
+        # a child left with the parent's dead worker would wait forever
+        assert recv.poll(60), "the forked child's bump eval did not finish"
+        got = recv.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # the injectivity stress test: its grid, and a per-trial resample loop
+
+
+def _random_lowpass_signal(halfwidth, rng):
+    """One draw of the stress as a BandSignal on its own nodes, so that the
+    reference evaluates it through BandSignal.eval, not the slot table."""
+    slots, coeffs = _lowpass_draw(rng)
+    return BandSignal(slots / (2.0 * halfwidth), coeffs, SincKernel(halfwidth))
 
 
 @pytest.mark.parametrize("halfwidth",
@@ -578,21 +662,56 @@ def test_stress_grid_resolves_the_nyquist_tone(halfwidth, denominator):
     assert rep.min_ratio < 1.0
 
 
-@pytest.mark.parametrize("halfwidth, denominator, trials, calls", [
-    # two per drawn pair, and no pair is redrawn
-    (0.4, 1, 7, 14),
-    # two per trial, and the tone's sample and its grid evaluation
-    (1.0, 2, 3, 8),
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(st.floats(0.05, 2.0), st.sampled_from([4.0, 8.0])),
+       st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.integers(33, 3000))
+def test_stress_in_row_blocks_matches_resampling_reference(
+        halfwidth, denominator, trials, seed, entries):
+    # blocks of entries // (distinct slots) rows, so the table splits, the
+    # grid and the samples share a block, and the sups run across blocks
+    want = reference_sampling_stress(halfwidth, denominator, trials, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "ROW_BLOCK_ENTRIES", entries)
+        got = sampling_injectivity_stress(halfwidth, denominator, trials, seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("halfwidth, denominator, trials, tone_evals", [
+    # the random pairs come from the slot table alone
+    (0.4, 1, 7, 0),
+    # and the tone's sample and its grid evaluation are BandSignal.evals
+    (1.0, 2, 3, 2),
 ])
 def test_stress_evaluates_each_signal_once(monkeypatch, halfwidth,
-                                           denominator, trials, calls):
-    count = []
-    plain_eval = BandSignal.eval
+                                           denominator, trials, tone_evals):
+    evals, tables = [], []
+    plain_eval, plain_sinc = BandSignal.eval, SincKernel.eval
 
     def counting_eval(self, t):
-        count.append(1)
+        evals.append(1)
         return plain_eval(self, t)
 
+    def counting_sinc(self, u):
+        tables.append(np.shape(u))
+        return plain_sinc(self, u)
+
     monkeypatch.setattr(BandSignal, "eval", counting_eval)
+    monkeypatch.setattr(SincKernel, "eval", counting_sinc)
     sampling_injectivity_stress(halfwidth, denominator, trials)
-    assert len(count) == calls
+    # one table over the points and the distinct slots drawn
+    rng = np.random.default_rng(0)
+    used = np.unique(np.concatenate([_lowpass_draw(rng)[0]
+                                     for _ in range(2 * trials)]))
+    points = _continuous_grid(halfwidth).size + 64 * denominator + 1
+    assert evals == [1] * tone_evals
+    assert tables == [(points, used.size)]
+    # and one per row block when the points do not fit in one
+    evals.clear()
+    tables.clear()
+    monkeypatch.setattr(numutil, "ROW_BLOCK_ENTRIES", 100 * used.size)
+    sampling_injectivity_stress(halfwidth, denominator, trials)
+    blocks = -(-points // 100)
+    assert evals == [1] * tone_evals
+    assert tables == [(100, used.size)] * (blocks - 1) + [
+        (points - 100 * (blocks - 1), used.size)]

@@ -193,6 +193,9 @@ MIB = 2 ** 20
 # 487 MiB for the product (tracemalloc); in row blocks of 4e6 entries they
 # peak near 153 MiB for the sinc eval, 122 MiB for the complex product off
 # the real axis and 31 MiB for the float64 product on it, whatever T.
+# The bump eval's matrices are T x U for its U spectral lines: here U = 1032
+# and T * U = 1.65e7. In row blocks it peaks near 94 MiB, the phases, their
+# cosines (taken on the helper thread) and their sines of one block.
 PEAK_BOUND_MIB = 256
 NODES = 1000
 POINTS_T = 16_000
@@ -216,6 +219,15 @@ def _sinc_eval(T):
     return lambda: s.eval(ts)
 
 
+def _bump_eval(T):
+    rng = np.random.default_rng(0)
+    s = BandSignal(np.arange(NODES) / 4.0 - 125.0,
+                   rng.normal(size=NODES) + 1j * rng.normal(size=NODES),
+                   BumpKernel(0.19))
+    ts = np.linspace(-200.0, 200.0, T)
+    return lambda: s.eval(ts)
+
+
 def _product(T, imag=0.0):
     half = NODES // 2
     lattice = saturate(NodeMultiset((), PARAMS, (-half, half)))
@@ -227,7 +239,8 @@ def _product_off_axis(T):
     return _product(T, imag=0.5)
 
 
-@pytest.mark.parametrize("case", [_sinc_eval, _product, _product_off_axis])
+@pytest.mark.parametrize("case", [_sinc_eval, _bump_eval, _product,
+                                  _product_off_axis])
 def test_large_evaluation_memory_is_bounded(case):
     small = _peak_mib(case(POINTS_T))
     assert small < PEAK_BOUND_MIB

@@ -166,6 +166,22 @@ def test_perturb_keeps_existing_embedding():
     assert perturb_to_embedding(m, magnitude=0.1, rng_seed=0) is m
 
 
+def test_perturb_at_magnitude_zero_checks_the_map_once(monkeypatch):
+    # every candidate c + 0 * g equals the map, so one check decides
+    calls = []
+    plain = simplicial.is_embedding
+
+    def counted(m):
+        calls.append(m)
+        return plain(m)
+
+    monkeypatch.setattr(simplicial, "is_embedding", counted)
+    with pytest.raises(RuntimeError, match="within 32 perturbations of "
+                                           "magnitude 0.0"):
+        perturb_to_embedding(crossing_pair(5), magnitude=0.0, rng_seed=0)
+    assert len(calls) == 1
+
+
 def test_perturb_rejects_low_dimension_target():
     with pytest.raises(ValueError):
         perturb_to_embedding(crossing_pair(4), magnitude=0.1, rng_seed=0)
