@@ -677,9 +677,12 @@ def decay_constant(params: GridParams, seed: int = 0) -> float:
     randomized admissible family of 64 multisets.
 
     Multisets span blocks -48..48, the kernels use block radius 40, and
-    the envelope is probed at 513 equally spaced points of [-32, 32]. The
-    extreme patterns pin the maximum, so the estimate is stable across
-    seeds; random members are generated per index from (seed, i), so
+    the envelope is probed at 513 equally spaced points of [-32, 32]. K is
+    a sample maximum, not a bound over every admissible multiset. It is
+    stable across seeds only where the extreme patterns attain it: at
+    l*rho = 1, GridParams(1, 1, 0.5) reads 3.114 at seeds 0, 1 and 2, but
+    GridParams(2, 3/2, 0.5) reads 17.14, 28.91 and 45.82, set by random
+    members. Random members are generated per index from (seed, i), so
     enlarging the family never decreases the constant.
     """
     a = 40

@@ -19,11 +19,16 @@ def is_integer(x) -> bool:
 
 
 def is_finite_real(x) -> bool:
-    """True for a finite real number, and False for a bool, a string, NaN
-    or an infinity, so a validated field rejects True and "0.5" instead of
-    coercing them. A rational is finite however large it is."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and (isinstance(x, numbers.Rational) or math.isfinite(x)))
+    """True for a real number whose float is finite, and False for a bool,
+    a string, NaN, an infinity or a rational too large for a float, so a
+    validated field rejects True, "0.5" and 10**400 instead of coercing
+    them or raising OverflowError later."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # float(x) overflows
+        return False
 
 
 def pointwise(dtype=None):

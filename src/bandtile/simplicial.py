@@ -9,8 +9,9 @@ and it lies inside the diagonal iff all of its vertices do, so enumerating
 basic solutions of the equality system decides the pair exactly. Every
 finite float is an integer times a power of two, so each map's images are
 scaled once by a common power of two to Python ints, and each pair system
-is solved by fraction-free elimination on those ints. Only the vertices
-found become rationals, so the verdict never depends on a tolerance.
+is solved by fraction-free elimination on those ints. The vertices found
+stay integers over one denominator, and only the witness becomes
+rationals, so the verdict never depends on a tolerance.
 
 Each pair goes through four steps, and the cheaper ones drop the pairs
 that cannot give a witness before the costlier ones run:
@@ -36,6 +37,7 @@ first witness are those of the plain enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numutil import is_integer
+from .numutil import is_finite_real, is_integer
 
 SNAP = 1e-9
 # A prime below 2^30 for the residue test of is_embedding: a product of two
@@ -129,12 +131,30 @@ class Complex:
         return tuple(tuple(self.vertices[i] for i in key) for _, key in keys)
 
     def maximal_simplices(self) -> tuple:
+        return self._maximal
+
+    # Per-complex work that is_embedding repeats on every map of one
+    # complex, held on the instance. It depends on the complex alone, and
+    # the dataclass equality, hash and JSON read the fields only.
+    @functools.cached_property
+    def _maximal(self) -> tuple:
         # the family is face-closed, so a simplex inside a larger one is a
         # facet of some simplex: s < t gives s + {w} in it for w in t - s
         facets = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
         keys = sorted(sorted(self._index[v] for v in s)
                       for s in self.simplices if s not in facets)
         return tuple(tuple(self.vertices[i] for i in key) for key in keys)
+
+    @functools.cached_property
+    def _maximal_indices(self) -> np.ndarray:
+        """The maximal simplices as rows of vertex indices, read-only, each
+        padded with len(vertices), which sorts after every index."""
+        widest = max(map(len, self._maximal))
+        pad = len(self.vertices)
+        out = np.array([[self._index[v] for v in s] + [pad] * (widest - len(s))
+                        for s in self._maximal])
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def from_maximal(cls, maximal) -> "Complex":
@@ -162,9 +182,12 @@ class Complex:
 
 
 def _image_coordinate(c) -> float:
-    """An image coordinate as a float; non-real values and bools raise."""
+    """An image coordinate as a float; non-real values, bools and reals
+    whose float is not finite raise."""
     if isinstance(c, bool) or not isinstance(c, numbers.Real):
         raise ValueError(f"vertex image coordinate {c!r} is not a number")
+    if not is_finite_real(c):
+        raise ValueError("vertex images must be finite")
     return float(c)
 
 
@@ -184,9 +207,6 @@ class SimplicialMap:
         dims = {len(img) for img in images.values()}
         if len(dims) != 1 or min(dims) < 1:
             raise ValueError("vertex images must share one dimension >= 1")
-        for img in images.values():
-            if any(not math.isfinite(c) for c in img):
-                raise ValueError("vertex images must be finite")
 
     @property
     def dim_target(self) -> int:
@@ -315,17 +335,19 @@ def _back(rows, pivots, det):
 
 def _polytope_vertices(aug):
     """All vertices of {z >= 0 : A z = b}, exactly, from the augmented
-    integer rows [A | b] (consumed). The polytope here is always bounded
-    (barycentric coordinates), so it is the convex hull of these points;
-    returns [] when the system is infeasible. An inconsistent system shows
-    as a pivot in the right-hand-side column of the forward pass, and
-    returns before the back pass.
+    integer rows [A | b] (consumed), each as a key (den, n_1, ..., n_k)
+    for the point z_i = n_i / den in lowest terms (den > 0), sorted in the
+    order of the points' coordinate tuples. The polytope here is always
+    bounded (barycentric coordinates), so it is the convex hull of these
+    points; returns [] when the system is infeasible. An inconsistent
+    system shows as a pivot in the right-hand-side column of the forward
+    pass, and returns before the back pass.
 
     After one elimination, row i reads det z_{p_i} + sum_f g_if z_f = c_i
     over the free columns f. A basis keeps some free columns T and drops
     the pivots of rows S (|S| = |T|); its basic solution solves the small
     system g[S, T] z_T = c_S and then each kept pivot row for z_{p_i}. All
-    values are integers over one denominator until a vertex is found."""
+    values, the vertices returned too, are integers over one denominator."""
     k = len(aug[0]) - 1
     pivots, det = _forward(aug)
     if pivots and pivots[-1] == k:
@@ -359,8 +381,11 @@ def _polytope_vertices(aug):
         if all(x >= 0 for x in z):
             g = math.gcd(den, *z)  # one key per point, however reached
             found.add((den // g,) + tuple(x // g for x in z))
-    return sorted(tuple(Fraction(x, key[0]) for x in key[1:])
-                  for key in found)
+    # over the common denominator the numerators order as the points do;
+    # keys in lowest terms are one per point, so no two tie
+    common = math.lcm(*(key[0] for key in found))
+    return sorted(found, key=lambda key: [x * (common // key[0])
+                                          for x in key[1:]])
 
 
 @dataclass(frozen=True)
@@ -417,12 +442,15 @@ def _pair_system(va, vb, ints, D):
 
 
 def _pair_witness(va, vb, ints, D):
+    """The first vertex of the pair polytope off the shared-face diagonal,
+    as (den, x, y) with barycentric numerators x on va and y on vb over
+    den, or None."""
     na = len(va)
     shared = set(va) & set(vb)
-    for z in _polytope_vertices(_pair_system(va, vb, ints, D)):
+    for den, *z in _polytope_vertices(_pair_system(va, vb, ints, D)):
         x, y = z[:na], z[na:]
-        if not _same_point(va, vb, x, y, shared):
-            return x, y
+        if not _same_point(va, vb, x, y, shared):  # one den: compare ints
+            return den, x, y
     return None
 
 
@@ -448,21 +476,19 @@ def _full_rank_mod_p(cols, counts) -> np.ndarray:
     return np.count_nonzero(pivots, axis=0) == counts
 
 
-def _certified_pairs(maxs, pairs, cols) -> list:
-    """For each pair (i, j) of maximal simplices, whether the residue test
+def _certified_pairs(simplices, pairs, cols) -> list:
+    """For each pair (i, j) of rows of simplices, whether the residue test
     certifies the union of their vertices affinely independent: True
     proves that the columns (1, image) of cols are independent, and False
-    leaves it open. Full rank mod a prime is full rank over the integers,
-    since a minor that is nonzero mod the prime is a nonzero integer. A
-    union of more than D + 1 vertices is never independent and stays
-    uncertified. All other unions go through one elimination, each as its
-    vertex columns in index order, padded with zero columns."""
-    size = len(next(iter(cols.values())))  # D + 1
-    index = {v: n for n, v in enumerate(cols)}
-    pad = len(index)  # sorts after every vertex index
-    widest = max(map(len, maxs))
-    simplices = np.array([[index[v] for v in s] + [pad] * (widest - len(s))
-                          for s in maxs])
+    leaves it open. simplices holds vertex indices into cols, a list of
+    integer columns, each row padded with len(cols). Full rank mod a prime
+    is full rank over the integers, since a minor that is nonzero mod the
+    prime is a nonzero integer. A union of more than D + 1 vertices is
+    never independent and stays uncertified. All other unions go through
+    one elimination, each as its vertex columns in index order, padded
+    with zero columns."""
+    size = len(cols[0])  # D + 1
+    pad = len(cols)
     a, b = simplices[pairs[:, 0]], simplices[pairs[:, 1]]
     b = np.where((b[:, :, None] == a[:, None, :]).any(axis=2), pad, b)
     at = np.sort(np.concatenate([a, b], axis=1), axis=1)
@@ -471,7 +497,7 @@ def _certified_pairs(maxs, pairs, cols) -> list:
     certified = np.zeros(len(pairs), dtype=bool)
     if eligible.any():
         residues = np.array([[c % RESIDUE_PRIME for c in col]
-                             for col in cols.values()] + [[0] * size],
+                             for col in cols] + [[0] * size],
                             dtype=np.int64)
         at, counts = at[eligible, :counts[eligible].max()], counts[eligible]
         certified[eligible] = _full_rank_mod_p(
@@ -484,34 +510,35 @@ def is_embedding(m: SimplicialMap) -> tuple:
     the geometric realization. Returns (True, None) or (False, witness)
     where the witness carries two maximal simplices and barycentric
     points with equal images that are distinct in the complex."""
-    maxs = m.complex.maximal_simplices()
+    comp = m.complex
+    maxs = comp.maximal_simplices()
     ints, scale = _scaled_images(m)
     D = m.dim_target
-    cols = {v: (1,) + img for v, img in ints.items()}
     pts = np.array([m.images[v] for s in maxs for v in s])
     starts = list(itertools.accumulate(map(len, maxs[:-1]), initial=0))
     lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
     below = (hi[:, None] < lo[None]).any(axis=2)  # an axis has i below j
     # argwhere walks the upper triangle in C order: i, then j >= i
     pairs = np.argwhere(np.triu(~(below | below.T)))
-    certified = _certified_pairs(maxs, pairs, cols)
+    certified = _certified_pairs(comp._maximal_indices, pairs,
+                                 [(1,) + ints[v] for v in comp.vertices])
     for (i, j), sure in zip(pairs.tolist(), certified):
         if sure:
             continue  # the map is injective on the simplex of the union
         hit = _pair_witness(maxs[i], maxs[j], ints, D)
         if hit is None:
             continue
-        x, y = hit
-        pt = [sum(ints[v][d] * c for v, c in zip(maxs[i], x)) / scale
+        den, x, y = hit
+        pt = [sum(ints[v][d] * c for v, c in zip(maxs[i], x))
               for d in range(D)]
-        other = [sum(ints[u][d] * c for u, c in zip(maxs[j], y)) / scale
+        other = [sum(ints[u][d] * c for u, c in zip(maxs[j], y))
                  for d in range(D)]
         assert pt == other  # exact arithmetic; the solver guarantees it
         witness = CollisionWitness(
             simplex_a=maxs[i], simplex_b=maxs[j],
-            bary_a=tuple(float(c) for c in x),
-            bary_b=tuple(float(c) for c in y),
-            point=tuple(float(c) for c in pt))
+            bary_a=tuple(float(Fraction(c, den)) for c in x),
+            bary_b=tuple(float(Fraction(c, den)) for c in y),
+            point=tuple(float(Fraction(c, den * scale)) for c in pt))
         return False, witness
     return True, None
 
@@ -548,8 +575,10 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
         raise ValueError(
             f"target dimension {m.dim_target} below 2*dim+1 = "
             f"{2 * m.complex.dim + 1}; generic maps are not embeddings")
-    if not (math.isfinite(magnitude) and magnitude >= 0):
+    if not (is_finite_real(magnitude) and magnitude >= 0):
         raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
+    if not (is_integer(rng_seed) and rng_seed >= 0):
+        raise ValueError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
     ok, _ = is_embedding(m)
     if ok:
         return m

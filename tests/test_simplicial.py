@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandtile import simplicial
@@ -185,6 +185,23 @@ def test_perturb_at_magnitude_zero_checks_the_map_once(monkeypatch):
 def test_perturb_rejects_low_dimension_target():
     with pytest.raises(ValueError):
         perturb_to_embedding(crossing_pair(4), magnitude=0.1, rng_seed=0)
+
+
+@pytest.mark.parametrize("magnitude", [True, 10 ** 400, math.nan, -0.5,
+                                       "0.25", None],
+                         ids=["bool", "huge", "nan", "negative", "str",
+                              "none"])
+def test_perturb_rejects_a_magnitude_that_is_not_a_finite_real(magnitude):
+    # True ran as 1.0, and 10**400 raised OverflowError
+    with pytest.raises(ValueError, match="magnitude must be finite"):
+        perturb_to_embedding(crossing_pair(5), magnitude, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, -1, True, "3", None])
+def test_perturb_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 raised numpy's TypeError
+    with pytest.raises(ValueError, match="rng_seed must be an integer"):
+        perturb_to_embedding(crossing_pair(5), 0.25, seed)
 
 
 def test_collapse_map_on_an_edge_gets_fixed():
@@ -540,6 +557,12 @@ def _rref_ref(rows):
     return pivots
 
 
+def _key_points(keys):
+    """The solver's vertex keys (den, n_1, ..., n_k) as Fraction tuples,
+    in the solver's order."""
+    return [tuple(Fraction(n, key[0]) for n in key[1:]) for key in keys]
+
+
 def _polytope_vertices_ref(A, b):
     k = len(A[0])
     aug = [row[:] + [rhs] for row, rhs in zip(A, b)]
@@ -724,8 +747,68 @@ def test_polytope_vertices_match_reference_pair_by_pair(kind, arg):
     for va, vb in itertools.combinations_with_replacement(maxs, 2):
         got = simplicial._polytope_vertices(
             simplicial._pair_system(va, vb, ints, D))
-        assert got == _polytope_vertices_ref(
+        assert _key_points(got) == _polytope_vertices_ref(
             *_pair_system_ref(va, vb, exact, D))
+
+
+@st.composite
+def simplex_sections(draw):
+    """Augmented rows of {z >= 0 : sum z = 1, C z = 0}: the standard
+    simplex cut by one or two integer rows, so its vertices sit on the
+    simplex's faces over denominators such as |c_i| + |c_j|."""
+    k = draw(st.integers(3, 7))
+    entry = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 5])
+    cuts = draw(st.integers(1, 2))
+    return [[1] * k + [1]] + [[draw(entry) for _ in range(k)] + [0]
+                              for _ in range(cuts)]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(simplex_sections())
+def test_integer_keys_sort_in_the_order_of_their_points(rows):
+    """Keys over several denominators, ordered by their numerators scaled
+    to the common denominator, come in the sorted order of the
+    reference's Fraction points."""
+    keys = simplicial._polytope_vertices([row[:] for row in rows])
+    assume(len({key[0] for key in keys}) >= 2)
+    assert all(math.gcd(*key) == 1 and key[0] > 0 for key in keys)
+    ref = _polytope_vertices_ref([[Fraction(x) for x in row[:-1]]
+                                  for row in rows],
+                                 [Fraction(row[-1]) for row in rows])
+    assert _key_points(keys) == ref
+
+
+def _verdict_json(m):
+    ok, w = is_embedding(m)
+    return ok, None if w is None else json.dumps(w.to_json())
+
+
+def test_complex_cache_holds_nothing_that_depends_on_the_images():
+    """One Complex object checked under an image dict that embeds and one
+    that does not, in both orders, gives the verdicts and witnesses of
+    freshly built complexes; its equality, hash and JSON stay as they
+    were before the per-complex cache filled."""
+    strip = triangulated_strip(12)
+    rng = np.random.default_rng(3)
+    embeds = random_map(strip, 6, rng).images
+    collides = random_map(strip, 3, rng).images
+
+    def fresh():
+        return Complex(strip.vertices, strip.simplices)
+
+    want = {id(images): _verdict_json(SimplicialMap(fresh(), images))
+            for images in (embeds, collides)}
+    assert want[id(embeds)] == (True, None)
+    assert want[id(collides)][0] is False
+    for order in ((embeds, collides), (collides, embeds)):
+        comp = fresh()
+        before = (hash(comp), json.dumps(comp.to_json()))
+        for images in order + order:
+            got = _verdict_json(SimplicialMap(comp, images))
+            assert got == want[id(images)]
+        assert (hash(comp), json.dumps(comp.to_json())) == before
+        assert comp == fresh() and hash(comp) == hash(fresh())
+        assert comp.maximal_simplices() == fresh().maximal_simplices()
 
 
 def _edge_pair(a, b, c, d):
@@ -826,12 +909,13 @@ def _affine_rank_ref(verts, exact):
 def test_union_filter_falls_through_on_dependent_unions():
     """Collinear images, a repeated image and more than D + 1 points are
     left open for the solver; affinely independent images are certified."""
-    plane = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (0, 0), 4: (0, 1),
-             5: (1, 1)}
-    cols = {v: (1,) + img for v, img in plane.items()}
-    maxs = ((0, 1, 2), (4, 0, 3), (0, 1, 4, 5), (0, 1, 4), (1, 4))
-    pairs = np.array([[i, i] for i in range(len(maxs))])
-    assert simplicial._certified_pairs(maxs, pairs, cols) == [
+    plane = [(0, 0), (1, 0), (2, 0), (0, 0), (0, 1), (1, 1)]
+    cols = [(1,) + img for img in plane]
+    pad = len(cols)
+    simplices = np.array([(0, 1, 2, pad), (4, 0, 3, pad), (0, 1, 4, 5),
+                          (0, 1, 4, pad), (1, 4, pad, pad)])
+    pairs = np.array([[i, i] for i in range(len(simplices))])
+    assert simplicial._certified_pairs(simplices, pairs, cols) == [
         False, False, False, True, True]
 
 
@@ -865,12 +949,12 @@ def _certified_unions(m):
     """Yield (va, vb, union) for every pair of maximal simplices whose
     union the residue test certifies."""
     ints, _ = simplicial._scaled_images(m)
-    cols = {v: (1,) + img for v, img in ints.items()}
+    cols = [(1,) + ints[v] for v in m.complex.vertices]
     maxs = m.complex.maximal_simplices()
     pairs, unions = _all_pairs(maxs)
-    for (i, j), sure, union in zip(
-            pairs.tolist(), simplicial._certified_pairs(maxs, pairs, cols),
-            unions):
+    certified = simplicial._certified_pairs(m.complex._maximal_indices,
+                                            pairs, cols)
+    for (i, j), sure, union in zip(pairs.tolist(), certified, unions):
         if sure:
             yield maxs[i], maxs[j], union
 
@@ -924,10 +1008,9 @@ def test_a_minor_divisible_by_the_prime_falls_back_to_the_exact_test(
     m = SimplicialMap(Complex.from_maximal([(0, 1)]),
                       {0: (0.0,), 1: (float(p),)})
     ints, _ = simplicial._scaled_images(m)
-    cols = {v: (1,) + img for v, img in ints.items()}
-    maxs = m.complex.maximal_simplices()
-    assert simplicial._certified_pairs(maxs, np.array([[0, 0]]),
-                                       cols) == [False]
+    cols = [(1,) + ints[v] for v in m.complex.vertices]
+    assert simplicial._certified_pairs(m.complex._maximal_indices,
+                                       np.array([[0, 0]]), cols) == [False]
     calls = _pair_solver_calls(monkeypatch)
     assert is_embedding(m) == (True, None)
     assert calls == [(2, False)]
