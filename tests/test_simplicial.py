@@ -796,16 +796,15 @@ def test_complex_cache_holds_nothing_that_depends_on_the_images():
     def fresh():
         return Complex(strip.vertices, strip.simplices)
 
-    want = {id(images): _verdict_json(SimplicialMap(fresh(), images))
-            for images in (embeds, collides)}
-    assert want[id(embeds)] == (True, None)
-    assert want[id(collides)][0] is False
-    for order in ((embeds, collides), (collides, embeds)):
+    cases = [(images, _verdict_json(SimplicialMap(fresh(), images)))
+             for images in (embeds, collides)]
+    assert cases[0][1] == (True, None) and cases[1][1][0] is False
+    for order in (cases, cases[::-1]):
         comp = fresh()
         before = (hash(comp), json.dumps(comp.to_json()))
-        for images in order + order:
-            got = _verdict_json(SimplicialMap(comp, images))
-            assert got == want[id(images)]
+        for images, want in order + order:
+            assert _verdict_json(SimplicialMap(comp, images)) == want
+        assert "_maximal_indices" in vars(comp)  # the cache is filled
         assert (hash(comp), json.dumps(comp.to_json())) == before
         assert comp == fresh() and hash(comp) == hash(fresh())
         assert comp.maximal_simplices() == fresh().maximal_simplices()
