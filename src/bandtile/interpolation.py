@@ -21,7 +21,14 @@ bare partial product; the `lattice_tail` mode completes blocks beyond A with
 the idealized saturated lattice (l*rho nodes at each anchor), summed in
 closed form through the Hurwitz zeta function. The idealized tail is exact
 for the unit lattice, which is what makes desk-scale evaluations match the
-sin(pi z)/(pi z) limit to near machine precision.
+sin(pi z)/(pi z) limit to near machine precision. Its log series is summed
+in one array pass over all terms and points, with the bits and the stopping
+rule of the sum taken term by term.
+
+A cardinal kernel's window and tail depend on the grid, the points and the
+block radius, not on the nodes: they are computed once per probe grid and
+kept, read-only, for the last few grids, so the certificates and repeated
+kernels on one grid pay only for the finite product.
 
 Like bump_transform, the finite product reduces points on the real axis.
 When every point is real it is a float64 product over the reciprocal
@@ -35,16 +42,19 @@ differ from the complex product's.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .bandlimited import bump_transform
-from .numutil import is_finite_real, is_integer, pointwise, row_blocks
+from .numutil import (block_rows, is_finite_real, is_integer, pointwise,
+                      row_blocks)
 
 POSITION_ZERO_TOL = 1e-12
 CONDITION_SLACK = 1e-9
@@ -242,7 +252,6 @@ def saturate(mset: NodeMultiset) -> NodeMultiset:
     return NodeMultiset(out, p, mset.window)
 
 
-@lru_cache(maxsize=4096)
 def _zeta_tail_scaled(k2: int, q: int) -> float:
     """zeta(k2, q) * q**k2 = sum_j (q/(q+j))**k2, computed without overflow."""
     if k2 * math.log10(q) < 250.0:
@@ -256,9 +265,101 @@ def _zeta_tail_scaled(k2: int, q: int) -> float:
         j += 1
 
 
+# the caches of the tail's coefficients and of _kernel_factors; held while
+# a cache is read or changed
+_cache_lock = threading.Lock()
+# q -> the read-only coefficients zeta(2k, q) q^2k / k, k = 1, 2, ... of
+# the tail's log series, as many as a call has needed, for the last
+# TAIL_TABLES values of q; complex, as the product power * coefficient
+# converts a float coefficient
+_tail_tables: OrderedDict = OrderedDict()
+TAIL_TABLES = 64
+_TAIL_STOP = 1e-18
+
+
+def _tail_coefficients(q: int, count: int) -> np.ndarray:
+    """The first `count` coefficients of the log series at q = A + 1."""
+    with _cache_lock:
+        have = _tail_tables.pop(q, np.zeros(0, complex))
+        if have.size < count:
+            more = [_zeta_tail_scaled(2 * k, q) / k
+                    for k in range(have.size + 1, count + 1)]
+            have = np.concatenate([have, np.array(more, complex)])
+            have.flags.writeable = False
+        _tail_tables[q] = have
+        while len(_tail_tables) > TAIL_TABLES:
+            _tail_tables.popitem(last=False)
+    return have[:count]
+
+
+def _tail_length(rmax2: float, q: int, limit: int) -> int:
+    """Terms the series should need where the largest |w/q|^2 is rmax2: up
+    to the first k whose bound rmax2^k c_k on the largest term is under
+    half the stop tolerance, at most `limit`."""
+    n = min(limit, 64)
+    while True:
+        bound = rmax2 ** np.arange(1, n + 1) * _tail_coefficients(q, n).real
+        small = np.flatnonzero(bound <= 0.5 * _TAIL_STOP)
+        if small.size:
+            return min(limit, int(small[0]) + 2)
+        if n == limit:
+            return limit
+        n = min(limit, 4 * n)
+
+
+def _tail_rows(r2: np.ndarray, coef: np.ndarray):
+    """The log series at the points r2 in one array pass: the running
+    totals, one row per coefficient, with each row's largest |term| and
+    largest |total|. Each entry takes the operations of the term-by-term
+    sum: the powers multiplied up one row at a time, a term as power *
+    coefficient, and the total from zero by one addition a term."""
+    powers = np.empty((coef.size, r2.size), complex)
+    powers[0] = r2
+    for k in range(1, coef.size):
+        np.multiply(powers[k - 1], r2, out=powers[k])
+    terms = np.multiply(powers, coef[:, None], out=powers)
+    big_term = np.abs(terms).max(axis=1)
+    # the total starts at zero, and 0 + term turns a -0 part into +0
+    np.add(terms[0], 0.0, out=terms[0])
+    totals = np.add.accumulate(terms, axis=0, out=terms)
+    return totals, big_term, np.abs(totals).max(axis=1)
+
+
+def _tail_sum(r2: np.ndarray, coef: np.ndarray):
+    """(stop, total): the first row where max|term| <= _TAIL_STOP (1 +
+    max|total|) over all points, and the totals there; (None, None) when
+    no row of coef reaches it. The points go in row blocks of the series'
+    length; with more than one block, every block's maxima are taken before
+    the row is chosen, and its totals are summed again up to that row."""
+    rows = block_rows(coef.size)
+    if r2.size <= rows:
+        totals, big_term, big_total = _tail_rows(r2, coef)
+    else:
+        maxima = [_tail_rows(r2[i:i + rows], coef)[1:]
+                  for i in range(0, r2.size, rows)]
+        big_term, big_total = np.max(maxima, axis=0)
+    done = np.flatnonzero(big_term <= _TAIL_STOP * (1.0 + big_total))
+    if not done.size:
+        return None, None
+    stop = int(done[0])
+    if r2.size <= rows:
+        return stop, totals[stop]
+    return stop, row_blocks(lambda b: _tail_rows(b, coef[:stop + 1])[0][stop],
+                            r2, coef.size)
+
+
 def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
     """Product over idealized saturated blocks |n| > A, in symmetric pairs:
-    prod_{n>A} (1 - w^2/n^2)^{lrho}, via the Hurwitz zeta log series."""
+    prod_{n>A} (1 - w^2/n^2)^{lrho} = exp(-lrho sum_k c_k (w/q)^2k), with
+    q = A + 1 and c_k = zeta(2k, q) q^2k / k (Hurwitz zeta).
+
+    The series is summed in one array pass over all its terms and points
+    (_tail_rows), from a cached table of the c_k. It stops at the first k
+    where the largest |term| is at most 1e-18 (1 + the largest |total|),
+    over all points, with the bits of the sum taken term by term. The
+    number of terms is estimated from the largest point and doubled while
+    the rule is not met; a series that reaches LATTICE_TAIL_TERMS without
+    meeting it raises ValueError."""
     if not w.size:
         return np.ones_like(w)
     wmax = float(np.max(np.abs(w)))
@@ -268,19 +369,17 @@ def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
             "evaluation point too close to the idealized tail; "
             f"|z|/l = {wmax:.3g} with block radius {block_radius}")
     r2 = (w / q) ** 2
-    power = np.array(r2, copy=True)
-    total = np.zeros_like(r2)
-    for k in range(1, LATTICE_TAIL_TERMS + 1):
-        term = power * (_zeta_tail_scaled(2 * k, q) / k)
-        total += term
-        if np.max(np.abs(term)) <= 1e-18 * (1.0 + np.max(np.abs(total))):
-            break
-        power = power * r2
-    else:
-        raise ValueError(
-            f"lattice tail series did not converge in {LATTICE_TAIL_TERMS} "
-            f"terms (|z|/l = {wmax:.3g}, block radius {block_radius})")
-    return np.exp(-lrho * total)
+    limit = LATTICE_TAIL_TERMS
+    terms = _tail_length((wmax / q) ** 2, q, limit)
+    while True:
+        stop, total = _tail_sum(r2, _tail_coefficients(q, terms))
+        if stop is not None:
+            return np.exp(-lrho * total)
+        if terms >= limit:
+            raise ValueError(
+                f"lattice tail series did not converge in {limit} terms "
+                f"(|z|/l = {wmax:.3g}, block radius {block_radius})")
+        terms = min(limit, 2 * terms)
 
 
 def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
@@ -328,6 +427,7 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     of the complex one, bit for bit; only the sign of a zero imaginary part
     may differ. Points that are not finite raise ValueError.
     """
+    _check_block_radius(block_radius)
     out = _finite_product(mset, z, block_radius)
     if lattice_tail:
         p = mset.params
@@ -335,13 +435,45 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     return out
 
 
+def _check_block_radius(block_radius):
+    if not (is_integer(block_radius) and block_radius >= 0):
+        raise ValueError("block_radius must be a non-negative integer, got "
+                         f"{block_radius!r}")
+
+
+# _kernel_factors keeps its results for the last FACTOR_CACHE_ENTRIES
+# probe grids, each of at most FACTOR_CACHE_BYTES // FACTOR_CACHE_ENTRIES
+# bytes (key and factors); the factors of a larger grid are not kept
+FACTOR_CACHE_ENTRIES = 8
+FACTOR_CACHE_BYTES = 2 ** 20
+_factor_cache: OrderedDict = OrderedDict()
+
+
 def _kernel_factors(params: GridParams, z_flat: np.ndarray,
                     block_radius: int):
     """The two kernel factors that no node set changes, on the flat complex
     points z_flat: the bump window transform and the idealized lattice tail
-    beyond block_radius."""
-    return (bump_transform(params.tau, z_flat),
-            _lattice_tail(z_flat / params.l, block_radius, params.lrho))
+    beyond block_radius, as read-only arrays. A grid met again, with the
+    same tau, l, l*rho and block radius, gets the factors computed the
+    first time."""
+    key = (params.tau, params.l, params.lrho, int(block_radius),
+           z_flat.tobytes())
+    with _cache_lock:
+        factors = _factor_cache.get(key)
+        if factors is not None:
+            _factor_cache.move_to_end(key)
+            return factors
+    factors = (bump_transform(params.tau, z_flat),
+               _lattice_tail(z_flat / params.l, block_radius, params.lrho))
+    for f in factors:
+        f.flags.writeable = False
+    size = len(key[-1]) + sum(f.nbytes for f in factors)
+    if size <= FACTOR_CACHE_BYTES // FACTOR_CACHE_ENTRIES:
+        with _cache_lock:
+            _factor_cache[key] = factors
+            while len(_factor_cache) > FACTOR_CACHE_ENTRIES:
+                _factor_cache.popitem(last=False)
+    return factors
 
 
 def _kernel_with(mset: NodeMultiset, z_flat: np.ndarray, block_radius: int,
@@ -366,8 +498,9 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     saturated `mset`: bump * (finite * tail), where bump is the bump window
     transform, finite the Weierstrass product over the saturated nodes in
     blocks |n| <= block_radius, and tail the idealized lattice beyond them.
-    Only `finite` depends on the nodes; the certificates compute the other
-    two once per probe grid. bump and finite take z in row blocks. When
+    Only `finite` depends on the nodes: the other two are computed once
+    per probe grid and kept for the next calls on the same grid, tau, l,
+    l*rho and block radius. bump and finite take z in row blocks. When
     every point is real, bump is real and finite is a float64 product with
     the complex product's real parts, bit for bit; only the sign of a zero
     imaginary part may differ. Points that are not finite raise ValueError.
@@ -376,6 +509,7 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
     blocks there with no data are treated as empty and saturated to anchors,
     matching the idealized tail beyond the radius.
     """
+    _check_block_radius(block_radius)
     return _kernel_with(mset, z, block_radius,
                         _kernel_factors(mset.params, z, block_radius))
 

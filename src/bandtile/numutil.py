@@ -56,9 +56,15 @@ def pointwise(dtype=None):
     return decorate
 
 
+def block_rows(width: int) -> int:
+    """Rows of `width` entries that one block of ROW_BLOCK_ENTRIES holds,
+    at least one."""
+    return max(1, ROW_BLOCK_ENTRIES // max(1, width))
+
+
 def row_blocks(fn, points, width: int):
-    """fn on the points, ROW_BLOCK_ENTRIES // width rows at a time, joined."""
-    rows = max(1, ROW_BLOCK_ENTRIES // max(1, width))
+    """fn on the points, block_rows(width) rows at a time, joined."""
+    rows = block_rows(width)
     if points.size <= rows:
         return fn(points)
     return np.concatenate([fn(points[i:i + rows])

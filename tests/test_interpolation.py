@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,30 @@ def test_lattice_tail_reports_its_term_limit(monkeypatch):
         weierstrass_product(lat, z, 8, lattice_tail=True)
 
 
+BLOCK_RADIUS_EVALUATORS = {
+    "product": lambda m, z, a: weierstrass_product(m, z, a),
+    "product-tail": lambda m, z, a: weierstrass_product(m, z, a,
+                                                        lattice_tail=True),
+    "cardinal_kernel": lambda m, z, a: cardinal_kernel(m, z, a),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, np.float64(8.0), "8", None])
+@pytest.mark.parametrize("name", sorted(BLOCK_RADIUS_EVALUATORS))
+def test_block_radius_must_be_a_non_negative_integer(name, bad):
+    # -1 used to give the empty product 1 without the tail and a message
+    # about the tail's reach with it; 2.5 and True ran
+    f = BLOCK_RADIUS_EVALUATORS[name]
+    lat = saturate(NodeMultiset((), PARAMS, (-8, 8)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"block_radius must be a non-negative integer, got {bad!r}")):
+        f(lat, np.array([0.5, 2.5]), bad)
+    # a NumPy integer is one
+    z = np.array([0.5, 2.5, 0.0])
+    assert np.array_equal(f(lat, z, np.int64(8)), f(lat, z, 8))
+    assert f(lat, z / 10.0, 0).shape == z.shape
+
+
 def test_kernel_and_tailed_product_take_an_empty_point_array():
     mset = saturate(random_admissible_multiset(PARAMS, (-12, 12),
                                                np.random.default_rng(3)))
@@ -280,6 +305,7 @@ def test_kernel_and_tailed_product_take_an_empty_point_array():
 
 
 def test_certificates_build_kernel_factors_once(monkeypatch):
+    interpolation._factor_cache.clear()
     calls = {"bump_transform": 0, "_lattice_tail": 0}
     for name in calls:
         inner = getattr(interpolation, name)
