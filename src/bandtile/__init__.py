@@ -18,11 +18,9 @@ from .weights import (SurplusError, WeightMatrix, WeightParams,
                       WeightReport, allocate, bases, finalize,
                       greedy_rounds, receiver_core, validate_params,
                       verify_conditions)
-from .simplicial import (CollisionWitness, Complex, MetricSample,
-                         SimplicialMap, approx_map, crossing_pair,
-                         eps_embedding_check, is_embedding,
-                         perturb_to_embedding, random_map,
-                         triangulated_strip, verify_witness)
+from .simplicial import (CollisionWitness, Complex, SimplicialMap,
+                         crossing_pair, is_embedding, perturb_to_embedding,
+                         random_map, triangulated_strip, verify_witness)
 from .systems import (DiscreteSignal, MarkerBump, MarkerScheme, Rotation,
                       SubshiftWindow, ToyReport, bowen_metric,
                       embedding_gap, marker_cylinder, marker_encode,

@@ -120,10 +120,6 @@ class Complex:
         except KeyError:
             raise KeyError(f"unknown vertex {v!r}") from None
 
-    def ordered(self, simplex) -> tuple:
-        """The simplex as a tuple in vertex order."""
-        return tuple(sorted(simplex, key=self.vertex_index))
-
     def canonical(self) -> tuple:
         """All simplices, deterministically ordered by size then indices."""
         keys = sorted((len(s), sorted(self._index[v] for v in s))
@@ -213,14 +209,24 @@ class SimplicialMap:
         return len(next(iter(self.images.values())))
 
     def eval(self, simplex, bary) -> np.ndarray:
-        """Affine value at the barycentric point of the given simplex."""
-        verts = self.complex.ordered(simplex)
-        if len(bary) != len(verts):
+        """Affine value at the barycentric point of the given simplex, whose
+        coordinates follow the simplex's own order. A simplex that repeats a
+        vertex or is not in the complex raises, and so do coordinates that
+        are not barycentric: one below -SNAP, a sum off 1 by over SNAP, NaN
+        or an infinity."""
+        verts = frozenset(simplex)
+        if len(verts) != len(simplex) or verts not in self.complex.simplices:
+            raise ValueError(f"{tuple(simplex)!r} is not a simplex of the "
+                             "complex")
+        if len(bary) != len(simplex):
             raise ValueError("barycentric length mismatch")
-        if any(c < -SNAP for c in bary) or abs(sum(bary) - 1.0) > SNAP:
+        # stated as what must hold, so NaN, which fails every comparison,
+        # fails it too
+        if not (all(c >= -SNAP for c in bary)
+                and abs(sum(bary) - 1.0) <= SNAP):
             raise ValueError("not a barycentric point")
         out = np.zeros(self.dim_target)
-        for v, c in zip(verts, bary):
+        for v, c in zip(simplex, bary):
             out += float(c) * np.array(self.images[v])
         return out
 
@@ -238,45 +244,6 @@ class SimplicialMap:
         images = {v: tuple(img) for v, img in
                   zip(c.vertices, d["images"])}
         return cls(c, images)
-
-
-@dataclass(frozen=True, eq=False)
-class MetricSample:
-    """Finite metric space: distinct labels and a copy of their distance
-    matrix, a read-only float64 (n, n) array with row i for labels[i];
-    distances are read from dist by row. Checks raise at the first
-    failure: a repeated label; the shape; row by row a diagonal entry
-    other than 0, then an entry negative or asymmetric (NaN fails both);
-    the first triple in C order breaking the triangle inequality by over
-    1e-12."""
-
-    labels: tuple
-    dist: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        n = len(labels)
-        if len(set(labels)) != n:
-            raise ValueError("duplicate labels")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise ValueError("distance matrix shape mismatch")
-        a = np.array(self.dist, dtype=float).reshape(n, n)
-        a.flags.writeable = False
-        object.__setattr__(self, "dist", a)
-        diagonal = np.diagonal(a) != 0.0
-        failing = diagonal | np.any((a < 0.0) | (a != a.T), axis=1)
-        if failing.any():
-            raise ValueError("nonzero diagonal" if diagonal[failing.argmax()]
-                             else "matrix must be symmetric nonnegative")
-        # bad[i, j, k] is d_ik > d_ij + d_jk + 1e-12, summed in that order;
-        # argwhere lists triples in C order, the loop order i, j, k
-        bad = np.argwhere(a[:, None, :] > a[:, :, None] + a[None] + 1e-12)
-        if len(bad):
-            i, j, k = bad[0]
-            raise ValueError(
-                f"triangle inequality fails at "
-                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
 
 
 def _forward(rows, through_gaps=True):
@@ -550,7 +517,8 @@ def verify_witness(m: SimplicialMap, w: CollisionWitness) -> bool:
     times the largest |coordinate| of the two simplices' images (at least
     SNAP), since float evaluation rounds relative to that size.
     Distinctness compares the support-restricted coordinate maps,
-    treating coordinates <= SNAP as zero."""
+    treating coordinates <= SNAP as zero. A witness whose simplices or
+    coordinates eval rejects raises ValueError."""
     pa = m.eval(w.simplex_a, w.bary_a)
     pb = m.eval(w.simplex_b, w.bary_b)
     size = max([1.0] + [abs(c) for v in w.simplex_a + w.simplex_b
@@ -598,101 +566,6 @@ def perturb_to_embedding(m: SimplicialMap, magnitude: float,
     raise RuntimeError(
         "no embedding found within 32 perturbations of "
         f"magnitude {magnitude}")
-
-
-def _image_rows(images: dict, labels) -> np.ndarray:
-    """The images of the labels, in order, as the rows of one float array.
-    Each image must be a vector, and all of one length."""
-    rows = [np.asarray(images[p], dtype=float) for p in labels]
-    shapes = {r.shape for r in rows}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise ValueError(f"images must be vectors of one length, not "
-                         f"of shapes {sorted(shapes)}")
-    return np.array(rows) if rows else np.zeros((0, 0))
-
-
-def _pair_gaps(x: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances between the rows of x, each the root of a
-    (1, D) @ (D, 1) dot product: bitwise np.linalg.norm of the difference."""
-    diff = x[:, None, None, :] - x[None, :, None, :]
-    return np.sqrt(diff @ np.swapaxes(diff, 2, 3))[:, :, 0, 0]
-
-
-def eps_embedding_check(sample: MetricSample, images: dict, eps: float,
-                        eta: float) -> tuple:
-    """A map is an eps-embedding when points with (near-)equal images are
-    within eps of each other: every pair at image gap <= eta must have
-    sample distance < eps. The images are vectors of one length. Returns
-    (True, None) or (False, witness) with witness = (label, label,
-    distance, gap) for the first failing pair (i < j) in label order."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    labels = sample.labels
-    gaps = _pair_gaps(_image_rows(images, labels))
-    hits = np.argwhere(np.triu((gaps <= eta) & (sample.dist >= eps), 1))
-    if len(hits):
-        i, j = hits[0]
-        return False, (labels[i], labels[j], float(sample.dist[i, j]),
-                       float(gaps[i, j]))
-    return True, None
-
-
-def approx_map(c: Complex, sample: MetricSample, pi: dict, f: dict,
-               eps: float, delta: float) -> SimplicialMap:
-    """Replace f by a simplicial map along the projection pi. pi sends each
-    sample point to (simplex, barycentric coords) in c; every open star
-    must have preimage diameter < eps, and f must move eps-close points
-    less than delta. Each vertex then takes the f-value of one point of
-    its star (zero when the star is empty), which keeps the simplicial map
-    within delta of f at every sample point; that bound is asserted."""
-    labels = sample.labels
-    if not labels:
-        raise ValueError("empty sample: no point to take vertex images from")
-    placements, supports = [], []
-    for p in labels:
-        simplex, coords = pi[p]
-        verts = c.ordered(simplex)
-        if frozenset(verts) not in c.simplices:
-            raise ValueError(f"pi({p!r}) uses a simplex not in the complex")
-        coords = tuple(float(x) for x in coords)
-        if len(coords) != len(verts):
-            raise ValueError(f"pi({p!r}) has mismatched coordinates")
-        if any(x < -SNAP for x in coords) or abs(sum(coords) - 1.0) > SNAP:
-            raise ValueError(f"pi({p!r}) is not barycentric")
-        # a sum off 1 by up to SNAP would scale g(p) by it, and the delta
-        # bound below holds only to 1e-12
-        total = sum(coords)
-        coords = tuple(x / total for x in coords)
-        placements.append((verts, coords))
-        supports.append({v for v, x in zip(verts, coords) if x > 0.0})
-
-    stars = {v: [i for i, s in enumerate(supports) if v in s]
-             for v in c.vertices}
-    for v, rows in stars.items():
-        far = np.argwhere(np.triu(sample.dist[np.ix_(rows, rows)] >= eps, 1))
-        if len(far):
-            a, b = rows[far[0][0]], rows[far[0][1]]
-            raise ValueError(
-                f"pi is not an eps-embedding of the sample: "
-                f"points {labels[a]!r}, {labels[b]!r} share the star of "
-                f"{v!r} at distance {sample.dist[a, b]:.6g} >= {eps}")
-
-    fx = _image_rows(f, labels)
-    gaps = _pair_gaps(fx)
-    moved = np.argwhere(np.triu((sample.dist < eps) & (gaps >= delta), 1))
-    if len(moved):
-        a, b = moved[0]
-        raise ValueError(
-            f"modulus violated: d({labels[a]!r}, {labels[b]!r}) = "
-            f"{sample.dist[a, b]:.6g} < {eps} but image gap "
-            f"{gaps[a, b]:.6g} >= {delta}")
-
-    images = {v: tuple(fx[rows[0]]) if rows else (0.0,) * fx.shape[1]
-              for v, rows in stars.items()}
-    g = SimplicialMap(c, images)
-    for fp, placed in zip(fx, placements):
-        assert np.linalg.norm(fp - g.eval(*placed)) < delta + 1e-12
-    return g
 
 
 def triangulated_strip(n: int) -> Complex:

@@ -12,8 +12,6 @@ PACKAGE = ROOT / "src" / "bandtile"
 # exported for compositions the roadmap plans, with no caller yet
 WAITING = {
     "build_node_set",  # ROADMAP item 5: orbit -> tiling -> node set chain
-    "approx_map",  # ROADMAP item 6: simplicial approximation composition
-    "eps_embedding_check",  # ROADMAP item 6: the same composition
 }
 
 

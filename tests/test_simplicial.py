@@ -12,11 +12,8 @@ from bandtile import simplicial
 from bandtile.simplicial import (
     CollisionWitness,
     Complex,
-    MetricSample,
     SimplicialMap,
-    approx_map,
     crossing_pair,
-    eps_embedding_check,
     is_embedding,
     perturb_to_embedding,
     random_map,
@@ -91,6 +88,76 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(m, same_point)
 
 
+def two_edges():
+    """An embedding: the edges ab and cd are opposite sides of the square."""
+    c = Complex.from_maximal([("a", "b"), ("c", "d")])
+    return SimplicialMap(c, {"a": (0.0, 0.0), "b": (0.0, 1.0),
+                             "c": (1.0, 1.0), "d": (1.0, 0.0)})
+
+
+def nan_witness():
+    m = crossing_edges()
+    _, w = is_embedding(m)
+    return m, CollisionWitness(w.simplex_a, w.simplex_b, (math.nan, math.nan),
+                               w.bary_b, w.point)
+
+
+@pytest.mark.parametrize("case", [
+    # the diagonals ac and bd cross at (1/2, 1/2), but they are no simplices
+    lambda: (two_edges(), CollisionWitness(("a", "c"), ("b", "d"), (0.5, 0.5),
+                                           (0.5, 0.5), (0.5, 0.5))),
+    # a NaN point would pass the distance bound, since nan > bound is false
+    nan_witness,
+    # ("a", "a") at (1/2, 1/2) is the vertex a, read as a point apart from a
+    lambda: (two_edges(), CollisionWitness(("a", "a"), ("a", "b"), (0.5, 0.5),
+                                           (1.0, 0.0), (0.0, 0.0))),
+], ids=["not-a-simplex", "nan-barycentric", "repeated-vertex"])
+def test_verify_witness_raises_on_a_witness_outside_the_complex(case):
+    assert is_embedding(two_edges()) == (True, None)
+    m, w = case()
+    with pytest.raises(ValueError):
+        verify_witness(m, w)
+
+
+def test_verify_witness_reads_coordinates_in_the_witness_order():
+    # eval and the distinctness test must pair the same coordinate with each
+    # vertex: read in sorted vertex order, both sides would map to vertex 0
+    # while the distinctness test sees vertex 1 against vertex 0
+    m = SimplicialMap(Complex.from_maximal([(0, 1)]), {0: (0.0,), 1: (1.0,)})
+    assert is_embedding(m)[0]
+    w = CollisionWitness((1, 0), (0, 1), (1.0, 0.0), (1.0, 0.0), (0.0,))
+    assert not verify_witness(m, w)
+    assert m.eval((1, 0), (0.25, 0.75)).tolist() == [0.25]
+
+
+@pytest.mark.parametrize("simplex, bary, message", [
+    (("a", "b"), (1.0,), "barycentric length mismatch"),
+    (("a", "b"), (1.5, -0.5), "not a barycentric point"),
+    (("a", "b"), (1.0 + 2e-9, -2e-9), "not a barycentric point"),
+    (("a", "b"), (0.5, 0.5 + 2e-9), "not a barycentric point"),
+    (("a", "b"), (0.5, 0.25), "not a barycentric point"),
+    (("a", "b"), (math.nan, 1.0), "not a barycentric point"),
+    (("a", "b"), (math.nan, math.nan), "not a barycentric point"),
+    (("a", "b"), (math.inf, 0.0), "not a barycentric point"),
+    (("a", "b"), (-math.inf, math.inf), "not a barycentric point"),
+    (("a", "c"), (0.5, 0.5), "is not a simplex of the complex"),
+    (("a", "b", "c"), (0.2, 0.3, 0.5), "is not a simplex of the complex"),
+    (("a", "a"), (0.5, 0.5), "is not a simplex of the complex"),
+    (("a", "z"), (0.5, 0.5), "is not a simplex of the complex"),
+], ids=["length", "below-snap", "just-below-snap", "sum-just-off-one",
+        "sum-off-one", "nan", "all-nan", "inf", "both-infs", "non-simplex",
+        "too-wide", "repeated-vertex", "unknown-vertex"])
+def test_eval_rejects_what_is_not_a_barycentric_point_of_a_simplex(
+        simplex, bary, message):
+    with pytest.raises(ValueError, match=message):
+        two_edges().eval(simplex, bary)
+
+
+def test_eval_takes_coordinates_within_snap():
+    got = two_edges().eval(("a", "b"), (1.0 + 1e-9, -1e-9))
+    assert got.tolist() == [0.0, -1e-9]
+
+
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_crossing_pair_counterexamples(D):
     m = crossing_pair(D)
@@ -106,9 +173,9 @@ def test_crossing_pair_counterexamples(D):
 def test_maximal_simplices_match_pairwise_scan(tops):
     c = Complex.from_maximal(tops)
     maxs = [s for s in c.simplices if not any(s < t for t in c.simplices)]
-    want = tuple(c.ordered(s) for s in sorted(maxs, key=lambda s: tuple(
-        sorted(c.vertex_index(v) for v in s))))
-    assert c.maximal_simplices() == want
+    want = sorted((tuple(sorted(s, key=c.vertex_index)) for s in maxs),
+                  key=lambda s: [c.vertex_index(v) for v in s])
+    assert c.maximal_simplices() == tuple(want)
 
 
 def test_triangulated_strip_shape():
@@ -210,270 +277,6 @@ def test_collapse_map_on_an_edge_gets_fixed():
     fixed = perturb_to_embedding(squashed, magnitude=0.5, rng_seed=1)
     ok, _ = is_embedding(fixed)
     assert ok
-
-
-def test_eps_embedding_check_witnesses():
-    samp = MetricSample(("p", "q", "r"),
-                        ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0)))
-    ok, w = eps_embedding_check(samp, {"p": (0.0,), "q": (5.0,),
-                                       "r": (10.0,)}, eps=0.5, eta=0.1)
-    assert ok and w is None
-    ok2, w2 = eps_embedding_check(samp, {"p": (0.0,), "q": (5.0,),
-                                         "r": (0.05,)}, eps=0.5, eta=0.1)
-    assert not ok2
-    assert (w2[0], w2[1]) == ("p", "r")
-
-
-def metric_failure_ref(labels, d):
-    """The per-element loops MetricSample ran on a square matrix of floats:
-    the message of its first failure, or None."""
-    n = len(labels)
-    for i in range(n):
-        if d[i][i] != 0.0:
-            return "nonzero diagonal"
-        for j in range(n):
-            if d[i][j] < 0.0 or d[i][j] != d[j][i]:
-                return "matrix must be symmetric nonnegative"
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k] + 1e-12:
-                    return (f"triangle inequality fails at "
-                            f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})")
-    return None
-
-
-@st.composite
-def distance_matrices(draw):
-    """Square matrices whose entries sit on, just past and within the
-    1e-12 slack of the triangle bound, or at infinity; some also carry a
-    NaN or negative entry, an asymmetric pair or a nonzero diagonal."""
-    n = draw(st.integers(0, 6))
-    entry = st.sampled_from([0.0, 1e-12, 2e-12, 0.5, 1.0, 1.0 + 1e-12,
-                             1.0 + 3e-12, 1.5, 2.0, 2.0 + 1e-12, 3.0,
-                             math.inf])
-    odd = st.sampled_from([math.nan, -1.0, -0.0, 1e-300, 2.5])
-    d = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = draw(entry)
-    for _ in range(draw(st.integers(0, 2)) if n else 0):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        d[i][j] = draw(odd)
-        if draw(st.booleans()):
-            d[j][i] = d[i][j]
-    return tuple(f"p{i}" for i in range(n)), d
-
-
-@settings(PROPERTY, max_examples=600)
-@given(distance_matrices())
-def test_metric_sample_triangle_check_matches_per_triple_loop(sample):
-    labels, d = sample
-    want = metric_failure_ref(labels, d)
-    if want is None:
-        dist = MetricSample(labels, d).dist
-        assert dist.dtype == np.float64 and not dist.flags.writeable
-        assert np.array_equal(dist, np.array(d).reshape(len(d), len(d)))
-    else:
-        with pytest.raises(ValueError) as err:
-            MetricSample(labels, d)
-        assert str(err.value) == want
-
-
-def test_metric_sample_copies_its_matrix_and_rejects_a_shape_mismatch():
-    d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    samp = MetricSample(("p", "q"), d)
-    d[0, 1] = 5.0
-    assert samp.dist[0, 1] == 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        samp.dist[0, 1] = 5.0
-    for bad in ([[0.0, 1.0]], [[0.0, 1.0], [1.0]], [[0.0], [1.0]]):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            MetricSample(("p", "q"), bad)
-    with pytest.raises(ValueError, match="duplicate labels"):
-        MetricSample(("p", "p"), d)
-
-
-def eps_embedding_check_ref(labels, d, images, eps, eta):
-    """The per-pair loop eps_embedding_check ran, reading d by position."""
-    vecs = {p: np.array(images[p], dtype=float) for p in labels}
-    for i, pi in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            gap = float(np.linalg.norm(vecs[pi] - vecs[labels[j]]))
-            if gap <= eta and d[i][j] >= eps:
-                return False, (pi, labels[j], d[i][j], gap)
-    return True, None
-
-
-@st.composite
-def l1_samples(draw, min_size=0):
-    """Labels with the L1 distances of integer points in the plane, some
-    of them equal, so the triangle inequality holds exactly."""
-    pts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                        min_size=min_size, max_size=7))
-    labels = tuple(f"p{i}" for i in range(len(pts)))
-    d = [[float(abs(a - c) + abs(b - e)) for c, e in pts] for a, b in pts]
-    return labels, d
-
-
-def image_maps(draw, labels, dim):
-    """Images from a small pool of vectors, so that gaps repeat and vanish;
-    the coordinates are small integers or general floats."""
-    coord = draw(st.sampled_from([
-        st.integers(-2, 2).map(float),
-        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)]))
-    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
-    return {p: draw(st.sampled_from(pool)) for p in labels}
-
-
-def _gaps(images):
-    return sorted({float(np.linalg.norm(np.subtract(u, v)))
-                   for u in images.values() for v in images.values()})
-
-
-@settings(PROPERTY, max_examples=300)
-@given(st.data())
-def test_eps_embedding_check_matches_per_pair_loop(data):
-    labels, d = data.draw(l1_samples())
-    images = image_maps(data.draw, labels, data.draw(st.integers(1, 4)))
-    eps = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 9.0]))
-    eta = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5] + _gaps(images)))
-    got = eps_embedding_check(MetricSample(labels, d), images, eps, eta)
-    assert got == eps_embedding_check_ref(labels, d, images, eps, eta)
-    if not got[0]:
-        assert all(type(x) is float for x in got[1][2:])
-
-
-def test_eps_embedding_check_rejects_images_of_unequal_dimension():
-    samp = MetricSample(("a", "b"), ((0.0, 1.0), (1.0, 0.0)))
-    with pytest.raises(ValueError, match="vectors of one length"):
-        eps_embedding_check(samp, {"a": (0.0,), "b": (0.0, 1.0)}, 0.5, 0.1)
-
-
-def approx_map_ref(c, labels, d, pi, f, eps, delta):
-    """The loops approx_map ran, reading d by position."""
-    row = {p: i for i, p in enumerate(labels)}
-
-    def dist(a, b):
-        return d[row[a]][row[b]]
-
-    placements = {}
-    for p in labels:
-        simplex, coords = pi[p]
-        verts = c.ordered(simplex)
-        if frozenset(verts) not in c.simplices:
-            raise ValueError(f"pi({p!r}) uses a simplex not in the complex")
-        coords = tuple(float(x) for x in coords)
-        if len(coords) != len(verts):
-            raise ValueError(f"pi({p!r}) has mismatched coordinates")
-        if (any(x < -simplicial.SNAP for x in coords)
-                or abs(sum(coords) - 1.0) > simplicial.SNAP):
-            raise ValueError(f"pi({p!r}) is not barycentric")
-        placements[p] = {v: x for v, x in zip(verts, coords) if x > 0.0}
-
-    stars = {v: [p for p in labels if v in placements[p]]
-             for v in c.vertices}
-    for v, pts in stars.items():
-        for i, pa in enumerate(pts):
-            for pb in pts[i + 1:]:
-                if dist(pa, pb) >= eps:
-                    raise ValueError(
-                        f"pi is not an eps-embedding of the sample: "
-                        f"points {pa!r}, {pb!r} share the star of {v!r} "
-                        f"at distance {dist(pa, pb):.6g} >= {eps}")
-
-    fv = {p: np.array(f[p], dtype=float) for p in labels}
-    for i, pa in enumerate(labels):
-        for pb in labels[i + 1:]:
-            if dist(pa, pb) < eps:
-                gap = float(np.linalg.norm(fv[pa] - fv[pb]))
-                if gap >= delta:
-                    raise ValueError(
-                        f"modulus violated: d({pa!r}, {pb!r}) = "
-                        f"{dist(pa, pb):.6g} < {eps} but image gap "
-                        f"{gap:.6g} >= {delta}")
-
-    D = len(next(iter(fv.values())))
-    images = {}
-    for v in c.vertices:
-        images[v] = tuple(fv[stars[v][0]]) if stars[v] else (0.0,) * D
-    g = SimplicialMap(c, images)
-    for p in labels:
-        verts = sorted(placements[p], key=c.vertex_index)
-        approx = np.zeros(D)
-        for v in verts:
-            approx += placements[p][v] * np.array(images[v])
-        assert float(np.linalg.norm(fv[p] - approx)) < delta + 1e-12
-    return g
-
-
-@settings(PROPERTY, max_examples=200)
-@given(st.data())
-def test_approx_map_matches_per_pair_loops(data):
-    tops = data.draw(st.lists(st.sets(st.integers(0, 5), min_size=1,
-                                      max_size=3), min_size=1, max_size=4))
-    c = Complex.from_maximal(tops)
-    labels, d = data.draw(l1_samples(min_size=1))
-    pi = {}
-    for p in labels:
-        simplex = data.draw(st.sampled_from(c.canonical()))
-        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(simplex),
-                                     max_size=len(simplex)).filter(any))
-        pi[p] = (simplex, tuple(w / sum(weights) for w in weights))
-    f = image_maps(data.draw, labels, data.draw(st.integers(1, 3)))
-    # half the draws put every pair within eps, past the star check
-    eps = data.draw(st.one_of(st.just(20.0), st.sampled_from(
-        [1.0, 3.0] + sorted({x for r in d for x in r}))))
-    delta = data.draw(st.sampled_from([0.5, 2.5, 20.0] + _gaps(f)))
-    sample = MetricSample(labels, d)
-    try:
-        want = approx_map_ref(c, labels, d, pi, f, eps, delta)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as err:
-            approx_map(c, sample, pi, f, eps, delta)
-        assert str(err.value) == str(exc)
-    else:
-        assert approx_map(c, sample, pi, f, eps, delta) == want
-
-
-def test_approx_map_rejects_an_empty_sample():
-    edge = Complex.from_maximal([(0, 1)])
-    with pytest.raises(ValueError, match="empty sample"):
-        approx_map(edge, MetricSample((), ()), {}, {}, eps=1.0, delta=0.5)
-
-
-def test_approx_map_normalizes_barycentric_coordinates():
-    # the coordinates sum to 1 + 9e-10, inside SNAP; unnormalized they
-    # scale the image 1e6 to 1e6 + 9e-4, off f by more than delta
-    edge = Complex.from_maximal([(0, 1)])
-    samp = MetricSample(("x",), ((0.0,),))
-    pi = {"x": ((0, 1), (0.5 + 5e-10, 0.5 + 4e-10))}
-    g = approx_map(edge, samp, pi, {"x": (1e6,)}, eps=1.0, delta=1e-4)
-    assert g.images == {0: (1e6,), 1: (1e6,)}
-
-
-def test_approx_map_vertex_placements_copy_f():
-    edge = Complex.from_maximal([(0, 1)])
-    samp = MetricSample(("x", "y"), ((0.0, 3.0), (3.0, 0.0)))
-    pi = {"x": ((0, 1), (1.0, 0.0)), "y": ((0, 1), (0.0, 1.0))}
-    f = {"x": (0.0, 0.0), "y": (7.0, 0.0)}
-    g = approx_map(edge, samp, pi, f, eps=1.0, delta=0.5)
-    assert g.images[0] == (0.0, 0.0)
-    assert g.images[1] == (7.0, 0.0)
-
-
-def test_approx_map_guards():
-    edge = Complex.from_maximal([(0, 1)])
-    samp = MetricSample(("x", "y"), ((0.0, 3.0), (3.0, 0.0)))
-    interior = {"x": ((0, 1), (0.75, 0.25)), "y": ((0, 1), (0.25, 0.75))}
-    const = {"x": (2.0, 2.0), "y": (2.0, 2.0)}
-    g = approx_map(edge, samp, interior, const, eps=3.5, delta=0.25)
-    assert g.images[0] == (2.0, 2.0) and g.images[1] == (2.0, 2.0)
-    with pytest.raises(ValueError):
-        approx_map(edge, samp, interior, const, eps=2.0, delta=0.25)
-    with pytest.raises(ValueError):
-        approx_map(edge, samp, interior,
-                   {"x": (0.0, 0.0), "y": (9.0, 0.0)}, eps=3.5, delta=0.25)
 
 
 def test_json_round_trips():
