@@ -11,9 +11,8 @@ from .interpolation import (BlockOverflowError, GridParams, NodeMultiset,
                             locality_radius, random_admissible_multiset,
                             saturate, truncation_radius,
                             weierstrass_product)
-from .tiling import (MarkerSeq, Tile, Tiling, boundary_set, build_node_set,
-                     compute_tiles, density_report, random_marker_seq,
-                     shift_markers, tile_anchors)
+from .tiling import (MarkerSeq, Tile, Tiling, boundary_set, compute_tiles,
+                     density_report, random_marker_seq, shift_markers)
 from .weights import (SurplusError, WeightMatrix, WeightParams,
                       WeightReport, allocate, bases, finalize,
                       greedy_rounds, receiver_core, validate_params,

@@ -47,9 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numutil
-from .numutil import (cispi, composite_gauss, is_finite_real, is_integer,
-                      pointwise, row_blocks, sinpi)
+from .numutil import (block_rows, cispi, composite_gauss, is_finite_real,
+                      is_integer, pointwise, row_blocks, sinpi)
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
@@ -550,7 +549,7 @@ def sampling_injectivity_stress(halfwidth: float, denominator: int,
     slot_nodes = used / (2.0 * halfwidth)
     # per trial, the sup of the pair's gap on the grid and on the samples
     cont, sampled = np.zeros(trials), np.zeros(trials)
-    rows = max(1, numutil.ROW_BLOCK_ENTRIES // used.size)
+    rows = block_rows(used.size)
     for lo in range(0, at.size, rows):
         table = kernel.eval(at[lo:lo + rows, None] - slot_nodes)
         # the block's first `split` rows are grid points

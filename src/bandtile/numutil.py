@@ -18,6 +18,13 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def shift_count(k) -> int:
+    """k as an int, so a shift by 1.5, True or "1" is rejected, not cut."""
+    if not is_integer(k):
+        raise ValueError(f"shift count must be an integer, got {k!r}")
+    return int(k)
+
+
 def is_finite_real(x) -> bool:
     """True for a real number whose float is finite, and False for a bool,
     a string, NaN, an infinity or a rational too large for a float, so a

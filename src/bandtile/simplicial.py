@@ -114,12 +114,6 @@ class Complex:
     def dim(self) -> int:
         return max(len(s) for s in self.simplices) - 1
 
-    def vertex_index(self, v) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise KeyError(f"unknown vertex {v!r}") from None
-
     def canonical(self) -> tuple:
         """All simplices, deterministically ordered by size then indices."""
         keys = sorted((len(s), sorted(self._index[v] for v in s))

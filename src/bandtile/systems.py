@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bandlimited import Band, BandSignal, BumpKernel, quadratic_decay_guard
-from .numutil import cispi, circle_dist, cospi, frac, is_integer
+from .numutil import cispi, circle_dist, cospi, frac, is_integer, shift_count
 from .tiling import MARKER_DTYPE, MarkerSeq
 
 
@@ -58,7 +58,7 @@ class Rotation:
         return frac(self.x0 + (self.step + n) * self.alpha)
 
     def shifted(self, k: int) -> "Rotation":
-        return Rotation(self.alpha, self.x0, self.step + int(k))
+        return Rotation(self.alpha, self.x0, self.step + shift_count(k))
 
 
 def _check_window(window) -> range:
@@ -101,7 +101,7 @@ class DiscreteSignal:
     def shifted(self, k: int) -> "DiscreteSignal":
         """The signal of the k-step shifted source: site n reads what the
         original held at n + k. Pure relabeling, values untouched."""
-        k = int(k)
+        k = shift_count(k)
         return DiscreteSignal(
             range(self.window.start - k, self.window.stop - k), self.values)
 
@@ -305,14 +305,17 @@ class SubshiftWindow:
                 and np.array_equal(self.word, other.word))
 
     def letters(self, lo: int, hi: int) -> np.ndarray:
-        """Letters at sites lo..hi inclusive (a read-only slice)."""
+        """Letters at window sites lo <= hi, inclusive (a read-only slice)."""
+        if not (lo <= hi and lo in self.window and hi in self.window):
+            raise ValueError(f"sites {lo}..{hi} must be ordered and inside "
+                             f"{self.window}")
         i = self.window.index(lo)
         return self.word[i:i + (hi - lo + 1)]
 
     def shifted(self, k: int) -> "SubshiftWindow":
         """The k-step shifted word: site n reads the original site n + k.
         Letters are untouched."""
-        k = int(k)
+        k = shift_count(k)
         return SubshiftWindow(
             self.word, range(self.window.start - k, self.window.stop - k))
 

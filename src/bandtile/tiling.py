@@ -14,9 +14,6 @@ Only markers within 2M matter: a height-1 marker sits within M on each
 side (marker invariant), and for any farther marker at distance D the
 bisector value D/2 + (h^-2 - h_n^-2)/(2D) is increasing in D once h <= 1,
 so the near height-1 marker's constraint is always at least as tight.
-
-Tile anchors and node grids turn each tile into a (1/rho)-spaced slice for
-the interpolation kernels.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import GridParams, NodeMultiset, node_records
-from .numutil import is_integer
+from .numutil import is_integer, shift_count
 
 SNAP = 1e-9
 
@@ -94,7 +90,7 @@ class MarkerSeq:
 def shift_markers(markers: MarkerSeq, k: int) -> MarkerSeq:
     """Markers of the k-step shifted orbit: positions move by -k."""
     entries = markers.entries.copy()
-    entries["n"] -= int(k)
+    entries["n"] -= shift_count(k)
     return MarkerSeq(entries, markers.L, markers.M)
 
 
@@ -106,8 +102,9 @@ class Tile:
     clipped_hi: bool = False
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("inverted tile")
+        if not -math.inf < self.lo <= self.hi < math.inf:  # NaN fails too
+            raise ValueError(f"tile [{self.lo}, {self.hi}] needs finite ends "
+                             "lo <= hi")
 
     @property
     def length(self) -> float:
@@ -125,6 +122,8 @@ class Tiling:
     M: int
 
     def __post_init__(self):
+        if not -math.inf < self.window[0] <= self.window[1] < math.inf:
+            raise ValueError(f"window {self.window!r} needs finite lo <= hi")
         # the first entry wins for a repeated index, as a scan would find
         object.__setattr__(self, "_index", dict(reversed(self.tiles)))
 
@@ -267,62 +266,6 @@ def density_report(t: Tiling, r: float, R: float, a: float) -> DensityReport:
                          measure_bound_finite=measure_fin,
                          count_bound_asymptotic=(4.0 * r + 2.0) / L,
                          measure_bound_asymptotic=4.0 * r / L)
-
-
-@dataclass(frozen=True)
-class TileAnchors:
-    r: int
-    s: int
-    c: float
-    c_prime: float
-
-
-def tile_anchors(t: Tiling, n: int, N: int) -> TileAnchors:
-    """Ceiling/floor lattice anchors of tile n on the grid n + N Z, with the
-    fractional offsets c = (n + rN - alpha)/N and c' = (beta - n - sN)/N.
-    Near-integer ratios snap within 1e-9 so exact lattice hits give 0."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    tile = t.tile(n)
-    if tile is None:
-        raise ValueError(f"tile {n} is empty")
-    alpha, beta = tile.lo, tile.hi
-    r = math.ceil((alpha - n) / N - SNAP)
-    s = math.floor((beta - n) / N + SNAP)
-    c = (n + r * N - alpha) / N
-    c_prime = (beta - n - s * N) / N
-    c = 0.0 if abs(c) <= SNAP else c
-    c_prime = 0.0 if abs(c_prime) <= SNAP else c_prime
-    assert -SNAP <= c < 1.0 and -SNAP <= c_prime < 1.0
-    return TileAnchors(r=r, s=s, c=max(c, 0.0), c_prime=max(c_prime, 0.0))
-
-
-def build_node_set(t: Tiling, theta: dict, N: int, rho) -> NodeMultiset:
-    """Union over nonempty tiles of n + ((1/rho) Z intersect
-    [(r + theta_n) N, (s - theta'_n) N)), as a NodeMultiset on blocks of
-    length N with window support tau = 1/2. Requires rho*N integral;
-    theta maps each nonempty tile index to its bit pair. Tiles where the
-    shrunk range inverts contribute nothing."""
-    params = GridParams(l=N, rho=rho, tau=0.5)
-    cap_scale = params.lrho  # rho * N as an exact integer
-    num, den = params.rho.numerator, params.rho.denominator
-    pos = [np.empty(0)]
-    for n, tile in t.nonempty():
-        if n not in theta:
-            raise ValueError(f"theta is missing the bit pair for tile {n}")
-        th, th_p = theta[n]
-        if th not in (0, 1) or th_p not in (0, 1):
-            raise ValueError(f"theta bits for tile {n} must be 0 or 1")
-        anchors = tile_anchors(t, n, N)
-        k_lo = (anchors.r + th) * cap_scale
-        k_hi = (anchors.s - th_p) * cap_scale
-        # n + k/rho in one correctly rounded division of integers < 2**53
-        ks = np.arange(k_lo, k_hi, dtype=np.int64)
-        pos.append((n * num + ks * den) / num)
-    pos = np.sort(np.concatenate(pos))
-    win_lo, win_hi = t.window
-    window = (math.floor(win_lo / N), math.floor(win_hi / N))
-    return NodeMultiset(node_records(pos, 1), params, window)
 
 
 def random_marker_seq(L: int, M: int, lo: float, hi: float,

@@ -1,6 +1,7 @@
-"""Every name the package root exports has a caller in the library or the
-benchmark, not only in the tests, no module builds an object around its
-validating constructor, and no module reaches for another's private
+"""Every name the package root exports, and every top-level function and
+class and non-dunder method of the package, has a caller in the library or
+the benchmark, not only in the tests; no module builds an object around
+its validating constructor, and no module reaches for another's private
 names."""
 
 import ast
@@ -8,11 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bandtile"
-
-# exported for compositions the roadmap plans, with no caller yet
-WAITING = {
-    "build_node_set",  # ROADMAP item 5: orbit -> tiling -> node set chain
-}
 
 
 def _exported():
@@ -34,12 +30,41 @@ def _referenced():
     return names
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined():
+    """(module:line, name) of each top-level function and class and each
+    non-dunder method of a top-level class in the package."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, kinds):
+                continue
+            found.append((f"{path.name}:{node.lineno}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{path.name}:{item.lineno}", item.name)
+                          for item in node.body
+                          if isinstance(item, kinds[:2])
+                          and not _is_dunder(item.name)]
+    return found
+
+
 def test_every_export_has_a_caller():
     exported, referenced = _exported(), _referenced()
-    uncalled = [n for n in exported if n not in referenced | WAITING]
+    uncalled = [n for n in exported if n not in referenced]
     assert uncalled == [], f"exports without a caller: {uncalled}"
-    # a name leaves the allowlist once it is called or deleted
-    assert WAITING <= set(exported) and not WAITING & referenced
+
+
+def test_every_definition_has_a_caller():
+    """A function, class or method that only the tests reach is code the
+    package does not need."""
+    referenced = _referenced()
+    uncalled = [f"{where} {name}" for where, name in _defined()
+                if name not in referenced]
+    assert uncalled == [], f"definitions without a caller: {uncalled}"
 
 
 def _calls_object_new(node):

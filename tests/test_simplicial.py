@@ -173,8 +173,8 @@ def test_crossing_pair_counterexamples(D):
 def test_maximal_simplices_match_pairwise_scan(tops):
     c = Complex.from_maximal(tops)
     maxs = [s for s in c.simplices if not any(s < t for t in c.simplices)]
-    want = sorted((tuple(sorted(s, key=c.vertex_index)) for s in maxs),
-                  key=lambda s: [c.vertex_index(v) for v in s])
+    want = sorted((tuple(sorted(s, key=c.vertices.index)) for s in maxs),
+                  key=lambda s: [c.vertices.index(v) for v in s])
     assert c.maximal_simplices() == tuple(want)
 
 

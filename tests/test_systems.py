@@ -29,7 +29,7 @@ from bandtile.systems import (
     word_metric,
 )
 from bandtile.numutil import cispi, circle_dist, cospi
-from bandtile.tiling import MarkerSeq
+from bandtile.tiling import MarkerSeq, shift_markers
 
 ALPHA = math.sqrt(2.0) - 1.0
 GOLD = (3.0 - math.sqrt(5.0)) / 2.0
@@ -56,6 +56,30 @@ def test_rotation_takes_a_numpy_integer_step(step):
 def test_rotation_rejects_a_non_integer_step(step):
     with pytest.raises(ValueError, match="^step must be an integer$"):
         Rotation(0.3, 0.0, step)
+
+
+SHIFTABLE = {
+    "rotation": Rotation(0.3),
+    "signal": DiscreteSignal(range(-5, 6), [0.5] * 11),
+    "word": SubshiftWindow([0, 1] * 5 + [0], range(-5, 6)),
+    "markers": MarkerSeq(((0, 1.0), (10, 0.5)), L=3, M=12),
+}
+
+
+def _shift(kind, k):
+    thing = SHIFTABLE[kind]
+    if kind == "markers":  # a MarkerSeq compares by identity
+        return shift_markers(thing, k).entries.tolist()
+    return thing.shifted(k)
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFTABLE))
+@pytest.mark.parametrize("k", [1.5, 2.7, np.float64(2.0), True, "1"])
+def test_shifts_reject_a_non_integer_count(kind, k):
+    # a fractional count is rejected, not truncated; a NumPy integer passes
+    assert _shift(kind, np.int64(2)) == _shift(kind, 2)
+    with pytest.raises(ValueError, match="shift count must be an integer"):
+        _shift(kind, k)
 
 
 def test_rotation_embed_exact_endpoints():
@@ -537,6 +561,15 @@ def test_discrete_signal_rejects_values_outside_unit_interval():
     s = DiscreteSignal(range(0, 2), [0.0, 1.0])
     assert not s.values.flags.writeable
     assert s.to_json() == {"window": [0, 1], "values": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 9), (-6, 0), (3, 1), (6, 6)])
+def test_letters_reject_sites_out_of_order_or_outside_the_window(lo, hi):
+    w = SubshiftWindow([0, 1] * 5 + [0], range(-5, 6))
+    assert w.letters(-5, 5).tolist() == [0, 1] * 5 + [0]
+    assert w.letters(3, 3).tolist() == [0]
+    with pytest.raises(ValueError, match="must be ordered and inside"):
+        w.letters(lo, hi)
 
 
 def test_discrete_signal_shift_relabels_window():

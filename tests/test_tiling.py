@@ -11,12 +11,10 @@ from bandtile.tiling import (
     Tile,
     Tiling,
     boundary_set,
-    build_node_set,
     compute_tiles,
     density_report,
     random_marker_seq,
     shift_markers,
-    tile_anchors,
 )
 
 
@@ -192,42 +190,6 @@ def test_density_within_bounds_at_large_R():
     assert rep.measure_density <= rep.measure_bound_asymptotic * 1.1
 
 
-def test_tile_anchors_frozen_example():
-    t = Tiling(tiles=((10, Tile(3.2, 17.8)),), window=(3.2, 17.8),
-               L=8, M=30)
-    a = tile_anchors(t, 10, 2)
-    assert (a.r, a.s) == (-3, 3)
-    assert a.c == pytest.approx(0.4, abs=1e-9)
-    assert a.c_prime == pytest.approx(0.9, abs=1e-9)
-
-
-def test_tile_anchors_degenerate_point():
-    t = Tiling(tiles=((4, Tile(4.0, 4.0)),), window=(4.0, 4.0), L=8, M=30)
-    a = tile_anchors(t, 4, 2)
-    assert (a.r, a.s, a.c, a.c_prime) == (0, 0, 0.0, 0.0)
-
-
-def test_tile_anchors_exact_lattice_hits():
-    t = Tiling(tiles=((5, Tile(1.0, 11.0)),), window=(1.0, 11.0), L=8, M=30)
-    a = tile_anchors(t, 5, 2)
-    assert a.c == 0.0 and a.c_prime == 0.0
-    assert (a.r, a.s) == (-2, 3)
-
-
-def test_build_node_set_single_tile_enumeration():
-    t = Tiling(tiles=((5, Tile(0.0, 10.0)),), window=(0.0, 10.0), L=8, M=30)
-    nodes = build_node_set(t, {5: (0, 0)}, N=2, rho=1)
-    # anchors r=-2, s=2 with cap 2 per anchor step: 5 + {-4..3}
-    want = [(float(5 + k), 1) for k in range(-4, 4)]
-    assert nodes.entries.tolist() == want
-
-
-def test_build_node_set_short_tiles_vanish():
-    t = Tiling(tiles=((5, Tile(4.9, 5.1)),), window=(4.9, 5.1), L=8, M=30)
-    nodes = build_node_set(t, {5: (1, 1)}, N=2, rho=1)
-    assert nodes.entries.tolist() == []
-
-
 def test_json_round_trips():
     m = two_markers(h1=0.5)
     assert np.array_equal(MarkerSeq.from_json(m.to_json()).entries,
@@ -250,6 +212,28 @@ def _tiling_doc(**fields):
     if n is not None:
         doc["tiles"][1]["n"] = n
     return {**doc, **fields}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Tile(math.nan, 2.0),
+    lambda: Tile(0.0, math.inf),
+    lambda: Tile(-math.inf, 0.0),
+    lambda: Tile(2.0, 1.0),
+    lambda: Tiling((), (math.nan, 1.0), L=3, M=12),
+    lambda: Tiling((), (0.0, math.inf), L=3, M=12),
+    lambda: Tiling((), (2.0, 1.0), L=3, M=12),
+    lambda: Tiling.from_json(_tiling_doc(window=[math.nan, 15.0])),
+    lambda: Tiling.from_json(_tiling_doc(tiles=[
+        {"n": 0, "interval": [math.nan, 2.0], "clipped": [False, False]}])),
+], ids=["tile-nan", "tile-inf", "tile-neg-inf", "tile-inverted",
+        "window-nan", "window-inf", "window-inverted", "json-window-nan",
+        "json-tile-nan"])
+def test_tiles_and_windows_need_finite_ordered_ends(build):
+    # a degenerate tile and window stay valid
+    t = Tiling(((4, Tile(4.0, 4.0)),), (4.0, 4.0), L=8, M=30)
+    assert t.tile(4).length == 0.0
+    with pytest.raises(ValueError, match="needs finite"):
+        build()
 
 
 @pytest.mark.parametrize("doc", [
