@@ -30,13 +30,25 @@ block radius, not on the nodes: they are computed once per probe grid and
 kept, read-only, for the last few grids, so the certificates and repeated
 kernels on one grid pay only for the finite product.
 
+All kernels go through one path, which takes a list of multisets on one
+grid and gives one row per member: cardinal_kernel and each decay_constant
+member pass one, and locality_radius passes the 2 * family_size members of
+one candidate radius, its agreeing pairs drawn first. Each member is
+re-windowed and checked by check_conditions on its own; then the members'
+saturation (one block count, one anchor fill, one sort) and their finite
+products are taken in one stacked pass over a zero-padded table of
+reciprocal nodes, in member groups whose product holds at most
+numutil.ROW_BLOCK_ENTRIES entries. Each row has the bits of a one-member
+call.
+
 Like bump_transform, the finite product reduces points on the real axis.
 When every point is real it is a float64 product over the reciprocal
 nodes, node by node, whose real parts are those of the complex product bit
-for bit; a point on a node, whose zero takes its sign from the complex
-product, is recomputed that way. Otherwise the whole call takes the complex
-product. On the real axis only the sign of a zero imaginary part may
-differ from the complex product's.
+for bit; a pad's factor 1 - 0*x is exactly 1.0, and a point on a node,
+whose zero takes its sign from the complex product, is recomputed that way
+over its member's nodes alone. Otherwise the whole call takes the complex
+product, member by member. On the real axis only the sign of a zero
+imaginary part may differ from the complex product's.
 """
 
 from __future__ import annotations
@@ -148,7 +160,8 @@ class NodeMultiset:
     positive; the constructor raises ValueError otherwise. It takes such
     an array (copied, never iterated in Python) or any sequence of
     (position, multiplicity) pairs. window: inclusive block index range
-    (lo, hi); conditions and saturation are evaluated relative to it.
+    (lo, hi) of integers with lo <= hi, stored as ints; conditions and
+    saturation are evaluated relative to it.
     """
 
     entries: np.ndarray
@@ -169,10 +182,7 @@ class NodeMultiset:
             raise ValueError("multiplicities must be positive")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        lo, hi = self.window
-        if hi < lo:
-            raise ValueError("empty block window")
-        object.__setattr__(self, "window", (int(lo), int(hi)))
+        object.__setattr__(self, "window", _block_window(self.window))
 
     def positions(self) -> np.ndarray:
         return self.entries["pos"]
@@ -199,6 +209,18 @@ class NodeMultiset:
         obj["window"] = [self.window[0], self.window[1]]
         obj["entries"] = [[p, m] for p, m in self.entries.tolist()]
         return obj
+
+
+def _block_window(window) -> tuple:
+    """The block window (lo, hi) as ints. Raises ValueError unless both
+    ends are integers (a bool or 2.0 is not one: such a window is rejected,
+    not cut) and lo <= hi."""
+    lo, hi = window
+    if not (is_integer(lo) and is_integer(hi)):
+        raise ValueError(f"window ends must be integers, got {window!r}")
+    if hi < lo:
+        raise ValueError("empty block window")
+    return int(lo), int(hi)
 
 
 @dataclass(frozen=True)
@@ -230,19 +252,26 @@ def check_conditions(mset: NodeMultiset) -> ConditionReport:
     return ConditionReport(c1=c1, c2=c2, c3=c3, window=win, offending_blocks=over)
 
 
+def _anchor_fill(counts: np.ndarray, lo: int, cap: int) -> np.ndarray:
+    """The multiplicity that saturation adds at each block's anchor n*l:
+    cap - count in every nonzero block, 0 in block 0. The last axis of
+    counts runs over blocks lo, lo + 1, ...; a count over cap raises
+    BlockOverflowError, at the first such entry in row-major order."""
+    if counts.size and counts.max() > cap:
+        first = tuple(np.argwhere(counts > cap)[0])
+        raise BlockOverflowError(lo + int(first[-1]), int(counts[first]), cap)
+    ns = np.arange(lo, lo + counts.shape[-1])
+    return np.where(ns != 0, cap - counts, 0)
+
+
 def saturate(mset: NodeMultiset) -> NodeMultiset:
     """Fill every nonzero block in the window up to l*rho nodes by adding the
     block anchor n*l with the missing multiplicity."""
     p = mset.params
-    cap = p.lrho
-    lo, hi = mset.window
-    counts = mset.block_counts()
-    over = np.flatnonzero(counts > cap)
-    if over.size:
-        raise BlockOverflowError(lo + int(over[0]), int(counts[over[0]]), cap)
-    ns = np.arange(lo, hi + 1)
-    fill = (ns != 0) & (counts < cap)
-    anchors = node_records(ns[fill] * float(p.l), (cap - counts)[fill])
+    lo = mset.window[0]
+    fill = _anchor_fill(mset.block_counts(), lo, p.lrho)
+    add = np.flatnonzero(fill)
+    anchors = node_records((lo + add) * float(p.l), fill[add])
     merged = np.concatenate([mset.entries, anchors])
     merged = merged[np.argsort(merged["pos"], kind="stable")]
     # an anchor that is already a node adds to that node's multiplicity
@@ -382,34 +411,81 @@ def _lattice_tail(w: np.ndarray, block_radius: int, lrho: int) -> np.ndarray:
         terms = min(limit, 2 * terms)
 
 
-def _finite_product(mset: NodeMultiset, z_flat: np.ndarray,
-                    block_radius: int) -> np.ndarray:
-    """prod (1 - z/node)^mult over the nonzero nodes in blocks
-    |n| <= block_radius, at each point of the flat complex array z_flat;
-    a node of multiplicity m is repeated m times in one product. z/node is
-    taken as z * (1/node): for a real node, numpy's complex division
-    multiplies by 1/node too, and the factors 1 - z/node agree bit for
-    bit. Real points take a float64 product (module docstring)."""
-    pos = mset.positions()
-    keep = ((np.abs(pos) > POSITION_ZERO_TOL)
-            & (np.abs(mset.block_index()) <= block_radius))
-    inv = 1.0 / np.repeat(pos[keep], mset.multiplicities()[keep])
+def _product_nodes(pos: np.ndarray, blocks: np.ndarray,
+                   block_radius: int) -> np.ndarray:
+    """Which nodes a product over blocks |n| <= block_radius takes: the
+    nonzero ones in those blocks."""
+    return (np.abs(pos) > POSITION_ZERO_TOL) & (np.abs(blocks) <= block_radius)
 
-    def complex_rows(z):
-        return np.prod(1.0 - z[:, None] * inv, axis=1)
+
+def _reciprocal_table(member: np.ndarray, pos: np.ndarray, mult: np.ndarray,
+                      members: int) -> np.ndarray:
+    """The (members x width) float64 table of reciprocal nodes that
+    _finite_product takes: row i holds 1/node for each node of member i, in
+    the given order, repeated by its multiplicity, then zeros up to the
+    widest row. The nodes must be finite and nonzero and sorted by member."""
+    member = np.repeat(member, mult)
+    inv = np.repeat(1.0 / pos, mult)
+    sizes = np.bincount(member, minlength=members)
+    start = np.cumsum(sizes) - sizes
+    table = np.zeros((members, int(sizes.max(initial=0))))
+    table[member, np.arange(member.size) - start[member]] = inv
+    return table
+
+
+def _node_table(mset: NodeMultiset, block_radius: int) -> np.ndarray:
+    """The one-row _reciprocal_table of the nodes of mset that a product
+    over blocks |n| <= block_radius takes."""
+    pos = mset.positions()
+    keep = _product_nodes(pos, mset.block_index(), block_radius)
+    return _reciprocal_table(np.zeros(np.count_nonzero(keep), np.int64),
+                             pos[keep], mset.multiplicities()[keep], 1)
+
+
+def _finite_product(inv: np.ndarray, z_flat: np.ndarray) -> np.ndarray:
+    """prod_j (1 - z * inv[i, j]) for each row i of a _reciprocal_table, at
+    each point z of the flat complex array z_flat: one row of values per
+    member. For a real node, numpy's complex division z/node multiplies by
+    1/node too, and the factors 1 - z/node agree bit for bit.
+
+    The reciprocal of a finite node is never 0, so a row's nodes are its
+    nonzero entries and its zeros are pads. When every point is real, the
+    product is float64, node by node in the row's order, for all rows at
+    once; a pad's factor 1 - 0*x is exactly 1.0 (module docstring). A point
+    whose product is zero, and every point of a call with one off the real
+    axis, take the complex product over the member's row without its pads.
+    The points go in row blocks, so that a pass holds at most
+    ROW_BLOCK_ENTRIES entries of (rows x width x points) while one point's
+    entries fit."""
+    sizes = np.count_nonzero(inv, axis=1)
+
+    def complex_rows(z, rows):
+        # rows: one row for all points, or one row per point
+        return np.prod(1.0 - z[:, None] * rows, axis=1)
 
     def real_columns(x):
-        f = inv[:, None] * x
-        return np.prod(np.subtract(1.0, f, out=f), axis=0)
+        f = inv[:, :, None] * x
+        return np.prod(np.subtract(1.0, f, out=f), axis=1).T
 
     if z_flat.imag.any():
-        return row_blocks(complex_rows, z_flat, inv.size)
-    out = row_blocks(real_columns, z_flat.real, inv.size).astype(complex)
+        out = np.empty((inv.shape[0], z_flat.size), complex)
+        for i, size in enumerate(sizes):
+            row = inv[i, :size]
+            out[i] = row_blocks(lambda z: complex_rows(z, row), z_flat, size)
+        return out
+    out = np.array(row_blocks(real_columns, z_flat.real, inv.size).T,
+                   dtype=complex, order="C")
     # a point on a node gets a zero whose sign the complex product sets by
-    # its own rule; those points take the complex product
-    zero = out.real == 0.0
-    if zero.any():
-        out[zero] = row_blocks(complex_rows, z_flat[zero], inv.size)
+    # its own rule; those points take the complex product, in one pass for
+    # the members of each row size. On the real axis every factor and
+    # partial product has a zero imaginary part, so no loop numpy may pick
+    # for the pass changes a bit of it.
+    held, at = np.nonzero(out.real == 0.0)
+    for size in np.unique(sizes[held]):
+        pick = np.flatnonzero(sizes[held] == size)
+        out[held[pick], at[pick]] = row_blocks(
+            lambda b: complex_rows(z_flat[at[b]], inv[held[b], :size]),
+            pick, size)
     return out
 
 
@@ -428,7 +504,7 @@ def weierstrass_product(mset: NodeMultiset, z, block_radius: int,
     may differ. Points that are not finite raise ValueError.
     """
     _check_block_radius(block_radius)
-    out = _finite_product(mset, z, block_radius)
+    out = _finite_product(_node_table(mset, block_radius), z)[0]
     if lattice_tail:
         p = mset.params
         out = out * _lattice_tail(z / p.l, block_radius, p.lrho)
@@ -476,20 +552,68 @@ def _kernel_factors(params: GridParams, z_flat: np.ndarray,
     return factors
 
 
-def _kernel_with(mset: NodeMultiset, z_flat: np.ndarray, block_radius: int,
+def _saturated_table(msets: list, block_radius: int) -> np.ndarray:
+    """The _reciprocal_table of each multiset of msets, all on one
+    GridParams, saturated on blocks |n| <= block_radius, over the nodes a
+    product with that block radius takes: one bincount of the block counts
+    over (member, block), one anchor fill and one lexsort over (member,
+    position) for all members. An anchor on a node follows it in its row,
+    which repeats 1/node as the merged multiplicity of saturate would."""
+    params = msets[0].params
+    span = 2 * block_radius + 1
+    entries = np.concatenate([m.entries for m in msets])
+    member = np.repeat(np.arange(len(msets)), [m.entries.size for m in msets])
+    pos, mult = entries["pos"], entries["mult"]
+    blocks = np.floor(pos / params.l).astype(np.int64)
+    inside = np.abs(blocks) <= block_radius
+    counts = np.bincount((member * span + blocks + block_radius)[inside],
+                         weights=mult[inside], minlength=len(msets) * span)
+    fill = _anchor_fill(counts.astype(np.int64).reshape(len(msets), span),
+                        -block_radius, params.lrho)
+    held, block = np.nonzero(fill)
+    keep = _product_nodes(pos, blocks, block_radius)
+    member = np.concatenate([member[keep], held])
+    pos = np.concatenate([pos[keep], (block - block_radius) * float(params.l)])
+    mult = np.concatenate([mult[keep], fill[held, block]])
+    order = np.lexsort((pos, member))
+    return _reciprocal_table(member[order], pos[order], mult[order],
+                             len(msets))
+
+
+def _kernel_rows(msets: list, z_flat: np.ndarray, block_radius: int,
                  factors) -> np.ndarray:
-    """cardinal_kernel of mset on z_flat, given _kernel_factors of its
-    params on the same points and block radius."""
+    """cardinal_kernel of each multiset of msets, all on one GridParams, on
+    the flat complex points z_flat, given _kernel_factors of those params on
+    the same points and block radius: one row per member.
+
+    Each member is re-windowed to blocks (-block_radius, block_radius) and
+    checked by check_conditions; the first inadmissible one raises
+    ValueError. The members are then saturated and multiplied in groups,
+    each group's (members x nodes x points) product within
+    ROW_BLOCK_ENTRIES, with one _saturated_table and one _finite_product a
+    group."""
     bump, tail = factors
-    work = NodeMultiset(mset.entries, mset.params,
-                        (-block_radius, block_radius))
-    report = check_conditions(work)
-    if not report.admissible:
-        raise ValueError(
-            f"re-windowed multiset violates conditions (c1={report.c1}, "
-            f"c2={report.c2}, blocks {report.offending_blocks})")
-    finite = _finite_product(saturate(work), z_flat, block_radius)
-    return bump * (finite * tail)
+    window = (-block_radius, block_radius)
+    works = [NodeMultiset(m.entries, m.params, window) for m in msets]
+    for work in works:
+        report = check_conditions(work)
+        if not report.admissible:
+            raise ValueError(
+                f"re-windowed multiset violates conditions (c1={report.c1}, "
+                f"c2={report.c2}, blocks {report.offending_blocks})")
+    # a saturated member has at most l*rho nodes in each block
+    width = (2 * block_radius + 1) * msets[0].params.lrho
+    group = block_rows(width * z_flat.size)
+    finite = np.concatenate([
+        _finite_product(_saturated_table(works[i:i + group], block_radius),
+                        z_flat)
+        for i in range(0, len(works), group)])
+    # the rows side by side in one flat product, so that each entry takes
+    # the loop of a one-member call; a broadcast over a single entry takes
+    # another, and its complex product can differ in the last bit
+    rows = len(works)
+    flat = np.tile(bump, rows) * (finite.ravel() * np.tile(tail, rows))
+    return flat.reshape(finite.shape)
 
 
 @pointwise(complex)
@@ -507,11 +631,15 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
 
     The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,
-    matching the idealized tail beyond the radius.
+    matching the idealized tail beyond the radius. A multiset that is not
+    admissible there raises ValueError, naming its blocks over capacity.
+    This is the one-member case of the stacked kernel path that
+    locality_radius takes for a whole family (module docstring), and gives
+    the same bits.
     """
     _check_block_radius(block_radius)
-    return _kernel_with(mset, z, block_radius,
-                        _kernel_factors(mset.params, z, block_radius))
+    return _kernel_rows([mset], z, block_radius,
+                        _kernel_factors(mset.params, z, block_radius))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +662,9 @@ def _allowed_block_interval(n: int, l: int, gap: float):
 def random_admissible_multiset(params: GridParams, window, rng,
                                allow_multiplicity: bool = True) -> NodeMultiset:
     """Random multiset satisfying c1 and c2: per-block counts <= l*rho,
-    positions uniform in the block, nonzero nodes kept out of (-1/rho, 1/rho)."""
-    lo, hi = window
+    positions uniform in the block, nonzero nodes kept out of (-1/rho, 1/rho).
+    The window ends must be integers, as for NodeMultiset."""
+    lo, hi = _block_window(window)
     l, cap, gap = params.l, params.lrho, params.min_gap
     blocks = np.arange(lo, hi + 1)
     counts = rng.integers(0, cap + 1, size=blocks.size)
@@ -569,12 +698,16 @@ def random_admissible_multiset(params: GridParams, window, rng,
         mult_parts.append(m)
     rec = node_records(np.concatenate(pos_parts), np.concatenate(mult_parts))
     rec = rec[np.argsort(rec["pos"])]
-    return NodeMultiset(rec, params, (int(lo), int(hi)))
+    return NodeMultiset(rec, params, (lo, hi))
 
 
 def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
     """Pair of admissible multisets equal on [-inside_radius, inside_radius]
-    and independently random beyond it (buffered by one grid gap)."""
+    and independently random beyond it (buffered by one grid gap).
+    inside_radius must be a finite real number >= 0."""
+    if not (is_finite_real(inside_radius) and inside_radius >= 0):
+        raise ValueError("inside_radius must be a finite real number >= 0, "
+                         f"got {inside_radius!r}")
     base = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
     other = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
     inner = NodeMultiset(base.entries[np.abs(base.positions()) <= inside_radius],
@@ -612,12 +745,20 @@ class RadiusCertificate:
     radii_tested: tuple
 
 
+def _check_seed(seed):
+    """A family's seed must be a non-negative integer (a bool is not one)."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _check_certificate_args(r: float, eps: float, family_size: int,
-                            window_blocks: int):
+                            window_blocks: int, seed: int):
     """A radius certificate needs a finite r >= 0, a finite eps > 0, at
     least one family member and window_blocks >= 2, so that half the window
     holds the first candidate radius l; otherwise nothing would be checked.
-    family_size and window_blocks must be integers (a bool is not one)."""
+    family_size and window_blocks must be integers (a bool is not one), and
+    the seed a non-negative integer."""
+    _check_seed(seed)
     if not (is_integer(family_size) and family_size >= 1):
         raise ValueError(
             f"family_size must be an integer of at least 1, got {family_size!r}")
@@ -727,9 +868,10 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     error is the one block pair the cut |node| > B splits, roughly
     r*l*rho/B, so certifying small eps takes a window of order r*l*rho/eps
     blocks. Raises ValueError unless r is finite and >= 0, eps finite and
-    > 0, family_size an integer >= 1 and window_blocks an integer >= 2.
+    > 0, family_size an integer >= 1, window_blocks an integer >= 2 and
+    seed an integer >= 0.
     """
-    _check_certificate_args(r, eps, family_size, window_blocks)
+    _check_certificate_args(r, eps, family_size, window_blocks, seed)
     rng = np.random.default_rng(seed)
     win = (-window_blocks, window_blocks)
     radii = _candidate_radii(params, window_blocks)
@@ -753,10 +895,15 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     multisets agreeing on [-B, B] give cardinal kernels within eps on the
     real interval |x| <= r, over a randomized family of agreeing pairs.
     The kernels are compared at 65 equally spaced points of the interval,
-    with block radius window_blocks - 8. Raises ValueError on the arguments
+    with block radius window_blocks - 8. For each candidate radius all
+    family_size pairs are drawn first, in order from the radius's own
+    generator, and their 2 * family_size kernels are then evaluated in one
+    stacked pass (module docstring), in member groups whose product holds
+    at most numutil.ROW_BLOCK_ENTRIES float64 entries: about 15 MiB at
+    family 100 and window 80. Raises ValueError on the arguments
     truncation_radius rejects, and when that block radius leaves |x| <= r
     outside the lattice tail's reach."""
-    _check_certificate_args(r, eps, family_size, window_blocks)
+    _check_certificate_args(r, eps, family_size, window_blocks, seed)
     a = window_blocks - 8
     # r >= 0, so this also rejects a negative block radius
     if r / params.l >= TAIL_REACH * (a + 1):
@@ -768,12 +915,10 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     radii = _candidate_radii(params, window_blocks)
     for j, b in enumerate(radii):
         rng = np.random.default_rng((seed, int(b)))
-        worst = 0.0
-        for _ in range(family_size):
-            m1, m2 = agreeing_pair(params, (-window_blocks, window_blocks), b, rng)
-            v1 = _kernel_with(m1, xs, a, factors)
-            v2 = _kernel_with(m2, xs, a, factors)
-            worst = max(worst, float(np.max(np.abs(v1 - v2))))
+        pairs = [agreeing_pair(params, (-window_blocks, window_blocks), b, rng)
+                 for _ in range(family_size)]
+        rows = _kernel_rows(list(chain.from_iterable(pairs)), xs, a, factors)
+        worst = float(np.max(np.abs(rows[0::2] - rows[1::2])))
         if worst < eps:
             return RadiusCertificate(b, True, eps, worst, family_size,
                                      tuple(radii[:j + 1]))
@@ -817,8 +962,10 @@ def decay_constant(params: GridParams, seed: int = 0) -> float:
     l*rho = 1, GridParams(1, 1, 0.5) reads 3.114 at seeds 0, 1 and 2, but
     GridParams(2, 3/2, 0.5) reads 17.14, 28.91 and 45.82, set by random
     members. Random members are generated per index from (seed, i), so
-    enlarging the family never decreases the constant.
+    enlarging the family never decreases the constant. The seed must be a
+    non-negative integer.
     """
+    _check_seed(seed)
     a = 40
     win = (-48, 48)
     xs = np.linspace(-32.0, 32.0, 513).astype(complex)
@@ -829,5 +976,6 @@ def decay_constant(params: GridParams, seed: int = 0) -> float:
               for i in range(64))
     msets = chain([saturate(NodeMultiset((), params, win))],
                   _extreme_multisets(params, win), family)
-    return max(float(np.max(np.abs(_kernel_with(mset, xs, a, factors)) * weight))
+    return max(float(np.max(np.abs(_kernel_rows([mset], xs, a, factors)[0])
+                            * weight))
                for mset in msets)

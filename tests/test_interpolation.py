@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandtile import interpolation
+from bandtile import interpolation, numutil
 from bandtile.interpolation import (
     CONDITION_SLACK,
     POSITION_ZERO_TOL,
@@ -486,6 +487,121 @@ def test_kernel_split_is_bitwise(params, radius, seed, fractions, imag):
                           reference_kernel(mset, z, radius))
 
 
+@st.composite
+def families(draw):
+    """Members of one grid with different windows and multiplicities, a
+    block radius, and points that hit some of the members' saturated nodes;
+    now and then a point off the real axis."""
+    params = draw(st.sampled_from(SPLIT_PARAMS))
+    radius = draw(st.sampled_from((4, 8, 12)))
+    msets = []
+    for _ in range(draw(st.integers(1, 20))):
+        half = draw(st.integers(1, radius + 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        msets.append(random_admissible_multiset(params, (-half, half), rng))
+    reach = 0.8 * radius * params.l
+    nodes = {q for m in msets for q in saturate(NodeMultiset(
+        m.entries, params, (-radius, radius))).positions().tolist()
+        if abs(q) < reach}
+    real = st.one_of(st.floats(-reach, reach),
+                     st.sampled_from(sorted(nodes) + [0.0]))
+    xs = draw(st.lists(real, min_size=1, max_size=40))
+    imag = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    return params, radius, msets, np.array(xs) + 1j * imag
+
+
+def _stacked_rows_match_reference(family):
+    params, radius, msets, z = family
+    factors = interpolation._kernel_factors(params, z, radius)
+    rows = interpolation._kernel_rows(msets, z, radius, factors)
+    assert rows.shape == (len(msets), z.size)
+    for row, mset in zip(rows, msets):
+        assert row.tobytes() == reference_kernel(mset, z, radius).tobytes()
+
+
+@PROPERTY
+@given(families())
+def test_stacked_kernels_match_per_member_reference(family):
+    _stacked_rows_match_reference(family)
+
+
+@PROPERTY
+@given(families(), st.integers(1, 3))
+def test_stacked_kernels_in_member_groups_match_per_member_reference(
+        family, share):
+    # a cap of `share` members' products, so that 20 members take 7 to 20
+    # groups; share 1 also splits a member's product into point blocks
+    params, radius, msets, z = family
+    width = (2 * radius + 1) * params.lrho * z.size
+    cap = share * width - (share == 1) * width // 2
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "ROW_BLOCK_ENTRIES", cap)
+        inner = interpolation._saturated_table
+        mp.setattr(interpolation, "_saturated_table",
+                   lambda *args: tables.append(inner(*args)) or tables[-1])
+        _stacked_rows_match_reference(family)
+    group = max(1, cap // width)
+    assert [len(t) for t in tables] == [
+        min(group, len(msets) - i) for i in range(0, len(msets), group)]
+
+
+def test_stacked_kernels_name_an_inadmissible_member_and_its_blocks():
+    # the third member has three nodes in block 2 and two in block -3,
+    # where l*rho = 1 allows one
+    rng = np.random.default_rng(1)
+    good = [random_admissible_multiset(PARAMS, (-8, 8), rng) for _ in range(4)]
+    bad = NodeMultiset(((-2.7, 1), (-2.2, 1), (2.1, 1), (2.5, 1), (2.7, 1)),
+                       PARAMS, (-8, 8))
+    xs = np.linspace(-2.0, 2.0, 9).astype(complex)
+    message = re.escape("re-windowed multiset violates conditions (c1=True, "
+                        "c2=False, blocks (-3, 2))")
+    factors = interpolation._kernel_factors(PARAMS, xs, 6)
+    with pytest.raises(ValueError, match=message):
+        interpolation._kernel_rows(good[:2] + [bad] + good[2:], xs, 6,
+                                   factors)
+    with pytest.raises(ValueError, match=message):
+        cardinal_kernel(bad, xs, 6)
+
+
+def test_conditions_are_checked_once_per_member(monkeypatch):
+    calls = []
+    inner = interpolation.check_conditions
+    monkeypatch.setattr(interpolation, "check_conditions",
+                        lambda m: calls.append(m.window) or inner(m))
+    cert = locality_radius(4.0, 1e-2, PARAMS, family_size=3, window_blocks=24)
+    # each candidate radius checks its 3 pairs, re-windowed to the block
+    # radius 24 - 8
+    assert calls == [(-16, 16)] * (2 * 3 * len(cert.radii_tested))
+    calls.clear()
+    decay_constant(PARAMS)
+    # the bare lattice, 5 extreme patterns and 64 random members
+    assert calls == [(-40, 40)] * 70
+    calls.clear()
+    cardinal_kernel(unit_lattice(8), np.array([0.5, 1.5]), 6)
+    assert calls == [(-6, 6)]
+
+
+def _locality_peak_mib():
+    tracemalloc.start()
+    try:
+        locality_radius(4.0, 1e-2, PARAMS, seed=3, window_blocks=80)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_locality_family_memory_is_bounded():
+    # 200 members of about 145 nodes on 65 points: the float64 product
+    # holds 1.9e6 entries, and the call peaked at 15.4 MiB (0.21 MiB when
+    # each member took its own product)
+    assert _locality_peak_mib() < 24
+    # with the cap at 1/8 of the entries, the members go in groups of 53
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "ROW_BLOCK_ENTRIES", 500_000)
+        assert _locality_peak_mib() < 8
+
+
 def test_locality_radius_matches_per_member_reference():
     # the certificate's loop, with the reference kernel per member
     r, eps, family, blocks = 4.0, 1e-2, 3, 24
@@ -648,3 +764,58 @@ def test_locality_radius_runs_at_the_smallest_window():
     # radius, 4, cannot pin the kernels within 1e-9
     cert = locality_radius(4.0, 1e-9, PARAMS, family_size=1, window_blocks=12)
     assert cert.radii_tested == (1.0, 2.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# integer windows and seeds, and the agreeing radius
+
+
+NOT_INTEGER_WINDOWS = [(-2.7, 3.9), (True, 3), (-2, 3.0), (np.float64(-2.0), 3),
+                       ("-2", 3), (-2, None)]
+
+
+@pytest.mark.parametrize("window", NOT_INTEGER_WINDOWS)
+@pytest.mark.parametrize("make", ["multiset", "random"])
+def test_window_ends_must_be_integers(make, window):
+    # (-2.7, 3.9) used to become (-2, 3) and (True, 3) (1, 3); a random
+    # multiset on (-2.5, 3.5) drew from half-integer blocks
+    build = {"multiset": lambda w: NodeMultiset((), PARAMS, w),
+             "random": lambda w: random_admissible_multiset(
+                 PARAMS, w, np.random.default_rng(0))}[make]
+    with pytest.raises(ValueError, match="window ends must be integers"):
+        build(window)
+    got = build((np.int64(-2), np.int64(3)))
+    assert got.window == (-2, 3)
+    assert all(type(end) is int for end in got.window)
+
+
+SEED_CALLS = {
+    "truncation": lambda seed: truncation_radius(
+        4.0, 1e-2, PARAMS, seed=seed, family_size=2, window_blocks=16),
+    "locality": lambda seed: locality_radius(
+        4.0, 1e-2, PARAMS, seed=seed, family_size=2, window_blocks=16),
+    "decay": lambda seed: decay_constant(PARAMS, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, "3", 1.5, -1, None, np.float64(3.0)])
+@pytest.mark.parametrize("name", sorted(SEED_CALLS))
+def test_seeds_must_be_non_negative_integers(name, seed):
+    # True ran as seed 1, and decay_constant read seed "3" as 3
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        SEED_CALLS[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CALLS))
+def test_a_numpy_integer_seed_is_a_seed(name):
+    assert SEED_CALLS[name](np.int64(3)) == SEED_CALLS[name](3)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0,
+                                    True, "4", None, 1j])
+def test_agreeing_pair_needs_a_finite_non_negative_radius(radius):
+    # nan gave a variant with no nodes beside a base with 11, and inf the
+    # base twice
+    with pytest.raises(ValueError, match="inside_radius must be a finite"):
+        agreeing_pair(PARAMS, (-8, 8), radius, np.random.default_rng(0))

@@ -16,7 +16,8 @@ from bandtile import numutil
 from bandtile.bandlimited import (BandSignal, BumpKernel, SincKernel,
                                   ToneKernel, bump_transform)
 from bandtile.interpolation import (GridParams, NodeMultiset,
-                                    _finite_product, cardinal_kernel,
+                                    _finite_product, _node_table,
+                                    cardinal_kernel,
                                     random_admissible_multiset, saturate,
                                     weierstrass_product)
 
@@ -166,8 +167,9 @@ def test_finite_product_in_blocks_equals_one_block_bitwise(seed, radius, zs,
     mset = saturate(random_admissible_multiset(
         PARAMS, (-radius, radius), np.random.default_rng(seed)))
     z = np.array(zs, dtype=complex)
-    got = _in_blocks(cap, lambda: _finite_product(mset, z, radius))
-    assert np.array_equal(got, _finite_product(mset, z, radius))
+    table = _node_table(mset, radius)
+    got = _in_blocks(cap, lambda: _finite_product(table, z))
+    assert np.array_equal(got, _finite_product(table, z))
 
 
 # st.complex_numbers almost never lands on the real axis, which takes the
@@ -182,8 +184,9 @@ def test_finite_product_of_real_points_in_blocks_equals_one_block_bitwise(
     mset = saturate(random_admissible_multiset(
         PARAMS, (-radius, radius), np.random.default_rng(seed)))
     z = np.array(xs, dtype=complex)
-    got = _in_blocks(cap, lambda: _finite_product(mset, z, radius))
-    want = _finite_product(mset, z, radius)
+    table = _node_table(mset, radius)
+    got = _in_blocks(cap, lambda: _finite_product(table, z))
+    want = _finite_product(table, z)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -3,9 +3,11 @@ row-major product it replaces, bit for bit.
 
 _finite_product takes a float64 node-major product when every point is
 real, and the complex product otherwise. complex_product is the row-major
-complex product as it was written before the real path existed; each
-evaluator is run once as it is and once with complex_product in place of
-_finite_product."""
+complex product as it was written before the real path existed, over each
+row of the reciprocal table without its zero pads; each evaluator is run
+once as it is and once with complex_product in place of _finite_product.
+division_product is the same product over the nodes themselves, z/node in
+place of z * (1/node)."""
 
 from fractions import Fraction
 
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from bandtile import interpolation
 from bandtile.interpolation import (GridParams, NodeMultiset,
-                                    _finite_product, cardinal_kernel,
+                                    _finite_product, _node_table,
+                                    cardinal_kernel,
                                     random_admissible_multiset, saturate,
                                     weierstrass_product)
 
@@ -24,7 +27,14 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
 
 
-def complex_product(mset, z_flat, block_radius):
+def complex_product(inv, z_flat):
+    out = np.empty((inv.shape[0], z_flat.size), complex)
+    for i, row in enumerate(inv):
+        out[i] = np.prod(1.0 - z_flat[:, None] * row[row != 0.0], axis=1)
+    return out
+
+
+def division_product(mset, z_flat, block_radius):
     pos = mset.positions()
     keep = ((np.abs(pos) > interpolation.POSITION_ZERO_TOL)
             & (np.abs(mset.block_index()) <= block_radius))
@@ -34,7 +44,8 @@ def complex_product(mset, z_flat, block_radius):
 
 # each looks _finite_product up when called, so _both can swap it
 EVALUATORS = {
-    "_finite_product": lambda m, z, a: interpolation._finite_product(m, z, a),
+    "_finite_product": lambda m, z, a: interpolation._finite_product(
+        _node_table(m, a), z)[0],
     "weierstrass_product": lambda m, z, a: weierstrass_product(m, z, a),
     "weierstrass_product-tail": lambda m, z, a: weierstrass_product(
         m, z, a, lattice_tail=True),
@@ -116,8 +127,8 @@ def test_points_on_nodes_keep_the_sign_of_their_zero():
     params = GridParams(l=1, rho=Fraction(1), tau=0.5)
     mset = saturate(NodeMultiset((), params, (-8, 8)))
     z = np.arange(-6.0, 7.0).astype(complex)
-    got = _finite_product(mset, z, 8)
-    want = complex_product(mset, z, 8)
+    got = _finite_product(_node_table(mset, 8), z)[0]
+    want = complex_product(_node_table(mset, 8), z)[0]
     on_node = z != 0
     # both signs occur among the zeros, and each keeps the complex one's,
     # in both parts
@@ -136,3 +147,13 @@ def test_no_nodes_or_no_points(name):
     lattice = saturate(NodeMultiset((), params, (-4, 4)))
     got, want = _both(name, lattice, np.zeros(0, dtype=complex), 4)
     assert got.shape == want.shape == (0,) and got.dtype == np.complex128
+
+
+@settings(PROPERTY)
+@given(case=st.one_of(cases(off_axis=False), cases(off_axis=True)))
+def test_reciprocal_product_equals_division_by_the_nodes(case):
+    # the factors 1 - z * (1/node) and 1 - z/node agree bit for bit
+    mset, radius, z = case
+    got = complex_product(_node_table(mset, radius), z)[0]
+    assert np.array_equal(_bits(got), _bits(division_product(mset, z,
+                                                             radius)))
