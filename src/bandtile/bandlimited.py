@@ -179,7 +179,17 @@ class SincKernel:
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def eval(self, u):
-        return np.sinc(2.0 * self.halfwidth * np.asarray(u, dtype=float))
+        """np.sinc(2 c u) with np.sinc's operations, so its bits: y = pi x
+        for x = 2 c u, zeros of either sign set to the float64 eps, then
+        sin(y) / y. They are taken in place, in one copy of u and the
+        sines, where np.sinc holds about four arrays the size of u."""
+        y = np.array(u, dtype=float)
+        y *= 2.0 * self.halfwidth
+        y *= np.pi
+        np.copyto(y, np.finfo(float).eps, where=(y == 0.0))
+        out = np.sin(y)
+        out /= y
+        return out
 
     def spectrum(self, tmax: float):
         """Lines (w, g) in angular frequency, kernel(u) =

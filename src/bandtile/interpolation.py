@@ -5,7 +5,10 @@ grouped into blocks [n*l, (n+1)*l). Admissible multisets keep every nonzero
 node at distance >= 1/rho from the origin (condition c1) and at most l*rho
 nodes per block (c2); saturated multisets additionally fill every nonzero
 block to exactly l*rho nodes (c3). Saturation pads deficient blocks with
-copies of the block anchor n*l.
+copies of the block anchor n*l. Entries are checked once, by the
+NodeMultiset constructor: a saturation and an agreeing pair's variant are
+derived from checked entries, and are built without a copy or a second
+check.
 
 From a saturated multiset the conditionally convergent product
 f(z) = prod (1 - z/lambda), taken over symmetric block pairs, defines an
@@ -33,13 +36,16 @@ kernels on one grid pay only for the finite product.
 All kernels go through one path, which takes a list of multisets on one
 grid and gives one row per member: cardinal_kernel and each decay_constant
 member pass one, and locality_radius passes the 2 * family_size members of
-one candidate radius, its agreeing pairs drawn first. Each member is
-re-windowed and checked by check_conditions on its own; then the members'
-saturation (one block count, one anchor fill, one sort) and their finite
-products are taken in one stacked pass over a zero-padded table of
-reciprocal nodes, in member groups whose product holds at most
-numutil.ROW_BLOCK_ENTRIES entries. Each row has the bits of a one-member
-call.
+one candidate radius, its agreeing pairs drawn first. The members are
+checked, saturated (one block count, one anchor fill, one sort) and
+multiplied in one stacked pass over a zero-padded table of reciprocal
+nodes, in member groups whose product holds at most
+numutil.ROW_BLOCK_ENTRIES entries. The check is the one check_conditions
+makes on the kernel's blocks, c1 by one comparison over all positions and
+c2 from the block count, and the first inadmissible member raises its
+message before its group's anchor fill; cardinal_kernel also runs
+check_conditions on its re-windowed argument. Each row has the bits of a
+one-member call.
 
 Like bump_transform, the finite product reduces points on the real axis.
 When every point is real it is a float64 product over the reciprocal
@@ -151,6 +157,16 @@ def node_records(pos, mult) -> np.ndarray:
     return rec
 
 
+class _DerivedEntries:
+    """Entries for NodeMultiset._derived: the constructor takes the array
+    as it is."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class NodeMultiset:
     """Point masses on the line with integer multiplicities.
@@ -162,6 +178,10 @@ class NodeMultiset:
     (position, multiplicity) pairs. window: inclusive block index range
     (lo, hi) of integers with lo <= hi, stored as ints; conditions and
     saturation are evaluated relative to it.
+
+    The constructor is the one place entries are checked. saturate and
+    agreeing_pair build their results from entries of checked multisets
+    through _derived, which neither copies nor checks them again.
     """
 
     entries: np.ndarray
@@ -170,6 +190,10 @@ class NodeMultiset:
 
     def __post_init__(self):
         entries = self.entries
+        if isinstance(entries, _DerivedEntries):
+            entries.array.flags.writeable = False
+            object.__setattr__(self, "entries", entries.array)
+            return
         if not (isinstance(entries, np.ndarray) and entries.dtype == NODE_DTYPE):
             entries = [tuple(e) for e in entries]
         entries = np.array(entries, dtype=NODE_DTYPE)
@@ -183,6 +207,15 @@ class NodeMultiset:
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "window", _block_window(self.window))
+
+    @classmethod
+    def _derived(cls, entries: np.ndarray, params: GridParams,
+                 window: tuple) -> "NodeMultiset":
+        """A multiset of NODE_DTYPE entries that this module derived from
+        checked ones, so that they meet the constructor's checks, on the
+        window of a checked multiset: the array is made read-only, neither
+        copied nor checked."""
+        return cls(_DerivedEntries(entries), params, window)
 
     def positions(self) -> np.ndarray:
         return self.entries["pos"]
@@ -266,19 +299,29 @@ def _anchor_fill(counts: np.ndarray, lo: int, cap: int) -> np.ndarray:
 
 def saturate(mset: NodeMultiset) -> NodeMultiset:
     """Fill every nonzero block in the window up to l*rho nodes by adding the
-    block anchor n*l with the missing multiplicity."""
+    block anchor n*l with the missing multiplicity.
+
+    The entries and the anchors are each sorted by position, and numpy's
+    stable sort of floats (a timsort) finds the two runs and merges them in
+    one linear pass, an anchor after a node at its position; a merge by
+    searchsorted took three to four times as long. Only when an anchor is
+    a node are the two summed into one entry. The result comes from
+    checked entries and is built with NodeMultiset._derived, not checked
+    again."""
     p = mset.params
     lo = mset.window[0]
     fill = _anchor_fill(mset.block_counts(), lo, p.lrho)
     add = np.flatnonzero(fill)
-    anchors = node_records((lo + add) * float(p.l), fill[add])
-    merged = np.concatenate([mset.entries, anchors])
-    merged = merged[np.argsort(merged["pos"], kind="stable")]
+    pos = np.concatenate([mset.positions(), (lo + add) * float(p.l)])
+    mult = np.concatenate([mset.multiplicities(), fill[add]])
+    order = np.argsort(pos, kind="stable")
+    pos, mult = pos[order], mult[order]
     # an anchor that is already a node adds to that node's multiplicity
-    fresh = np.flatnonzero(np.diff(merged["pos"], prepend=-np.inf) > 0.0)
-    out = merged[fresh]
-    out["mult"] = np.add.reduceat(merged["mult"], fresh)
-    return NodeMultiset(out, p, mset.window)
+    same = pos[1:] == pos[:-1]
+    if same.any():
+        fresh = np.flatnonzero(np.concatenate(([True], ~same)))
+        pos, mult = pos[fresh], np.add.reduceat(mult, fresh)
+    return NodeMultiset._derived(node_records(pos, mult), p, mset.window)
 
 
 def _zeta_tail_scaled(k2: int, q: int) -> float:
@@ -552,13 +595,25 @@ def _kernel_factors(params: GridParams, z_flat: np.ndarray,
     return factors
 
 
+def _inadmissible(c1: bool, blocks: tuple) -> ValueError:
+    """The error of a multiset that fails c1 or c2 once re-windowed to a
+    kernel's block radius; blocks are those over capacity."""
+    return ValueError(f"re-windowed multiset violates conditions (c1={c1}, "
+                      f"c2={not blocks}, blocks {blocks})")
+
+
 def _saturated_table(msets: list, block_radius: int) -> np.ndarray:
     """The _reciprocal_table of each multiset of msets, all on one
     GridParams, saturated on blocks |n| <= block_radius, over the nodes a
     product with that block radius takes: one bincount of the block counts
     over (member, block), one anchor fill and one lexsort over (member,
     position) for all members. An anchor on a node follows it in its row,
-    which repeats 1/node as the merged multiplicity of saturate would."""
+    which repeats 1/node as the merged multiplicity of saturate would.
+
+    Before the fill, the members are checked as check_conditions would
+    check them re-windowed to those blocks: c1 by one comparison over all
+    positions, c2 from the block counts. The first member that fails
+    either raises ValueError, naming its blocks over capacity."""
     params = msets[0].params
     span = 2 * block_radius + 1
     entries = np.concatenate([m.entries for m in msets])
@@ -568,8 +623,18 @@ def _saturated_table(msets: list, block_radius: int) -> np.ndarray:
     inside = np.abs(blocks) <= block_radius
     counts = np.bincount((member * span + blocks + block_radius)[inside],
                          weights=mult[inside], minlength=len(msets) * span)
-    fill = _anchor_fill(counts.astype(np.int64).reshape(len(msets), span),
-                        -block_radius, params.lrho)
+    counts = counts.astype(np.int64).reshape(len(msets), span)
+    dist = np.abs(pos)
+    near = member[(dist > POSITION_ZERO_TOL)
+                  & (dist < params.min_gap - CONDITION_SLACK)]
+    over = counts > params.lrho
+    bad = over.any(axis=1)
+    bad[near] = True
+    if bad.any():
+        first = int(np.argmax(bad))
+        named = np.flatnonzero(over[first]) - block_radius
+        raise _inadmissible(first not in near, tuple(named.tolist()))
+    fill = _anchor_fill(counts, -block_radius, params.lrho)
     held, block = np.nonzero(fill)
     keep = _product_nodes(pos, blocks, block_radius)
     member = np.concatenate([member[keep], held])
@@ -586,32 +651,23 @@ def _kernel_rows(msets: list, z_flat: np.ndarray, block_radius: int,
     the flat complex points z_flat, given _kernel_factors of those params on
     the same points and block radius: one row per member.
 
-    Each member is re-windowed to blocks (-block_radius, block_radius) and
-    checked by check_conditions; the first inadmissible one raises
-    ValueError. The members are then saturated and multiplied in groups,
-    each group's (members x nodes x points) product within
-    ROW_BLOCK_ENTRIES, with one _saturated_table and one _finite_product a
-    group."""
+    The members are saturated and multiplied in groups, each group's
+    (members x nodes x points) product within ROW_BLOCK_ENTRIES, with one
+    _saturated_table and one _finite_product a group. The table checks the
+    group's members on blocks (-block_radius, block_radius), so the first
+    inadmissible member raises ValueError before its group is filled."""
     bump, tail = factors
-    window = (-block_radius, block_radius)
-    works = [NodeMultiset(m.entries, m.params, window) for m in msets]
-    for work in works:
-        report = check_conditions(work)
-        if not report.admissible:
-            raise ValueError(
-                f"re-windowed multiset violates conditions (c1={report.c1}, "
-                f"c2={report.c2}, blocks {report.offending_blocks})")
     # a saturated member has at most l*rho nodes in each block
     width = (2 * block_radius + 1) * msets[0].params.lrho
     group = block_rows(width * z_flat.size)
     finite = np.concatenate([
-        _finite_product(_saturated_table(works[i:i + group], block_radius),
+        _finite_product(_saturated_table(msets[i:i + group], block_radius),
                         z_flat)
-        for i in range(0, len(works), group)])
+        for i in range(0, len(msets), group)])
     # the rows side by side in one flat product, so that each entry takes
     # the loop of a one-member call; a broadcast over a single entry takes
     # another, and its complex product can differ in the last bit
-    rows = len(works)
+    rows = len(msets)
     flat = np.tile(bump, rows) * (finite.ravel() * np.tile(tail, rows))
     return flat.reshape(finite.shape)
 
@@ -631,13 +687,17 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
 
     The multiset is re-windowed to blocks (-block_radius, block_radius);
     blocks there with no data are treated as empty and saturated to anchors,
-    matching the idealized tail beyond the radius. A multiset that is not
-    admissible there raises ValueError, naming its blocks over capacity.
-    This is the one-member case of the stacked kernel path that
-    locality_radius takes for a whole family (module docstring), and gives
-    the same bits.
+    matching the idealized tail beyond the radius. The re-windowed multiset
+    is checked by check_conditions, and one that is not admissible raises
+    ValueError, naming its blocks over capacity. This is the one-member
+    case of the stacked kernel path that locality_radius takes for a whole
+    family (module docstring), and gives the same bits.
     """
     _check_block_radius(block_radius)
+    report = check_conditions(NodeMultiset(
+        mset.entries, mset.params, (-block_radius, block_radius)))
+    if not report.admissible:
+        raise _inadmissible(report.c1, report.offending_blocks)
     return _kernel_rows([mset], z, block_radius,
                         _kernel_factors(mset.params, z, block_radius))[0]
 
@@ -704,25 +764,39 @@ def random_admissible_multiset(params: GridParams, window, rng,
 def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
     """Pair of admissible multisets equal on [-inside_radius, inside_radius]
     and independently random beyond it (buffered by one grid gap).
-    inside_radius must be a finite real number >= 0."""
+    inside_radius must be a finite real number >= 0.
+
+    Two multisets are drawn, `base` and `other`, without multiplicities.
+    The variant keeps base's nodes with |x| <= inside_radius (inner) and
+    takes other's nodes with |x| > inside_radius + 1/rho (outer) while
+    their block has room. Both sets are slices of sorted entries, so the
+    variant is the three slices in order, built with NodeMultiset._derived:
+    outer below, inner, outer above."""
     if not (is_finite_real(inside_radius) and inside_radius >= 0):
         raise ValueError("inside_radius must be a finite real number >= 0, "
                          f"got {inside_radius!r}")
     base = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
     other = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
-    inner = NodeMultiset(base.entries[np.abs(base.positions()) <= inside_radius],
-                         params, window)
-    outer = NodeMultiset(other.entries[np.abs(other.positions())
-                                       > inside_radius + params.min_gap],
-                         params, window)
+    lo, hi = base.window
+    pos = base.positions()
+    inner = base.entries[np.searchsorted(pos, -inside_radius, "left"):
+                         np.searchsorted(pos, inside_radius, "right")]
+    reach = inside_radius + params.min_gap
+    pos = other.positions()
+    below = other.entries[:np.searchsorted(pos, -reach, "left")]
+    above = other.entries[np.searchsorted(pos, reach, "right"):]
     # outer nodes have multiplicity 1, so a block takes them in ascending
-    # order while it has room: the first cap - (inner count) of them
-    blocks = outer.block_index()
+    # order while it has room: the first cap - (inner count) of them. No
+    # block holds nodes of both sides, as 0 is a block edge.
+    outer = np.concatenate([below["pos"], above["pos"]])
+    blocks = np.floor(outer / params.l).astype(np.int64)
     rank = np.arange(blocks.size) - np.searchsorted(blocks, blocks)
-    room = params.lrho - inner.block_counts()[blocks - inner.window[0]]
-    merged = np.concatenate([inner.entries, outer.entries[rank < room]])
-    variant = NodeMultiset(merged[np.argsort(merged["pos"])], params, window)
-    return base, variant
+    inner_blocks = np.floor(inner["pos"] / params.l).astype(np.int64)
+    counts = np.bincount(inner_blocks - lo, minlength=hi - lo + 1)
+    take = rank < params.lrho - counts[blocks - lo]
+    variant = np.concatenate([below[take[:below.size]], inner,
+                              above[take[below.size:]]])
+    return base, NodeMultiset._derived(variant, params, base.window)
 
 
 @dataclass(frozen=True)
@@ -756,16 +830,17 @@ def _check_certificate_args(r: float, eps: float, family_size: int,
     """A radius certificate needs a finite r >= 0, a finite eps > 0, at
     least one family member and window_blocks >= 2, so that half the window
     holds the first candidate radius l; otherwise nothing would be checked.
-    family_size and window_blocks must be integers (a bool is not one), and
+    r and eps must be real numbers (a bool, a string or a complex number is
+    not one), family_size and window_blocks integers (nor is a bool), and
     the seed a non-negative integer."""
     _check_seed(seed)
     if not (is_integer(family_size) and family_size >= 1):
         raise ValueError(
             f"family_size must be an integer of at least 1, got {family_size!r}")
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"r must be finite and >= 0, got {r}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not (is_finite_real(r) and r >= 0):
+        raise ValueError(f"r must be a finite real number >= 0, got {r!r}")
+    if not (is_finite_real(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite real number > 0, got {eps!r}")
     if not (is_integer(window_blocks) and window_blocks >= 2):
         raise ValueError("window_blocks must be an integer of at least 2 to "
                          f"hold a candidate radius, got {window_blocks!r}")
@@ -867,8 +942,8 @@ def truncation_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     the window so the dropped set is never trivially empty. The dominant
     error is the one block pair the cut |node| > B splits, roughly
     r*l*rho/B, so certifying small eps takes a window of order r*l*rho/eps
-    blocks. Raises ValueError unless r is finite and >= 0, eps finite and
-    > 0, family_size an integer >= 1, window_blocks an integer >= 2 and
+    blocks. Raises ValueError unless r is a finite real number >= 0, eps
+    one > 0, family_size an integer >= 1, window_blocks an integer >= 2 and
     seed an integer >= 0.
     """
     _check_certificate_args(r, eps, family_size, window_blocks, seed)

@@ -216,6 +216,26 @@ def test_radius_certificates_reject_unchecked_arguments(cert, r, eps,
         CERTIFICATES[cert](r, eps, family_size)
 
 
+@pytest.mark.parametrize("cert", sorted(CERTIFICATES))
+@pytest.mark.parametrize("name", ["r", "eps"])
+@pytest.mark.parametrize("value", [True, "4", 4 + 0j, None, 10 ** 400],
+                         ids=["True", "str", "complex", "None", "10**400"])
+def test_certificate_radius_and_eps_must_be_finite_reals(cert, name, value):
+    # True ran as r = 1 or eps = 1, and "4" and 4+0j raised TypeError
+    args = {"r": 4.0, "eps": 1e-2, name: value}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a finite real number") + ".*" + re.escape(
+            f"got {value!r}")):
+        CERTIFICATES[cert](args["r"], args["eps"], 1)
+
+
+@pytest.mark.parametrize("cert", sorted(CERTIFICATES))
+def test_certificates_take_numpy_and_rational_reals(cert):
+    want = CERTIFICATES[cert](4.0, 0.5, 1)
+    assert CERTIFICATES[cert](np.float64(4.0), np.float64(0.5), 1) == want
+    assert CERTIFICATES[cert](Fraction(4), Fraction(1, 2), 1) == want
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -0.5,
                                  True, False, 1j, "0.5", None])
 def test_grid_params_reject_a_window_support_that_is_not_finite_positive(tau):
@@ -422,6 +442,84 @@ def test_saturate_pads_blocks_and_is_idempotent(mset):
     assert check_conditions(s).c3
 
 
+def argsort_saturate(mset):
+    """saturate as a merge by stable argsort: the entries, then the anchors,
+    sorted stably by position, and runs of one position summed into their
+    first record."""
+    p, (lo, hi) = mset.params, mset.window
+    counts = mset.block_counts()
+    if counts.max(initial=0) > p.lrho:
+        raise BlockOverflowError(0, 0, p.lrho)
+    ns = np.arange(lo, hi + 1)
+    fill = np.where(ns != 0, p.lrho - counts, 0)
+    anchors = interpolation.node_records(ns[fill > 0] * float(p.l),
+                                         fill[fill > 0])
+    merged = np.concatenate([mset.entries, anchors])
+    merged = merged[np.argsort(merged["pos"], kind="stable")]
+    fresh = np.flatnonzero(np.diff(merged["pos"], prepend=-np.inf) > 0.0)
+    out = merged[fresh]
+    out["mult"] = np.add.reduceat(merged["mult"], fresh)
+    return out
+
+
+@st.composite
+def anchored_multisets(draw):
+    """Multisets with many nodes exactly on block anchors n*l, with
+    multiplicities, beside nodes inside blocks and outside the window."""
+    params = draw(grid_params())
+    lo = draw(st.integers(-6, 0))
+    hi = draw(st.integers(lo, 6))
+    l = params.l
+    anchors = st.integers(lo - 1, hi + 1).map(lambda n: float(n * l))
+    inside = st.floats((lo - 1) * l, (hi + 2) * l)
+    pos = draw(st.lists(st.one_of(anchors, anchors, inside), unique=True,
+                        max_size=20))
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(pos),
+                         max_size=len(pos)))
+    return NodeMultiset(sorted(zip(pos, mult)), params, (lo, hi))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(anchored_multisets())
+def test_saturate_on_anchor_nodes_matches_argsort_merge(mset):
+    try:
+        want = argsort_saturate(mset)
+    except BlockOverflowError:
+        with pytest.raises(BlockOverflowError):
+            saturate(mset)
+        return
+    got = saturate(mset)
+    assert got.entries.dtype == interpolation.NODE_DTYPE
+    assert got.entries.tobytes() == want.tobytes()
+    assert got.window == mset.window and got.params is mset.params
+
+
+def derived_multisets(params, half, radius, seed):
+    """Every multiset a saturation or an agreeing pair returns from one
+    seed: the saturated draw and both members of the pair."""
+    rng = np.random.default_rng(seed)
+    window = (-half, half)
+    drawn = random_admissible_multiset(params, window, rng)
+    pair = agreeing_pair(params, window, radius, rng)
+    return [drawn, saturate(drawn), *pair]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(grid_params(), st.integers(1, 12), st.floats(0.0, 16.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_derived_multisets_are_read_only_and_pass_the_checks(params, half,
+                                                             radius, seed):
+    for mset in derived_multisets(params, half, radius, seed):
+        assert not mset.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mset.entries["mult"][:1] = 7
+        # the public constructor checks them and keeps their bytes
+        again = NodeMultiset(mset.entries, mset.params, mset.window)
+        assert again.entries.tobytes() == mset.entries.tobytes()
+        assert again.window == mset.window
+        assert all(type(end) is int for end in mset.window)
+
+
 # about 2 % of draws offer a boundary block more outer nodes than it has
 # room for; 500 examples take that path several times
 @settings(PROPERTY, max_examples=500)
@@ -564,22 +662,56 @@ def test_stacked_kernels_name_an_inadmissible_member_and_its_blocks():
         cardinal_kernel(bad, xs, 6)
 
 
-def test_conditions_are_checked_once_per_member(monkeypatch):
-    calls = []
-    inner = interpolation.check_conditions
-    monkeypatch.setattr(interpolation, "check_conditions",
-                        lambda m: calls.append(m.window) or inner(m))
-    cert = locality_radius(4.0, 1e-2, PARAMS, family_size=3, window_blocks=24)
-    # each candidate radius checks its 3 pairs, re-windowed to the block
-    # radius 24 - 8
-    assert calls == [(-16, 16)] * (2 * 3 * len(cert.radii_tested))
-    calls.clear()
-    decay_constant(PARAMS)
-    # the bare lattice, 5 extreme patterns and 64 random members
-    assert calls == [(-40, 40)] * 70
-    calls.clear()
-    cardinal_kernel(unit_lattice(8), np.array([0.5, 1.5]), 6)
-    assert calls == [(-6, 6)]
+# members that fail c1, c2 or both on blocks |n| <= 6, with the message
+# the stacked path and cardinal_kernel raise for each
+INADMISSIBLE = {
+    "c1": (((0.5, 1), (3.5, 1)),
+           "(c1=False, c2=True, blocks ())"),
+    "c2": (((-2.7, 1), (-2.2, 1), (2.1, 1), (2.5, 1), (2.7, 1)),
+           "(c1=True, c2=False, blocks (-3, 2))"),
+    "both": (((-2.7, 1), (-2.2, 1), (0.3, 1), (2.1, 1), (2.5, 1)),
+             "(c1=False, c2=False, blocks (-3, 2))"),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(INADMISSIBLE)), st.integers(1, 8),
+       st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_the_first_inadmissible_member_raises_its_message(kind, size, data,
+                                                          seed, share):
+    rng = np.random.default_rng(seed)
+    family = [random_admissible_multiset(PARAMS, (-8, 8), rng)
+              for _ in range(size)]
+    # three nodes in block 7, beyond the block radius, are admissible there
+    family.append(NodeMultiset(((7.1, 1), (7.5, 2)), PARAMS, (-8, 8)))
+    entries, message = INADMISSIBLE[kind]
+    bad = NodeMultiset(entries, PARAMS, (-8, 8))
+    at = data.draw(st.integers(0, len(family)))
+    family.insert(at, bad)
+    # a later inadmissible member is not the one named
+    if data.draw(st.booleans()):
+        other = sorted(set(INADMISSIBLE) - {kind})[0]
+        family.append(NodeMultiset(INADMISSIBLE[other][0], PARAMS, (-8, 8)))
+    xs = np.linspace(-2.0, 2.0, 9).astype(complex)
+    factors = interpolation._kernel_factors(PARAMS, xs, 6)
+    want = re.escape(f"re-windowed multiset violates conditions {message}")
+    report = check_conditions(NodeMultiset(entries, PARAMS, (-6, 6)))
+    assert want == re.escape(
+        "re-windowed multiset violates conditions (c1="
+        f"{report.c1}, c2={report.c2}, blocks {report.offending_blocks})")
+    # groups of `share` members, so the member may sit in a later group
+    width = (2 * 6 + 1) * PARAMS.lrho * xs.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numutil, "ROW_BLOCK_ENTRIES", share * width)
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            interpolation._kernel_rows(family, xs, 6, factors)
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        cardinal_kernel(bad, xs, 6)
+    del family[at]
+    if len(family) > size + 1:
+        family.pop()
+    assert interpolation._kernel_rows(family, xs, 6, factors).shape == (
+        size + 1, xs.size)
 
 
 def _locality_peak_mib():
