@@ -5,10 +5,11 @@ grouped into blocks [n*l, (n+1)*l). Admissible multisets keep every nonzero
 node at distance >= 1/rho from the origin (condition c1) and at most l*rho
 nodes per block (c2); saturated multisets additionally fill every nonzero
 block to exactly l*rho nodes (c3). Saturation pads deficient blocks with
-copies of the block anchor n*l. Entries are checked once, by the
-NodeMultiset constructor: a saturation and an agreeing pair's variant are
-derived from checked entries, and are built without a copy or a second
-check.
+copies of the block anchor n*l. Entries are checked once, with the
+NodeMultiset constructor's checks: a saturation is derived from checked
+entries, and built without a copy or a second check, and a family of
+agreeing pairs is drawn as stacked arrays, checked once for the whole
+family and sliced into its members.
 
 From a saturated multiset the conditionally convergent product
 f(z) = prod (1 - z/lambda), taken over symmetric block pairs, defines an
@@ -36,7 +37,7 @@ kernels on one grid pay only for the finite product.
 All kernels go through one path, which takes a list of multisets on one
 grid and gives one row per member: cardinal_kernel and each decay_constant
 member pass one, and locality_radius passes the 2 * family_size members of
-one candidate radius, its agreeing pairs drawn first. The members are
+one candidate radius, drawn first by one agreeing_pair call. The members are
 checked, saturated (one block count, one anchor fill, one sort) and
 multiplied in one stacked pass over a zero-padded table of reciprocal
 nodes, in member groups whose product holds at most
@@ -157,6 +158,38 @@ def node_records(pos, mult) -> np.ndarray:
     return rec
 
 
+def _pair_records(entries) -> np.ndarray:
+    """NODE_DTYPE records of a sequence of (position, multiplicity) pairs.
+    A position must be a finite real number and a multiplicity an integer
+    in 1 .. 2**63 - 1 (a bool, a string or 2.7 is neither), so that no
+    pair is coerced: ValueError otherwise."""
+    pairs = [tuple(e) for e in entries]
+    for p, m in pairs:
+        if not is_finite_real(p):
+            raise ValueError(
+                f"entry positions must be finite real numbers, got {p!r}")
+        if not (is_integer(m) and 0 < m < 2 ** 63):
+            raise ValueError("multiplicities must be positive integers "
+                             f"below 2**63, got {m!r}")
+    return np.array(pairs, dtype=NODE_DTYPE)
+
+
+def _check_entries(pos: np.ndarray, mult: np.ndarray, member=None):
+    """The NodeMultiset checks of position and multiplicity arrays:
+    positions finite and strictly increasing, multiplicities positive, or
+    ValueError. With `member`, the member index of each entry of stacked
+    multisets, positions need only increase within a member."""
+    if not np.isfinite(pos).all():
+        raise ValueError("entry positions must be finite")
+    rising = pos[1:] > pos[:-1]
+    if member is not None:
+        rising |= member[1:] != member[:-1]
+    if not rising.all():
+        raise ValueError("entry positions must be strictly increasing")
+    if np.any(mult <= 0):
+        raise ValueError("multiplicities must be positive")
+
+
 class _DerivedEntries:
     """Entries for NodeMultiset._derived: the constructor takes the array
     as it is."""
@@ -175,13 +208,18 @@ class NodeMultiset:
     mult: int64), positions finite and strictly increasing, multiplicities
     positive; the constructor raises ValueError otherwise. It takes such
     an array (copied, never iterated in Python) or any sequence of
-    (position, multiplicity) pairs. window: inclusive block index range
-    (lo, hi) of integers with lo <= hi, stored as ints; conditions and
-    saturation are evaluated relative to it.
+    (position, multiplicity) pairs, whose positions must be finite real
+    numbers and multiplicities integers below 2**63: a pair such as
+    (1.5, 2.7), (1.5, True), ("2.5", 1) or (True, 1) is rejected, not
+    coerced. window: inclusive block index range (lo, hi) of integers with
+    lo <= hi, stored as ints; conditions and saturation are evaluated
+    relative to it.
 
-    The constructor is the one place entries are checked. saturate and
-    agreeing_pair build their results from entries of checked multisets
-    through _derived, which neither copies nor checks them again.
+    The constructor is the one place a multiset's entries are checked.
+    saturate and agreeing_pair build their results from checked entries
+    through _derived, which neither copies nor checks them again;
+    agreeing_pair checks a whole family's draws once, stacked, with the
+    constructor's checks.
     """
 
     entries: np.ndarray
@@ -194,16 +232,11 @@ class NodeMultiset:
             entries.array.flags.writeable = False
             object.__setattr__(self, "entries", entries.array)
             return
-        if not (isinstance(entries, np.ndarray) and entries.dtype == NODE_DTYPE):
-            entries = [tuple(e) for e in entries]
-        entries = np.array(entries, dtype=NODE_DTYPE)
-        pos = entries["pos"]
-        if not np.isfinite(pos).all():
-            raise ValueError("entry positions must be finite")
-        if np.any(pos[1:] <= pos[:-1]):
-            raise ValueError("entry positions must be strictly increasing")
-        if np.any(entries["mult"] <= 0):
-            raise ValueError("multiplicities must be positive")
+        if isinstance(entries, np.ndarray) and entries.dtype == NODE_DTYPE:
+            entries = entries.copy()
+        else:
+            entries = _pair_records(entries)
+        _check_entries(entries["pos"], entries["mult"])
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "window", _block_window(self.window))
@@ -706,49 +739,47 @@ def cardinal_kernel(mset: NodeMultiset, z, block_radius: int):
 # randomized families and radius certificates
 
 
-def _allowed_block_interval(n: int, l: int, gap: float):
-    """Block [n*l, (n+1)*l) minus the origin exclusion zone (-gap, gap).
+def _draw(params: GridParams, lo: int, hi: int, rng,
+          allow_multiplicity: bool):
+    """The positions and multiplicities of one random admissible multiset
+    on blocks lo..hi, sorted by position, from the generator calls
+    random_admissible_multiset has always made, in their order and sizes.
 
-    The zone spans at most blocks -1 and 0 because gap = 1/rho <= l.
-    """
-    a, b = n * l, (n + 1) * l
-    if n == 0:
-        a = gap
-    elif n == -1:
-        b = -gap
-    return a, b
-
-
-def random_admissible_multiset(params: GridParams, window, rng,
-                               allow_multiplicity: bool = True) -> NodeMultiset:
-    """Random multiset satisfying c1 and c2: per-block counts <= l*rho,
-    positions uniform in the block, nonzero nodes kept out of (-1/rho, 1/rho).
-    The window ends must be integers, as for NodeMultiset."""
-    lo, hi = _block_window(window)
+    Each block draws a count in 0..l*rho. The blocks away from the origin
+    take uniform positions in [n*l, (n+1)*l), one call for all of them,
+    and with multiplicities the first node of a block below capacity turns
+    double with probability 0.1, one call for all blocks. Blocks -1 and 0
+    border the origin exclusion zone (-1/rho, 1/rho) and draw after them,
+    one by one: their sorted nodes, 1e-9 apart, go between the sorted
+    nodes of the blocks below and above, with no second sort."""
     l, cap, gap = params.l, params.lrho, params.min_gap
-    blocks = np.arange(lo, hi + 1)
-    counts = rng.integers(0, cap + 1, size=blocks.size)
-    # blocks -1 and 0 border the origin exclusion zone; handled one by one
-    plain = (blocks != -1) & (blocks != 0) & (counts > 0)
-    reps = counts[plain]
-    pts = (np.repeat(blocks[plain] * l, reps).astype(float)
-           + rng.uniform(0.0, l - 1e-9, size=int(reps.sum())))
-    mult = np.ones(pts.size, dtype=int)
+    counts = rng.integers(0, cap + 1, size=hi - lo + 1)
+    # blocks -1 and 0 draw their own counts below; these go unused
+    zone = slice(max(lo, -1) - lo, max(min(hi, 0) + 1 - lo, 0))
+    if zone.start < zone.stop:
+        counts[zone] = 0
+    pts = np.repeat(np.arange(lo, hi + 1) * l, counts).astype(float)
+    pts += rng.uniform(0.0, l - 1e-9, size=pts.size)
+    pos = np.sort(pts)
+    mult = np.ones(pos.size, dtype=np.int64)
     if allow_multiplicity and pts.size:
-        first = np.concatenate(([0], np.cumsum(reps)))[:-1]
+        reps = counts[counts > 0]
+        first = np.cumsum(reps) - reps
         upgrade = (reps < cap) & (rng.random(size=reps.size) < 0.1)
-        mult[first[upgrade]] = 2
-    pos_parts, mult_parts = [pts], [mult]
+        mult[np.searchsorted(pos, pts[first[upgrade]])] = 2
+    pos_parts, mult_parts = [], []
     for n in (-1, 0):
         if not (lo <= n <= hi):
             continue
         count = int(rng.integers(0, cap + 1))
-        a, b = _allowed_block_interval(n, l, gap)
+        # the block less the exclusion zone, which gap = 1/rho <= l keeps
+        # within blocks -1 and 0
+        a, b = (gap, l) if n == 0 else (-l, -gap)
         if count == 0 or b - a <= 1e-9:
             continue
         near = np.sort(rng.uniform(a, b - 1e-9, size=count))
         near = near[np.concatenate(([True], np.diff(near) > 1e-9))]
-        m = np.ones(near.size, dtype=int)
+        m = np.ones(near.size, dtype=np.int64)
         extra = cap - near.size
         for j in range(near.size):
             if allow_multiplicity and extra > 0 and rng.random() < 0.1:
@@ -756,47 +787,92 @@ def random_admissible_multiset(params: GridParams, window, rng,
                 extra -= 1
         pos_parts.append(near)
         mult_parts.append(m)
-    rec = node_records(np.concatenate(pos_parts), np.concatenate(mult_parts))
-    rec = rec[np.argsort(rec["pos"])]
-    return NodeMultiset(rec, params, (lo, hi))
+    if not pos_parts:
+        return pos, mult
+    # the plain nodes below the origin lie in blocks n <= -2
+    k = int(np.searchsorted(pos, 0.0))
+    return (np.concatenate([pos[:k], *pos_parts, pos[k:]]),
+            np.concatenate([mult[:k], *mult_parts, mult[k:]]))
 
 
-def agreeing_pair(params: GridParams, window, inside_radius: float, rng):
+def random_admissible_multiset(params: GridParams, window, rng,
+                               allow_multiplicity: bool = True) -> NodeMultiset:
+    """Random multiset satisfying c1 and c2: per-block counts <= l*rho,
+    positions uniform in the block, nonzero nodes kept out of (-1/rho, 1/rho).
+    The window ends must be integers, as for NodeMultiset. It is one draw
+    of the path agreeing_pair draws its families by, with the generator
+    calls, in their order and sizes, and the entries this function has
+    always given. The uniform draws are not distinct by construction, so
+    the entries go through the public constructor and its checks."""
+    lo, hi = _block_window(window)
+    pos, mult = _draw(params, lo, hi, rng, allow_multiplicity)
+    return NodeMultiset(node_records(pos, mult), params, (lo, hi))
+
+
+def agreeing_pair(params: GridParams, window, inside_radius: float, rng,
+                  size=None):
     """Pair of admissible multisets equal on [-inside_radius, inside_radius]
     and independently random beyond it (buffered by one grid gap).
     inside_radius must be a finite real number >= 0.
 
-    Two multisets are drawn, `base` and `other`, without multiplicities.
-    The variant keeps base's nodes with |x| <= inside_radius (inner) and
-    takes other's nodes with |x| > inside_radius + 1/rho (outer) while
-    their block has room. Both sets are slices of sorted entries, so the
-    variant is the three slices in order, built with NodeMultiset._derived:
-    outer below, inner, outer above."""
+    With size=None, one pair (base, variant); with an integer size >= 1, a
+    list of `size` pairs, the ones that many calls would draw one after
+    another from rng, leaving it in the same state. Any other size raises
+    ValueError (0, a bool or 2.0 among them).
+
+    Each pair draws two multisets, `base` and `other`, without
+    multiplicities. The variant keeps base's nodes with |x| <=
+    inside_radius (inner) and takes other's nodes with |x| > inside_radius
+    + 1/rho (outer), in ascending order while their block has room. All
+    draws are checked once, stacked, with the NodeMultiset constructor's
+    checks. Then every variant is built in one pass over the stacked
+    arrays, with outer nodes ranked per (pair, block) against l*rho less
+    the inner count, and the members are read-only slices of one record
+    array, built with NodeMultiset._derived."""
     if not (is_finite_real(inside_radius) and inside_radius >= 0):
         raise ValueError("inside_radius must be a finite real number >= 0, "
                          f"got {inside_radius!r}")
-    base = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
-    other = random_admissible_multiset(params, window, rng, allow_multiplicity=False)
-    lo, hi = base.window
-    pos = base.positions()
-    inner = base.entries[np.searchsorted(pos, -inside_radius, "left"):
-                         np.searchsorted(pos, inside_radius, "right")]
-    reach = inside_radius + params.min_gap
-    pos = other.positions()
-    below = other.entries[:np.searchsorted(pos, -reach, "left")]
-    above = other.entries[np.searchsorted(pos, reach, "right"):]
+    if not (size is None or (is_integer(size) and size >= 1)):
+        raise ValueError(
+            f"size must be None or an integer of at least 1, got {size!r}")
+    lo, hi = _block_window(window)
+    pairs = 1 if size is None else int(size)
+    draws = [_draw(params, lo, hi, rng, False) for _ in range(2 * pairs)]
+    pos = np.concatenate([d[0] for d in draws])
+    mult = np.concatenate([d[1] for d in draws])
+    member = np.repeat(np.arange(2 * pairs), [d[0].size for d in draws])
+    _check_entries(pos, mult, member)
+    # even members are bases, odd ones the others
+    pair, is_base = member // 2, member % 2 == 0
+    dist = np.abs(pos)
+    inner = np.flatnonzero(is_base & (dist <= inside_radius))
+    outer = np.flatnonzero(~is_base
+                           & (dist > inside_radius + params.min_gap))
     # outer nodes have multiplicity 1, so a block takes them in ascending
-    # order while it has room: the first cap - (inner count) of them. No
-    # block holds nodes of both sides, as 0 is a block edge.
-    outer = np.concatenate([below["pos"], above["pos"]])
-    blocks = np.floor(outer / params.l).astype(np.int64)
-    rank = np.arange(blocks.size) - np.searchsorted(blocks, blocks)
-    inner_blocks = np.floor(inner["pos"] / params.l).astype(np.int64)
-    counts = np.bincount(inner_blocks - lo, minlength=hi - lo + 1)
-    take = rank < params.lrho - counts[blocks - lo]
-    variant = np.concatenate([below[take[:below.size]], inner,
-                              above[take[below.size:]]])
-    return base, NodeMultiset._derived(variant, params, base.window)
+    # order while it has room: the first l*rho - (inner count) of them
+    span = hi - lo + 1
+    key = pair * span + np.floor(pos / params.l).astype(np.int64) - lo
+    counts = np.bincount(key[inner], minlength=pairs * span)
+    okey = key[outer]
+    rank = np.arange(okey.size) - np.searchsorted(okey, okey)
+    outer = outer[rank < params.lrho - counts[okey]]
+    # output segment 4 * pair + s: s = 0 the base, then the variant's outer
+    # nodes below, inner nodes and outer nodes above
+    bases = np.flatnonzero(is_base)
+    take = np.concatenate([bases, inner, outer])
+    segment = 4 * pair[take] + np.concatenate([
+        np.zeros(bases.size, np.int64), np.full(inner.size, 2),
+        np.where(pos[outer] < 0, 1, 3)])
+    # each segment's entries are in position order in `take`
+    order = take[np.argsort(segment, kind="stable")]
+    out = node_records(pos[order], mult[order])
+    out.flags.writeable = False
+    ends = [0] + np.cumsum(np.bincount(segment, minlength=4 * pairs)).tolist()
+    drawn = [tuple(NodeMultiset._derived(out[start:end], params, (lo, hi))
+                   for start, end in ((ends[i], ends[i + 1]),
+                                      (ends[i + 1], ends[i + 4])))
+             for i in range(0, 4 * pairs, 4)]
+    return drawn[0] if size is None else drawn
 
 
 @dataclass(frozen=True)
@@ -971,13 +1047,13 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     real interval |x| <= r, over a randomized family of agreeing pairs.
     The kernels are compared at 65 equally spaced points of the interval,
     with block radius window_blocks - 8. For each candidate radius all
-    family_size pairs are drawn first, in order from the radius's own
-    generator, and their 2 * family_size kernels are then evaluated in one
-    stacked pass (module docstring), in member groups whose product holds
-    at most numutil.ROW_BLOCK_ENTRIES float64 entries: about 15 MiB at
-    family 100 and window 80. Raises ValueError on the arguments
-    truncation_radius rejects, and when that block radius leaves |x| <= r
-    outside the lattice tail's reach."""
+    family_size pairs are drawn first, by one agreeing_pair call on the
+    radius's own generator, and their 2 * family_size kernels are then
+    evaluated in one stacked pass (module docstring), in member groups
+    whose product holds at most numutil.ROW_BLOCK_ENTRIES float64 entries:
+    about 15 MiB at family 100 and window 80. Raises ValueError on the
+    arguments truncation_radius rejects, and when that block radius leaves
+    |x| <= r outside the lattice tail's reach."""
     _check_certificate_args(r, eps, family_size, window_blocks, seed)
     a = window_blocks - 8
     # r >= 0, so this also rejects a negative block radius
@@ -990,8 +1066,8 @@ def locality_radius(r: float, eps: float, params: GridParams, seed: int = 0,
     radii = _candidate_radii(params, window_blocks)
     for j, b in enumerate(radii):
         rng = np.random.default_rng((seed, int(b)))
-        pairs = [agreeing_pair(params, (-window_blocks, window_blocks), b, rng)
-                 for _ in range(family_size)]
+        pairs = agreeing_pair(params, (-window_blocks, window_blocks), b, rng,
+                              size=family_size)
         rows = _kernel_rows(list(chain.from_iterable(pairs)), xs, a, factors)
         worst = float(np.max(np.abs(rows[0::2] - rows[1::2])))
         if worst < eps:

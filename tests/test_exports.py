@@ -5,6 +5,7 @@ its validating constructor, and no module reaches for another's private
 names."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,3 +111,37 @@ def test_no_module_imports_a_private_name():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _private_imports(path)]
     assert found == [], f"private names imported across modules: {found}"
+
+
+def _derived_callers():
+    """module:name of each top-level function or method in the package
+    whose body calls NodeMultiset._derived."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                if not isinstance(scope, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "_derived"
+                       for node in ast.walk(scope)):
+                    found.add(f"{path.name}:{scope.name}")
+    return found
+
+
+def test_only_the_named_functions_build_unchecked_multisets():
+    """NodeMultiset._derived stores entries without the constructor's
+    checks; only the functions the NodeMultiset docstring names may call
+    it, and it names every one."""
+    named = {"saturate", "agreeing_pair"}
+    assert _derived_callers() == {f"interpolation.py:{name}"
+                                  for name in named}
+    tree = ast.parse((PACKAGE / "interpolation.py").read_text())
+    node_multiset = next(node for node in tree.body
+                         if isinstance(node, ast.ClassDef)
+                         and node.name == "NodeMultiset")
+    doc = ast.get_docstring(node_multiset)
+    assert all(re.search(rf"\b{name}\b", doc) for name in named)

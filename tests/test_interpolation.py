@@ -282,6 +282,27 @@ def test_node_multiset_rejects_non_finite_positions(bad, form):
         NodeMultiset(entries, PARAMS, (-2, 2))
 
 
+@pytest.mark.parametrize("pair", [
+    # a fractional or boolean multiplicity was cut to 2, 1 and 1
+    (1.5, 2.7), (1.5, 1.5), (1.5, True),
+    # strings were parsed, and True read as position 1.0
+    ("2.5", 1), (2.5, "3"), (True, 1),
+    # raised OverflowError
+    (1.5, 2 ** 63),
+])
+def test_node_multiset_rejects_pairs_it_would_coerce(pair):
+    with pytest.raises(ValueError):
+        NodeMultiset([(0.5, 1), pair], PARAMS, (-4, 4))
+
+
+def test_node_multiset_takes_numpy_and_rational_pairs():
+    got = NodeMultiset([(np.float32(0.5), np.int8(2)), (Fraction(3, 2), 1),
+                        (2, 2 ** 63 - 1), (np.int64(3), np.uint64(1))],
+                       PARAMS, (-4, 4))
+    assert got.entries.tolist() == [(0.5, 2), (1.5, 1), (2.0, 2 ** 63 - 1),
+                                    (3.0, 1)]
+
+
 def test_lattice_tail_reports_its_term_limit(monkeypatch):
     lat = saturate(NodeMultiset((), PARAMS, (-8, 8)))
     z = np.array([2.5 + 0.0j])
@@ -520,6 +541,154 @@ def test_derived_multisets_are_read_only_and_pass_the_checks(params, half,
         assert all(type(end) is int for end in mset.window)
 
 
+# ---------------------------------------------------------------------------
+# the random draws against their per-member bodies, frozen here
+
+
+def reference_random_admissible_multiset(params, window, rng,
+                                         allow_multiplicity=True):
+    """random_admissible_multiset as one member's body: records of the
+    plain blocks and of blocks -1 and 0, each drawn in turn, then sorted
+    by one argsort."""
+    lo, hi = window
+    l, cap, gap = params.l, params.lrho, params.min_gap
+    blocks = np.arange(lo, hi + 1)
+    counts = rng.integers(0, cap + 1, size=blocks.size)
+    plain = (blocks != -1) & (blocks != 0) & (counts > 0)
+    reps = counts[plain]
+    pts = (np.repeat(blocks[plain] * l, reps).astype(float)
+           + rng.uniform(0.0, l - 1e-9, size=int(reps.sum())))
+    mult = np.ones(pts.size, dtype=int)
+    if allow_multiplicity and pts.size:
+        first = np.concatenate(([0], np.cumsum(reps)))[:-1]
+        upgrade = (reps < cap) & (rng.random(size=reps.size) < 0.1)
+        mult[first[upgrade]] = 2
+    pos_parts, mult_parts = [pts], [mult]
+    for n in (-1, 0):
+        if not (lo <= n <= hi):
+            continue
+        count = int(rng.integers(0, cap + 1))
+        a, b = (gap, l) if n == 0 else (-l, -gap)
+        if count == 0 or b - a <= 1e-9:
+            continue
+        near = np.sort(rng.uniform(a, b - 1e-9, size=count))
+        near = near[np.concatenate(([True], np.diff(near) > 1e-9))]
+        m = np.ones(near.size, dtype=int)
+        extra = cap - near.size
+        for j in range(near.size):
+            if allow_multiplicity and extra > 0 and rng.random() < 0.1:
+                m[j] = 2
+                extra -= 1
+        pos_parts.append(near)
+        mult_parts.append(m)
+    rec = interpolation.node_records(np.concatenate(pos_parts),
+                                     np.concatenate(mult_parts))
+    rec = rec[np.argsort(rec["pos"])]
+    return NodeMultiset(rec, params, (lo, hi))
+
+
+def reference_agreeing_pair(params, window, inside_radius, rng):
+    """agreeing_pair as one pair's body: two reference draws, and the
+    variant as three sorted slices, outer below, inner, outer above."""
+    base = reference_random_admissible_multiset(params, window, rng, False)
+    other = reference_random_admissible_multiset(params, window, rng, False)
+    lo, hi = base.window
+    pos = base.positions()
+    inner = base.entries[np.searchsorted(pos, -inside_radius, "left"):
+                         np.searchsorted(pos, inside_radius, "right")]
+    reach = inside_radius + params.min_gap
+    pos = other.positions()
+    below = other.entries[:np.searchsorted(pos, -reach, "left")]
+    above = other.entries[np.searchsorted(pos, reach, "right"):]
+    outer = np.concatenate([below["pos"], above["pos"]])
+    blocks = np.floor(outer / params.l).astype(np.int64)
+    rank = np.arange(blocks.size) - np.searchsorted(blocks, blocks)
+    inner_blocks = np.floor(inner["pos"] / params.l).astype(np.int64)
+    counts = np.bincount(inner_blocks - lo, minlength=hi - lo + 1)
+    take = rank < params.lrho - counts[blocks - lo]
+    variant = np.concatenate([below[take[:below.size]], inner,
+                              above[take[below.size:]]])
+    return base, NodeMultiset(variant, params, base.window)
+
+
+@st.composite
+def draw_windows(draw):
+    """Windows with and without blocks -1 and 0, and with one of them."""
+    lo = draw(st.integers(-9, 4))
+    return lo, draw(st.integers(lo, lo + 12))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(grid_params(), draw_windows(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_random_admissible_multiset_matches_frozen_reference(
+        params, window, allow_multiplicity, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_admissible_multiset(params, window, rng, allow_multiplicity)
+    want = reference_random_admissible_multiset(params, window, ref_rng,
+                                                 allow_multiplicity)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.window == want.window
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(PROPERTY, max_examples=300)
+@given(grid_params(), draw_windows(), st.floats(0.0, 16.0),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_agreeing_pair_family_matches_reference_calls(params, window, radius,
+                                                      seed, size):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = agreeing_pair(params, window, radius, rng, size=size)
+    want = [reference_agreeing_pair(params, window, radius, ref_rng)
+            for _ in range(size)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert type(got) is list and len(got) == size
+    for pair, ref in zip(got, want):
+        assert type(pair) is tuple and len(pair) == 2
+        for mset, ref_mset in zip(pair, ref):
+            assert mset.entries.tobytes() == ref_mset.entries.tobytes()
+            assert mset.window == ref_mset.window
+            assert not mset.entries.flags.writeable
+    # size=None is the one pair a size=1 call returns in a list
+    one = agreeing_pair(params, window, radius, np.random.default_rng(seed))
+    assert [m.entries.tobytes() for m in one] == [
+        m.entries.tobytes() for m in want[0]]
+
+
+@pytest.mark.parametrize("size", [0, -1, True, 2.0, "2", 1.5])
+def test_agreeing_pair_size_must_be_a_positive_integer(size):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"size must be None or an integer of at least 1, got {size!r}")):
+        agreeing_pair(PARAMS, (-8, 8), 2.0, rng, size=size)
+    # nothing was drawn
+    fresh = np.random.default_rng(0)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    assert len(agreeing_pair(PARAMS, (-8, 8), 2.0, rng, size=np.int64(2))) == 2
+
+
+def test_agreeing_pair_checks_the_stacked_draws_once(monkeypatch):
+    # each member's positions must rise; one member may start below where
+    # the one before it ended
+    members = [np.array([-3.5, 2.5]), np.array([-2.5, 3.5]),
+               np.array([-3.5, 1.5]), np.array([2.5, 2.5])]
+    draws = iter(members)
+    monkeypatch.setattr(interpolation, "_draw",
+                        lambda *args: (p := next(draws), np.ones(p.size, int)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        agreeing_pair(PARAMS, (-4, 4), 1.0, np.random.default_rng(0), size=2)
+    draws = iter(members[:2] + [np.array([-3.5, np.nan]), members[0]])
+    with pytest.raises(ValueError, match="positions must be finite"):
+        agreeing_pair(PARAMS, (-4, 4), 1.0, np.random.default_rng(0), size=2)
+    # nodes at +-inside_radius are inner nodes
+    draws = iter(members[:2]
+                 + [np.array([-3.5, -1.0, 1.0]), np.array([-1.5, 3.5])])
+    pairs = agreeing_pair(PARAMS, (-4, 4), 1.0, np.random.default_rng(0),
+                          size=2)
+    assert [[m.positions().tolist() for m in p] for p in pairs] == [
+        [[-3.5, 2.5], [-2.5, 3.5]], [[-3.5, -1.0, 1.0], [-1.0, 1.0, 3.5]]]
+
+
 # about 2 % of draws offer a boundary block more outer nodes than it has
 # room for; 500 examples take that path several times
 @settings(PROPERTY, max_examples=500)
@@ -531,10 +700,10 @@ def test_agreeing_pair_matches_sequential_fill(params, half, radius, seed):
                                   np.random.default_rng(seed))
     # redraw the two multisets and fill outer nodes one at a time
     rng = np.random.default_rng(seed)
-    inner = random_admissible_multiset(params, window, rng,
-                                       allow_multiplicity=False)
-    other = random_admissible_multiset(params, window, rng,
-                                       allow_multiplicity=False)
+    inner = reference_random_admissible_multiset(params, window, rng,
+                                                 allow_multiplicity=False)
+    other = reference_random_admissible_multiset(params, window, rng,
+                                                 allow_multiplicity=False)
     assert inner.entries.tolist() == base.entries.tolist()
     merged, counts = {}, {}
     for p, m in inner.entries.tolist():
